@@ -7,16 +7,31 @@ filter.  End-to-end simulations use the faster page-granularity
 :class:`~repro.memsim.cachefilter.PageCacheFilter` instead.
 
 The replacement policy is true LRU, implemented with a per-line timestamp
-so that lookups are O(associativity).
+so that lookups are O(associativity).  The scalar ``access`` methods are
+the reference.  The ``access_batch`` methods replay a whole address array
+with array operations and leave statistics, tags, timestamps and clocks
+exactly as a loop of ``access`` calls would, so the two can be mixed.
 """
+# repro: hot-path — the batched replay drives Fig. 4-(b); per-access python loops are regressions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.memsim.address import CACHE_LINE_SIZE
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative ``keys`` below ``bound``.
+
+    Keys that fit 16 bits are sorted as such, which lets numpy use its
+    radix sort (about 10x faster than the merge sort it uses on int64).
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass
@@ -64,7 +79,8 @@ class Cache:
         self.line_size = line_size
         self.num_sets = num_lines // associativity
         # tags[set, way]; -1 means invalid.  lru[set, way] is a logical
-        # timestamp; larger means more recently used.
+        # timestamp; larger means more recently used.  The clock stamps
+        # from 1, so a way is invalid exactly when its timestamp is 0.
         self._tags = np.full((self.num_sets, associativity), -1, dtype=np.int64)
         self._lru = np.zeros((self.num_sets, associativity), dtype=np.int64)
         self._clock = 0
@@ -96,6 +112,79 @@ class Cache:
         self._lru[set_idx, way] = self._clock
         return False
 
+    def access_batch(self, addrs) -> np.ndarray:
+        """Access each byte address of ``addrs`` in order; return the hit mask.
+
+        The hits, the statistics and the final tags, timestamps and clock
+        are those of ``[self.access(a) for a in addrs]``.  Sets never
+        interact, so the batch is split by set and replayed in lockstep
+        rounds: round k applies every set's k-th access at once.
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        n = addrs.size
+        hits = np.zeros(n, dtype=bool)
+        if n == 0:
+            return hits
+        lines = addrs // self.line_size
+        sets = lines % self.num_sets
+        # an access's round is the number of earlier accesses to its set
+        per_set = np.bincount(sets, minlength=self.num_sets)
+        starts = np.cumsum(per_set) - per_set
+        rank = np.empty(n, dtype=np.int64)
+        rank[_stable_order(sets, self.num_sets)] = np.arange(n) - np.repeat(starts, per_set)
+        order = _stable_order(rank, n)
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        set_of = sets[order]
+        tag_of = lines[order] // self.num_sets
+        way0_of = set_of * self.associativity
+        # access i gets the stamp the scalar path would give it
+        stamp_of = order + (self._clock + 1)
+        flat_tags, flat_lru = self._tags.reshape(-1), self._lru.reshape(-1)
+        rows = np.arange(self.num_sets)
+        # Keying the hit way -1 lets one argmin choose as ``access`` does:
+        # the hit way, else the first invalid way (stamp 0), else the LRU
+        # way.  The chosen key is -1 for a hit, 0 for a fill into an
+        # invalid way and the victim's stamp for an eviction.
+        chosen = np.empty(n, dtype=np.int64)
+        lo = 0
+        for r in range(len(ends)):  # repro: noqa HOT001 — rounds are sequential: round k reads the set state round k-1 wrote, and each round is vectorized across sets
+            hi = ends[r]
+            s = set_of[lo:hi]
+            key = np.where(self._tags[s] == tag_of[lo:hi, None], -1, self._lru[s])
+            way = key.argmin(axis=1)
+            chosen[lo:hi] = key[rows[: hi - lo], way]
+            slot = way0_of[lo:hi] + way
+            flat_tags[slot] = tag_of[lo:hi]
+            flat_lru[slot] = stamp_of[lo:hi]
+            lo = hi
+        hit = chosen < 0
+        hits[order] = hit
+        hit_count = int(np.count_nonzero(hit))
+        self._clock += n
+        self.stats.accesses += n
+        self.stats.hits += hit_count
+        self.stats.misses += n - hit_count
+        self.stats.evictions += int(np.count_nonzero(chosen > 0))
+        return hits
+
+    def _retouch(self, clock0: int, refilled: np.ndarray) -> None:
+        """Apply a hierarchy's fills on hit to the batch stamped from ``clock0``.
+
+        ``refilled[i]`` marks a miss of that batch's access i which a
+        slower level then hit.  ``CacheHierarchy.access`` follows such a
+        miss with ``insert``, which re-touches the line the miss just
+        allocated one tick later, so every later stamp moves up a tick.
+        The LRU order, and with it every replacement decision, stays the
+        same.
+        """
+        shift = np.cumsum(refilled, dtype=np.int64)
+        if shift.size == 0 or shift[-1] == 0:
+            return
+        fresh = self._lru > clock0
+        stamps = self._lru[fresh]
+        self._lru[fresh] = stamps + shift[stamps - clock0 - 1]
+        self._clock += int(shift[-1])
+
     def contains(self, addr: int) -> bool:
         """Probe without updating LRU or statistics."""
         set_idx, tag = self._locate(addr)
@@ -126,17 +215,14 @@ class Cache:
         self._clock = 0
 
 
-@dataclass
-class _LevelResult:
-    hits: int = 0
-    misses: int = 0
-
-
 class CacheHierarchy:
-    """An inclusive multi-level cache hierarchy (L1 -> L2 -> LLC).
+    """A non-inclusive multi-level cache hierarchy (L1 -> L2 -> LLC).
 
     ``access`` walks the levels in order and returns the index of the
-    level that hit, or ``None`` for a memory access (LLC miss).  The
+    level that hit, or ``None`` for a memory access (LLC miss).  Every
+    level that misses allocates the line, and a hit at a slower level
+    also fills it into every faster level.  Nothing back-invalidates, so
+    a faster level can keep a line that a slower level has evicted.  The
     default geometry mirrors the paper's Fig. 4-(b) methodology: 32 KB
     L1D, 2 MB L2 per core, and a shared LLC.
     """
@@ -156,13 +242,36 @@ class CacheHierarchy:
         """Access ``addr``; return hit level index or None for memory."""
         for idx, level in enumerate(self.levels):
             if level.access(addr):
-                # Fill the line into every faster level (inclusive model).
+                # Fill the line into every faster level.
                 for upper in self.levels[:idx]:
                     upper.insert(addr)
                 return idx
         # A miss at every level already installed the line at each level
         # (Cache.access allocates on miss), so nothing more to fill.
         return None
+
+    def access_batch(self, addrs) -> np.ndarray:
+        """Access each address of ``addrs`` in order; return the hit levels.
+
+        The result is int8, ``-1`` for memory.  It, the statistics and
+        every level's final state are those of a loop of ``access``.  Each
+        level replays the previous level's miss stream.  That is exact
+        because no level back-invalidates another, and a fill on hit only
+        re-touches a line the faster level allocated on that access's miss
+        (see ``Cache._retouch``).
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        hit_level = np.full(addrs.size, -1, dtype=np.int8)
+        clocks = [level._clock for level in self.levels]
+        reached = np.arange(addrs.size)
+        for idx, level in enumerate(self.levels):
+            hit = level.access_batch(addrs[reached])
+            hit_level[reached[hit]] = idx
+            reached = reached[~hit]
+        for idx, level in enumerate(self.levels[:-1]):
+            stream = (hit_level < 0) | (hit_level >= idx)
+            level._retouch(clocks[idx], hit_level[stream] > idx)
+        return hit_level
 
     def is_llc_miss(self, addr: int) -> bool:
         """Access ``addr`` and report whether it reached memory."""

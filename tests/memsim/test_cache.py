@@ -1,5 +1,7 @@
 """Unit and property tests for the exact cache models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,3 +149,112 @@ class TestCacheHierarchy:
     def test_empty_hierarchy_rejected(self):
         with pytest.raises(ValueError):
             CacheHierarchy([])
+
+    def test_not_inclusive(self):
+        # nothing back-invalidates: L1 keeps line 0 after the LLC evicts it
+        l1 = Cache(128, 2, name="l1")
+        llc = Cache(256, 1, name="llc")
+        h = CacheHierarchy([l1, llc])
+        for addr in (0, 0, 256):
+            h.access(addr)
+        assert l1.contains(0)
+        assert not llc.contains(0)
+        assert h.access(0) == 0
+        fresh = CacheHierarchy([Cache(128, 2), Cache(256, 1)])
+        assert fresh.access_batch([0, 0, 256, 0]).tolist() == [-1, 0, -1, 0]
+
+
+def _state(cache):
+    """The counters plus everything a later access can observe."""
+    return (
+        dataclasses.astuple(cache.stats),
+        cache._tags.tolist(),  # noqa: SLF001
+        cache._lru.tolist(),  # noqa: SLF001
+        cache._clock,  # noqa: SLF001
+    )
+
+
+def _states(hierarchy):
+    return [_state(level) for level in hierarchy.levels]
+
+
+def _level(hit):
+    return -1 if hit is None else hit
+
+
+#: (size bytes, ways): 2 to 32 lines, against 128 distinct lines below
+CACHE_GEOMETRIES = [(128, 2), (256, 1), (512, 2), (1024, 4), (2048, 2)]
+HIERARCHY_GEOMETRIES = [
+    ((128, 2), (256, 1)),  # the LLC evicts lines L1 keeps
+    ((128, 2), (512, 2), (1024, 4)),
+    ((256, 1), (512, 4), (2048, 2)),
+    ((512, 2),),
+]
+ADDRS = st.lists(st.integers(min_value=0, max_value=8191), max_size=60)
+#: (batched?, addresses) chunks applied in order, interleaving both paths
+CHUNKS = st.lists(st.tuples(st.booleans(), ADDRS), max_size=5)
+
+
+class TestBatchMatchesScalar:
+    """``access_batch`` equals a loop of ``access``, final state included,
+    so the two can be mixed on one cache."""
+
+    @given(st.sampled_from(CACHE_GEOMETRIES), CHUNKS, ADDRS)
+    @settings(max_examples=60, deadline=None)
+    def test_cache(self, geometry, chunks, probe):
+        mixed, reference = Cache(*geometry), Cache(*geometry)
+        for batched, addrs in chunks:
+            want = [reference.access(a) for a in addrs]
+            if batched:
+                hits = mixed.access_batch(np.array(addrs, dtype=np.int64))
+                assert hits.dtype == bool
+                got = hits.tolist()
+            else:
+                got = [mixed.access(a) for a in addrs]
+            assert got == want
+            assert _state(mixed) == _state(reference)
+        assert [mixed.access(a) for a in probe] == [reference.access(a) for a in probe]
+
+    @given(st.sampled_from(HIERARCHY_GEOMETRIES), CHUNKS, ADDRS)
+    @settings(max_examples=60, deadline=None)
+    def test_hierarchy(self, geometry, chunks, probe):
+        mixed, reference = (
+            CacheHierarchy([Cache(size, ways) for size, ways in geometry]) for _ in range(2)
+        )
+        for batched, addrs in chunks:
+            want = [_level(reference.access(a)) for a in addrs]
+            if batched:
+                levels = mixed.access_batch(np.array(addrs, dtype=np.int64))
+                assert levels.dtype == np.int8
+                got = levels.tolist()
+            else:
+                got = [_level(mixed.access(a)) for a in addrs]
+            assert got == want
+            assert _states(mixed) == _states(reference)
+        assert [mixed.access(a) for a in probe] == [reference.access(a) for a in probe]
+
+    def test_fig04b_geometry(self):
+        """Hundreds of sets per round, and refills from both slower levels."""
+        rng = np.random.default_rng(0)
+        addrs = rng.integers(0, 128, size=6000) * 4096 + rng.integers(0, 64, size=6000) * 64
+        mixed, reference = (
+            CacheHierarchy(
+                [Cache(32 * 1024, 8), Cache(256 * 1024, 8), Cache(2 * 1024 * 1024, 16)]
+            )
+            for _ in range(2)
+        )
+        want = [_level(reference.access(a)) for a in addrs.tolist()]
+        got = mixed.access_batch(addrs[:2500]).tolist()
+        got += [_level(mixed.access(a)) for a in addrs[2500:3000].tolist()]
+        got += mixed.access_batch(addrs[3000:]).tolist()
+        assert got == want
+        assert set(want) == {-1, 0, 1, 2}
+        assert _states(mixed) == _states(reference)
+
+    def test_empty_batch_changes_nothing(self):
+        h = CacheHierarchy([Cache(128, 2), Cache(256, 1)])
+        h.access(0)
+        before = _states(h)
+        assert h.access_batch([]).tolist() == []
+        assert h.levels[0].access_batch([]).tolist() == []
+        assert _states(h) == before
