@@ -61,6 +61,11 @@ def _phase_breakdown(spec):
         configure("off")
 
 
+def _simulated_summary(report):
+    """``summary()`` without its ``phase_*`` keys, which are host wall clock."""
+    return {k: v for k, v in report.summary().items() if not k.startswith("phase_")}
+
+
 def _hit_rate(executor):
     lookups = executor.stats.cache_hits + executor.stats.cache_misses
     return executor.stats.cache_hits / lookups if lookups else 0.0
@@ -112,7 +117,10 @@ def test_sweep_parallel_speedup(benchmark, tmp_path):
 
     def agrees(other):
         return all(
-            a.epochs == b.epochs and a.workload == b.workload and a.policy == b.policy
+            a.epochs == b.epochs
+            and a.workload == b.workload
+            and a.policy == b.policy
+            and _simulated_summary(a) == _simulated_summary(b)
             for a, b in zip(serial_reports, other)
         )
 

@@ -27,7 +27,8 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of non-negative ``keys`` below ``bound``.
 
     Keys that fit 16 bits are sorted as such, which lets numpy use its
-    radix sort (about 10x faster than the merge sort it uses on int64).
+    radix sort: about 10x faster than its stable sort of int64 keys on
+    the 8,192-access batches of Fig. 4-(b).
     """
     if bound <= 1 << 16:
         keys = keys.astype(np.uint16)
@@ -122,9 +123,6 @@ class Cache:
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         n = addrs.size
-        hits = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hits
         lines = addrs // self.line_size
         sets = lines % self.num_sets
         # an access's round is the number of earlier accesses to its set
@@ -157,9 +155,9 @@ class Cache:
             flat_tags[slot] = tag_of[lo:hi]
             flat_lru[slot] = stamp_of[lo:hi]
             lo = hi
-        hit = chosen < 0
-        hits[order] = hit
-        hit_count = int(np.count_nonzero(hit))
+        hits = np.empty(n, dtype=bool)
+        hits[order] = chosen < 0
+        hit_count = int(np.count_nonzero(hits))
         self._clock += n
         self.stats.accesses += n
         self.stats.hits += hit_count
