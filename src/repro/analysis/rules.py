@@ -1,4 +1,4 @@
-"""Repo-specific rule classes: DET, HOT, PKL, TEL, SHM.
+"""Repo-specific rule classes: DET, HOT, PKL, TEL, SHM, LAY.
 
 Every rule code is stable (baselines and suppressions reference it) and
 carries a fix-it in its message.  The rule families enforce the
@@ -23,6 +23,10 @@ fan-in, and the vectorized hot path rely on:
   created, attached, closed and unlinked by the trace plane's registry
   (:mod:`repro.experiments.traceplane`); a bare construction elsewhere
   is a /dev/shm leak waiting for its first exception.
+* **LAY** — layering: the README's architecture map as import rules.
+  The simulation packages never import the experiment harnesses built
+  on them, and telemetry, which every layer uses, imports no other
+  ``repro`` package.
 """
 
 from __future__ import annotations
@@ -504,7 +508,82 @@ class SharedMemoryRule(Rule):
             )
 
 
-ALL_RULES = [DeterminismRule, HotPathRule, PicklabilityRule, TelemetryRule, SharedMemoryRule]
+# ----------------------------------------------------------------------
+# LAY — layering
+# ----------------------------------------------------------------------
+#: packages below the experiment harnesses in the architecture map
+_BELOW_EXPERIMENTS = ("memsim", "core", "policies", "profilers", "workloads", "multitenant")
+
+
+def _package_path(rel: str) -> list[str]:
+    """Dotted-name parts of the package a module path sits in, from
+    ``repro`` down (``[]`` outside the ``repro`` tree)."""
+    parts = rel.split("/")[:-1]
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "repro":
+            return parts[i:]
+    return []
+
+
+class LayeringRule(Rule):
+    codes = {
+        "LAY001": "simulation package imports repro.experiments — memsim, core, "
+        "policies, profilers, workloads and multitenant sit below the harnesses",
+        "LAY002": "repro.telemetry imports another repro package — every layer "
+        "uses telemetry, so it must depend on none of them",
+    }
+
+    def __init__(self, ctx: ModuleContext) -> None:
+        super().__init__(ctx)
+        self._package = _package_path(ctx.rel)
+
+    @classmethod
+    def applies(cls, ctx: ModuleContext) -> bool:
+        package = _package_path(ctx.rel)[1:2]
+        return bool(package) and package[0] in (*_BELOW_EXPERIMENTS, "telemetry")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._check(node, alias.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = node.module or ""
+        if node.level:
+            base = self._package[: len(self._package) - node.level + 1]
+            module = ".".join([*base, module] if module else base)
+        for alias in node.names:
+            self._check(node, f"{module}.{alias.name}")
+
+    def _check(self, node: ast.AST, name: str) -> None:
+        parts = name.split(".")
+        if parts[0] != "repro" or len(parts) < 2:
+            return
+        if self._package[1] == "telemetry":
+            if parts[1] != "telemetry":
+                self.ctx.report(
+                    node,
+                    "LAY002",
+                    f"telemetry imports {'.'.join(parts[:2])} — telemetry sits "
+                    "below every other package; pass the value in instead",
+                )
+        elif parts[1] == "experiments":
+            self.ctx.report(
+                node,
+                "LAY001",
+                f"repro.{self._package[1]} imports repro.experiments — the "
+                "harnesses build on the simulator, never the reverse; move "
+                "the shared code down or take it as a parameter",
+            )
+
+
+ALL_RULES = [
+    DeterminismRule,
+    HotPathRule,
+    PicklabilityRule,
+    TelemetryRule,
+    SharedMemoryRule,
+    LayeringRule,
+]
 
 
 def build_rules(ctx: ModuleContext) -> list[Rule]:

@@ -170,7 +170,7 @@ def _timed_execute_job(payload: tuple[JobSpec, str]):
 def _execute_chunk(blob: bytes, plane_table: dict | None):
     """Process-pool entry point for one pre-pickled chunk of payloads.
 
-    Installs the trace-plane table (so the runner's trace-cache misses
+    Installs the trace-plane table (so the runner's trace-store misses
     attach shared memory instead of regenerating), runs every payload,
     and ships back per-job wall clocks plus this worker's accumulated
     dispatch-overhead ns (attach + warmup, consume-once).
@@ -230,8 +230,8 @@ class ProcessPoolBackend(ExecutionBackend):
     The pool outlives ``execute`` calls: workers start once (running
     :func:`repro.experiments.traceplane.pool_initializer`, which
     pre-imports the hot modules) and keep their process-level caches —
-    attached shared-memory traces, derived-account memos, H3 XOR
-    tables — across batches, so consecutive jobs on a warm worker skip
+    the trace store (attached shared-memory traces and their account
+    products), H3 XOR tables — across batches, so consecutive jobs on a warm worker skip
     setup entirely.  Jobs ship as pre-pickled chunks (amortizing
     pickle/IPC, measured under a ``job_pickle`` span) in heaviest-first
     LPT order.  A batch of one job (or ``workers=1``) runs inline — the

@@ -11,8 +11,12 @@ machinery.
 
 from __future__ import annotations
 
+import copy
+from collections import OrderedDict
+
 import numpy as np
 
+from repro.experiments import traceplane
 from repro.experiments.config import (
     DEFAULT_CONFIG,
     ExperimentConfig,
@@ -24,211 +28,130 @@ from repro.policies import make_policy
 from repro.workloads import make_workload
 
 
-#: completed (pages, is_write) epoch streams keyed by workload config +
-#: seed.  A sweep grid runs the same trace under every system/ratio, and
-#: the engine's rng feeds nothing but ``next_batch`` — so a finished
-#: trace is a pure function of its key and replaying it is bit-identical
-#: to regenerating it.  Bounded to keep resident traces small.
-_TRACE_CACHE: dict[tuple, list] = {}
-_TRACE_CACHE_MAX = 8
+class TraceStore:
+    """Complete workload traces and their account products, in one LRU.
 
-#: per-epoch account products derived purely from a trace and the LLC
-#: filter parameters: ``(miss_mask, miss_pages, miss_is_write, touched)``
-#: per epoch.  The LLC filter sees only the access stream — placement,
-#: policy and tier ratio never feed back into it — so jobs replaying the
-#: same trace on the same filter geometry skip the whole filter pipeline.
-_DERIVED_CACHE: dict[tuple, list] = {}
-_DERIVED_CACHE_MAX = 4
+    A sweep grid replays each workload trace under every system and
+    ratio.  The engine's rng feeds nothing but ``next_batch``, so a
+    fresh workload's trace is a pure function of its declared
+    :meth:`~repro.workloads.base.TraceWorkload.trace_key`, and replaying
+    it is bit-identical to generating it live.  Each entry also holds,
+    per LLC-filter geometry, the per-epoch account products
+    ``(miss_mask, miss_pages, miss_is_write, touched)``: the filter sees
+    only the access stream (placement, policy and tier ratio never feed
+    back into it), so jobs sharing a trace and a geometry skip the whole
+    filter pipeline.
 
-
-class _EpochAccountMemo:
-    """Record or replay the engine's per-epoch account products.
-
-    Entries are copied on both put and get so neither the engine nor a
-    policy mutating an ``EpochView`` array can corrupt the shared cache.
+    :attr:`MAX_ENTRIES` traces is the only bound, which keeps resident
+    traces small: the least recently used entry is evicted together with
+    its products.
     """
 
-    def __init__(self, entries: list, record: bool) -> None:
-        self._entries = entries
-        self._record = record
+    MAX_ENTRIES = 8
 
-    def get(self, epoch: int):
-        if self._record or epoch >= len(self._entries):
-            return None
-        return tuple(a.copy() for a in self._entries[epoch])
+    def __init__(self) -> None:
+        #: trace key -> (trace, {filter geometry: per-epoch products})
+        self._entries: OrderedDict[tuple, tuple[list, dict]] = OrderedDict()
 
-    def put(self, epoch: int, miss_mask, miss_pages, miss_is_write, touched) -> None:
-        if self._record and epoch == len(self._entries):
-            self._entries.append(
-                (miss_mask.copy(), miss_pages.copy(), miss_is_write.copy(), touched.copy())
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._entries
+
+    def trace(self, workload, seed: int) -> list:
+        """The complete ``(pages, is_write)`` trace of a fresh workload."""
+        return self._entry(workload, seed)[0]
+
+    def replay(self, workload, engine: SimulationEngine) -> "_TraceReplay":
+        """Make ``engine`` replay a fresh workload's stored trace, and its
+        account products for the engine's LLC filter (recording them when
+        the entry has none).  Call :meth:`_TraceReplay.commit` after the
+        run."""
+        trace, products = self._entry(workload, engine.config.seed)
+        cache = engine.cache
+        geometry = (cache.capacity_pages, cache.max_page_id, cache.lines_per_page)
+        replay = _TraceReplay(workload, trace, products, geometry)
+        engine.workload = engine.account_memo = replay
+        return replay
+
+    def _entry(self, workload, seed: int) -> tuple[list, dict]:
+        if workload.emitted != 0:
+            raise ValueError(
+                f"{workload.name}: {workload.emitted} batches already drained; "
+                "only a fresh workload yields the trace its key names"
             )
+        key = workload.trace_key(seed)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry
+        # a pool worker attaches the trace the parent published instead
+        # of generating it (views stay valid after the parent unlinks)
+        trace = traceplane.worker_trace(key)
+        if trace is None:
+            # drain a copy: the caller's workload stays fresh for its run
+            source = copy.deepcopy(workload)
+            rng = np.random.default_rng(seed)
+            trace = []
+            while (batch := source.next_batch(rng)) is not None:
+                trace.append((batch[0].copy(), batch[1].copy()))
+        entry = self._entries[key] = (trace, {})
+        while len(self._entries) > self.MAX_ENTRIES:
+            self._entries.popitem(last=False)
+        return entry
 
 
-def _workload_trace_key(workload, seed: int) -> tuple | None:
-    """Hashable identity of a workload's full trace, or None if the
-    workload carries state a key cannot capture."""
-    parts: list = [type(workload).__module__, type(workload).__qualname__, int(seed)]
-    for name, value in sorted(vars(workload).items()):
-        if name == "emitted":
-            continue
-        if isinstance(value, np.ndarray):
-            parts.append((name, value.dtype.str, value.shape, value.tobytes()))
-        elif isinstance(value, (bool, int, float, str, type(None))):
-            parts.append((name, value))
-        else:
-            return None
-    return tuple(parts)
+class _TraceReplay:
+    """One run's view of a store entry: the engine's workload and its
+    account memo.
 
+    Batches and account products are handed out as fresh copies, so
+    neither the engine nor a policy mutating an ``EpochView`` array can
+    corrupt the store.  Products are recorded when the entry has none for
+    this filter geometry, and :meth:`commit` stores them only if the run
+    covered the whole trace: a ``max_epochs``-truncated run never leaves
+    a prefix that a later, longer run would fall off the end of with cold
+    filter state.  Everything else proxies to the inner workload.
+    """
 
-class _ReplayWorkload:
-    """Serves a recorded trace; everything else proxies to the inner
-    workload.  Batches are handed out as fresh copies so a consumer
-    mutating them cannot corrupt the cache."""
-
-    def __init__(self, inner, trace: list) -> None:
+    def __init__(self, inner, trace: list, products: dict, geometry: tuple) -> None:
         self._inner = inner
         self._trace = trace
+        self._products = products
+        self._geometry = geometry
+        self._served = products.get(geometry)
+        self._recorded: list | None = [] if self._served is None else None
 
     def next_batch(self, rng):
-        del rng  # the recorded run already consumed the stream
+        del rng  # the trace already consumed the stream
         if self._inner.emitted >= len(self._trace):
             return None
         pages, is_write = self._trace[self._inner.emitted]
         self._inner.emitted += 1
         return pages.copy(), is_write.copy()
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def get(self, epoch: int):
+        if self._served is None or epoch >= len(self._served):
+            return None
+        return tuple(a.copy() for a in self._served[epoch])
 
+    def put(self, epoch: int, miss_mask, miss_pages, miss_is_write, touched) -> None:
+        if self._recorded is not None and epoch == len(self._recorded):
+            self._recorded.append(
+                (miss_mask.copy(), miss_pages.copy(), miss_is_write.copy(), touched.copy())
+            )
 
-class _RecordingWorkload:
-    """Passes batches through while recording them; publishes the trace
-    to the cache only once the workload runs to completion."""
-
-    def __init__(self, inner, key: tuple) -> None:
-        self._inner = inner
-        self._key = key
-        self._recorded: list = []
-
-    def next_batch(self, rng):
-        batch = self._inner.next_batch(rng)
-        if batch is None:
-            _cache_trace(self._key, self._recorded)
-        else:
-            self._recorded.append((batch[0].copy(), batch[1].copy()))
-        return batch
+    def commit(self) -> None:
+        if self._recorded is not None and len(self._recorded) == len(self._trace):
+            self._products[self._geometry] = self._recorded
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
-def _cache_trace(key: tuple, trace: list) -> None:
-    """Insert a complete trace into the bounded in-process cache."""
-    while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-        _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-    _TRACE_CACHE[key] = trace
-
-
-def materialize_trace(workload, seed: int, key: tuple | None = None) -> list:
-    """The complete ``(pages, is_write)`` trace of a fresh workload.
-
-    Generates exactly what an engine run would consume: the engine's rng
-    (``np.random.default_rng(seed)``) feeds nothing but ``next_batch``,
-    so draining a fresh workload here is bit-identical to recording it
-    from a live run.  Keyable traces are served from — and recorded
-    into — the in-process trace cache; this is the parent-side producer
-    the shared-memory trace plane publishes from.
-    """
-    if key is None:
-        key = _workload_trace_key(workload, seed)
-    if key is not None:
-        trace = _TRACE_CACHE.get(key)
-        if trace is not None:
-            return trace
-    rng = np.random.default_rng(seed)
-    trace = []
-    while True:
-        batch = workload.next_batch(rng)
-        if batch is None:
-            break
-        trace.append((batch[0].copy(), batch[1].copy()))
-    if key is not None:
-        _cache_trace(key, trace)
-    return trace
-
-
-def _plane_trace(key: tuple) -> list | None:
-    """A worker-side trace-cache miss falls through to the shared-memory
-    trace plane; an attached trace backs the cache for the rest of the
-    worker's life (views stay valid after the parent unlinks)."""
-    from repro.experiments import traceplane  # deferred: plane is optional
-
-    trace = traceplane.worker_trace(key)
-    if trace is not None:
-        _cache_trace(key, trace)
-    return trace
-
-
-def _with_trace_cache(workload, seed: int):
-    """Wrap a fresh workload for trace replay or recording."""
-    if getattr(workload, "emitted", None) != 0:
-        return workload
-    key = _workload_trace_key(workload, seed)
-    if key is None:
-        return workload
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        return _ReplayWorkload(workload, trace)
-    return _RecordingWorkload(workload, key)
-
-
-def _attach_trace_and_memo(workload, engine):
-    """Wire the trace cache and the derived account memo into an engine.
-
-    Returns ``(wrapped_workload, publish)``; ``publish`` (or None) must
-    be called after the run to commit newly recorded memo entries.  Memo
-    entries are only published when they cover a *complete* trace, so a
-    ``max_epochs``-truncated run can never leave a partial memo that a
-    later, longer run would fall off the end of with cold filter state.
-    """
-    seed = engine.config.seed
-    if getattr(workload, "emitted", None) != 0:
-        return workload, None
-    key = _workload_trace_key(workload, seed)
-    if key is None:
-        return workload, None
-    cache = engine.cache
-    dkey = (key, cache.capacity_pages, cache.max_page_id, cache.lines_per_page)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = _plane_trace(key)
-    if trace is not None:
-        entries = _DERIVED_CACHE.get(dkey)
-        if entries is not None:
-            engine.account_memo = _EpochAccountMemo(entries, record=False)
-            return _ReplayWorkload(workload, trace), None
-        fresh: list = []
-        engine.account_memo = _EpochAccountMemo(fresh, record=True)
-
-        def publish_replay() -> None:
-            if len(fresh) == len(trace):
-                while len(_DERIVED_CACHE) >= _DERIVED_CACHE_MAX:
-                    _DERIVED_CACHE.pop(next(iter(_DERIVED_CACHE)))
-                _DERIVED_CACHE[dkey] = fresh
-
-        return _ReplayWorkload(workload, trace), publish_replay
-
-    fresh = []
-    engine.account_memo = _EpochAccountMemo(fresh, record=True)
-
-    def publish_recording() -> None:
-        full = _TRACE_CACHE.get(key)
-        if full is not None and len(fresh) == len(full):
-            while len(_DERIVED_CACHE) >= _DERIVED_CACHE_MAX:
-                _DERIVED_CACHE.pop(next(iter(_DERIVED_CACHE)))
-            _DERIVED_CACHE[dkey] = fresh
-
-    return _RecordingWorkload(workload, key), publish_recording
+#: the process's trace store, shared by every job it runs
+TRACE_STORE = TraceStore()
 
 
 def workload_pages(name: str, config: ExperimentConfig) -> int:
@@ -390,9 +313,7 @@ def warm_first_touch(engine: SimulationEngine) -> None:
     exactly the regime the paper's Fig. 11 premises (and why promotion
     matters at all).
     """
-    perm = np.random.default_rng(engine.config.seed ^ 0x5EED).permutation(
-        engine.workload.num_pages
-    )
+    perm = np.random.default_rng(engine.config.seed ^ 0x5EED).permutation(engine.workload.num_pages)
     engine.topology.first_touch_allocate(engine.page_table, perm)
 
 
@@ -438,10 +359,9 @@ def run_one(
     )
     if prefill:
         warm_first_touch(engine)
-    engine.workload, publish_memo = _attach_trace_and_memo(workload, engine)
+    replay = TRACE_STORE.replay(workload, engine)
     report = engine.run()
-    if publish_memo is not None:
-        publish_memo()
+    replay.commit()
     if keep_engine:
         report.annotations["policy_object"] = engine.policy
         report.annotations["engine"] = engine

@@ -1,18 +1,18 @@
 """Shared-memory trace plane: publish workload traces once, attach everywhere.
 
 A sweep grid runs the same workload trace under many (policy, ratio,
-system) points, and a workload trace is a pure function of ``(workload
-class, geometry, seed)`` — the identity :func:`~repro.experiments.runner.
-_workload_trace_key` already computes for the in-process trace cache.
-Before this module, every process-pool worker regenerated every trace
-from scratch: the dominant cold-start cost that kept the 4-worker pool
-*slower* than serial on small grids.
+system) points, and a workload trace is a pure function of its declared
+identity — :meth:`~repro.workloads.base.TraceWorkload.trace_key`, the
+key of the runner's in-process :class:`~repro.experiments.runner.
+TraceStore`.  Before this module, every process-pool worker regenerated
+every trace from scratch: the dominant cold-start cost that kept the
+4-worker pool *slower* than serial on small grids.
 
 The trace plane removes that cost structurally:
 
 * the **parent** process materializes each distinct trace once — served
-  from the in-process trace cache when a serial pass already recorded
-  it, generated otherwise — and packs it into one
+  from the trace store when a serial pass already holds it, generated
+  into it otherwise — and packs it into one
   ``multiprocessing.shared_memory`` segment
   (:meth:`TracePlane.publish`);
 * **workers** receive a small ``{digest: descriptor}`` table with each
@@ -35,10 +35,10 @@ pages and is-write planes), the concatenated ``int64`` pages, then the
 concatenated ``bool`` write flags.
 
 The plane is best-effort by design: any failure to publish or attach
-(no ``/dev/shm``, a released segment, an unkeyable workload) falls back
-to per-worker regeneration, which is bit-identical — the plane is a
-wall-clock optimization, never a correctness dependency.  Disable it
-outright with ``REPRO_SWEEP_TRACE_PLANE=off``.
+(no ``/dev/shm``, a released segment) falls back to per-worker
+regeneration, which is bit-identical — the plane is a wall-clock
+optimization, never a correctness dependency.  Disable it outright with
+``REPRO_SWEEP_TRACE_PLANE=off``.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def plane_enabled() -> bool:
 
 
 def trace_digest(key: tuple) -> str:
-    """Stable cross-process digest of a trace-cache key.
+    """Stable cross-process digest of a trace key.
 
-    The key is a tuple of primitives and ``tobytes()`` payloads
-    (:func:`~repro.experiments.runner._workload_trace_key`); pickling it
+    The key is a tuple of primitives
+    (:meth:`~repro.workloads.base.TraceWorkload.trace_key`); pickling it
     at a fixed protocol is canonical for those types, so parent and
     workers — same interpreter, either start method — agree on the
     digest without sharing any state.
@@ -250,12 +250,11 @@ def publish_for(specs) -> TracePlane:
     """A plane holding every distinct trace the given JobSpecs replay.
 
     Only standard-runner jobs participate (custom runners own their own
-    workload construction); unkeyable workloads and publish failures are
-    skipped — those jobs simply regenerate in the worker as before.
-    Traces already recorded by an earlier in-process run (the bench's
-    serial pass, a prior ``run()``) are served from the trace cache;
-    missing ones are generated here, once, and recorded for the parent
-    too.
+    workload construction); publish failures are skipped — those jobs
+    simply regenerate in the worker as before.  Traces the runner's
+    :class:`~repro.experiments.runner.TraceStore` already holds (from
+    the bench's serial pass, a prior ``run()``) are served from it;
+    missing ones are generated into it here, once.
     """
     # deferred: runner is the plane's only intra-repo dependency and
     # importing it at module load would cycle through sweep/backends
@@ -284,14 +283,10 @@ def publish_for(specs) -> TracePlane:
                 spec.workload, config, **spec.workload_overrides
             )
             seed = config.engine_config(**spec.engine_overrides).seed
-            key = _runner._workload_trace_key(workload, seed)
-            if key is None:
-                continue
-            digest = trace_digest(key)
+            digest = trace_digest(workload.trace_key(seed))
             if digest in plane:
                 continue
-            trace = _runner.materialize_trace(workload, seed, key)
-            plane.publish(digest, trace)
+            plane.publish(digest, _runner.TRACE_STORE.trace(workload, seed))
         except Exception:
             continue  # best-effort: the worker regenerates bit-identically
     return plane
@@ -305,7 +300,7 @@ def publish_for(specs) -> TracePlane:
 _TABLE: dict[str, SegmentDescriptor] = {}
 
 #: attached segments kept alive for the worker's lifetime (the warm
-#: per-worker cache: views into these back the runner's trace cache)
+#: per-worker cache: views into these back the runner's trace store)
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 #: dispatch-overhead ns accumulated in this process, consumed per chunk
@@ -318,7 +313,7 @@ def install_table(table: dict[str, SegmentDescriptor]) -> None:
 
 
 def worker_trace(key: tuple) -> list | None:
-    """Attach the published trace for a trace-cache key, or ``None``.
+    """Attach the published trace for a trace key, or ``None``.
 
     Returns the per-epoch ``(pages, is_write)`` list as read-only views
     over the mapped segment.  A descriptor whose segment is gone (the
@@ -392,8 +387,9 @@ def pool_initializer() -> None:
     Runs in each worker as it starts; the measured wall clock ships
     back with the worker's first chunk result as ``worker_warmup`` ns.
     After this, consecutive jobs on the same worker reuse everything
-    process-level: imported modules, the H3 XOR-table cache, the trace
-    cache (shm-attached or recorded), and the derived-account memo.
+    process-level: imported modules, the H3 XOR-table cache, and the
+    trace store (shm-attached or generated traces and their account
+    products).
     """
     import importlib
 

@@ -163,10 +163,12 @@ class SimulationEngine:
         #: optional per-epoch memo for trace-pure account products (miss
         #: mask, miss stream, touched set).  These depend only on the
         #: access trace and the LLC-filter parameters — not on the policy
-        #: or tier ratio — so the sweep runner shares them across jobs
-        #: replaying the same trace (see repro.experiments.runner).  The
-        #: object needs ``get(epoch)`` returning ``(miss_mask,
-        #: miss_pages, miss_is_write, touched)`` or None, and
+        #: or tier ratio — so the runner's TraceStore keeps them with
+        #: each trace and replays them to every job on the same trace
+        #: and filter (see repro.experiments.runner).  The object needs
+        #: ``get(epoch)`` returning ``(miss_mask, miss_pages,
+        #: miss_is_write, touched)`` or None — a replay skips the LLC
+        #: filter, so it must serve every epoch of a run or none — and
         #: ``put(epoch, ...)`` with the same fields.
         self.account_memo = None
         self._fully_mapped = False

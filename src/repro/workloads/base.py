@@ -16,6 +16,7 @@ global factor of ``experiments/config.py`` so runs finish in seconds.
 from __future__ import annotations
 
 import abc
+import inspect
 
 import numpy as np
 
@@ -28,10 +29,28 @@ class TraceWorkload(abc.ABC):
         total_batches: Number of epochs before the workload finishes.
         batch_size: Accesses per epoch.
         write_fraction: Probability any given access is a store.
+
+    A fresh instance's trace is a pure function of its class, its
+    constructor arguments and the engine seed (:meth:`trace_key`), so
+    a generator must draw only on those: no state set after
+    construction, no randomness but the ``rng`` handed to
+    :meth:`generate`.
     """
 
     #: registry key; subclasses override
     name = "trace"
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls)
+        # the most-derived constructor's arguments, defaults applied, in
+        # signature order: recorded here so no subclass can forget them.
+        # Partial binding because unpickling calls __new__ bare and then
+        # restores the recorded arguments with the rest of the state.
+        signature = inspect.signature(cls.__init__)
+        bound = signature.bind_partial(self, *args, **kwargs)
+        bound.apply_defaults()
+        self._trace_args = tuple(bound.arguments.items())[1:]
+        return self
 
     def __init__(
         self,
@@ -79,6 +98,13 @@ class TraceWorkload(abc.ABC):
             return pages[: self.batch_size]
         reps = -(-self.batch_size // pages.size)  # ceil division
         return np.tile(pages, reps)[: self.batch_size]
+
+    def trace_key(self, seed: int) -> tuple:
+        """Hashable identity of the trace a fresh instance yields when the
+        engine runs it with ``seed``: the class plus its constructor
+        arguments with defaults applied."""
+        cls = type(self)
+        return (cls.__module__, cls.__qualname__, self._trace_args, int(seed))
 
     def reset(self) -> None:
         """Rewind the workload for a fresh run."""

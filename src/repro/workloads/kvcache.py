@@ -199,28 +199,9 @@ class KVCacheWorkload(TraceWorkload):
         skip_level: int = 4,
     ) -> None:
         super().__init__(num_pages, total_batches, batch_size, write_fraction)
-        # validate eagerly; stored as scalars so the trace key (and with
-        # it the shm trace plane) can capture the workload's identity
-        KVGeometry.derive(
+        #: the block layout, validated eagerly
+        self.geometry = KVGeometry.derive(
             num_pages, num_layers, num_seqs, prompt_fraction, recent_window, skip_level
-        )
-        self.num_layers = int(num_layers)
-        self.num_seqs = int(num_seqs)
-        self.prompt_fraction = float(prompt_fraction)
-        self.recent_window = int(recent_window)
-        self.skip_level = int(skip_level)
-
-    @property
-    def geometry(self) -> KVGeometry:
-        """The block layout (rebuilt on demand: instances must carry only
-        scalar attributes to stay trace-cacheable)."""
-        return KVGeometry.derive(
-            self.num_pages,
-            self.num_layers,
-            self.num_seqs,
-            self.prompt_fraction,
-            self.recent_window,
-            self.skip_level,
         )
 
     # ------------------------------------------------------------------
@@ -236,9 +217,7 @@ class KVCacheWorkload(TraceWorkload):
             raise RuntimeError(f"{self.name}: block page outside the KV pool")
         return self._fit_pair(pages, is_write)
 
-    def _fit_pair(
-        self, pages: np.ndarray, is_write: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _fit_pair(self, pages: np.ndarray, is_write: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cycle-pad or truncate the paired arrays to the epoch size,
         like :meth:`TraceWorkload._fit_to_batch` but keeping reads and
         writes aligned."""

@@ -2,10 +2,13 @@
 good fixture — the per-code contract the ISSUE acceptance criteria name."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_codes
+from repro.analysis import all_codes, analyze_file
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestDeterminism:
@@ -87,6 +90,34 @@ class TestSharedMemory:
         assert [f.code for f in ctx.findings] == []
 
 
+class TestLayering:
+    """The rule keys on where a module sits, so each fixture is analyzed
+    under the path of the package it stands in for."""
+
+    @staticmethod
+    def _codes(name, rel):
+        return [f.code for f in analyze_file(FIXTURES / f"{name}.py", rel=rel).findings]
+
+    @pytest.mark.parametrize("package", ["memsim", "core", "multitenant"])
+    def test_simulation_packages_never_import_experiments(self, package):
+        """Absolute, from-package, from-module, relative and deferred."""
+        codes = self._codes("lay_bad", f"src/repro/{package}/lay_bad.py")
+        assert codes == ["LAY001"] * 5
+
+    def test_good_fixture_is_silent(self):
+        assert self._codes("lay_good", "src/repro/memsim/lay_good.py") == []
+
+    def test_telemetry_imports_no_other_repro_package(self):
+        codes = self._codes("lay_tel_bad", "src/repro/telemetry/lay_tel_bad.py")
+        assert codes == ["LAY002"] * 3
+
+    @pytest.mark.parametrize(
+        "rel", ["src/repro/experiments/lay_bad.py", "tests/memsim/lay_bad.py", "lay_bad.py"]
+    )
+    def test_harnesses_and_tests_are_exempt(self, rel):
+        assert self._codes("lay_bad", rel) == []
+
+
 class TestSyntaxError:
     def test_unparsable_file_yields_syn001_only(self, fixture_codes):
         assert fixture_codes("syn_bad") == ["SYN001"]
@@ -101,12 +132,13 @@ class TestCodeTable:
             "PKL001", "PKL002",
             "TEL001", "TEL002", "TEL003",
             "SHM001",
+            "LAY001", "LAY002",
             "SYN001", "SUP001", "SUP002",
         }
         assert set(codes) == expected
         assert all(codes[c] for c in codes)
 
-    @pytest.mark.parametrize("family", ["DET", "HOT", "PKL", "TEL", "SHM"])
+    @pytest.mark.parametrize("family", ["DET", "HOT", "PKL", "TEL", "SHM", "LAY"])
     def test_families_are_contiguous_from_001(self, family):
         nums = sorted(int(c[3:]) for c in all_codes() if c.startswith(family))
         assert nums == list(range(1, len(nums) + 1))

@@ -1,19 +1,32 @@
-"""Tests for the derived account memo (trace-keyed epoch cache).
+"""Tests for the runner's TraceStore: traces and their account products.
 
-The memo lets every job replaying the same (workload, seed) trace skip
-the LLC-filter pipeline: the per-epoch ``(miss_mask, miss_pages,
+The store lets every job replaying the same (workload, seed) trace skip
+trace generation, and every job on the same LLC-filter geometry skip
+the filter pipeline: the per-epoch ``(miss_mask, miss_pages,
 miss_is_write, touched)`` tuple is a pure function of the trace prefix
 and the filter geometry, independent of policy and tier ratio.  These
-tests pin the rules that keep that sharing sound: entries publish only
-when they cover a complete trace, and consumers get isolated copies.
+tests pin the rules that keep that sharing sound: products commit only
+when they cover a complete trace, consumers get isolated copies, only
+fresh workloads are stored, and one bound evicts a trace together with
+its products.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import _DERIVED_CACHE, _EpochAccountMemo, run_one
+from repro.experiments.fig11 import fig11_jobs
+from repro.experiments.fig12 import fig12_jobs
+from repro.experiments.fig17 import fig17_jobs
+from repro.experiments.runner import TraceStore, build_engine, build_workload, run_one
+from repro.experiments.sweep import SweepExecutor
+from repro.memsim.cachefilter import PageCacheFilter
+from repro.workloads.base import TraceWorkload
+
+CONFIG = ExperimentConfig(num_pages=2048, batches=6, batch_size=2048)
 
 
 def _entry(tag: int):
@@ -25,76 +38,154 @@ def _entry(tag: int):
     )
 
 
+def _replay(store):
+    """A replay of gups' stored trace attached to a fresh engine (not run)."""
+    workload = build_workload("gups", CONFIG)
+    return store.replay(workload, build_engine(workload, "first-touch", CONFIG))
+
+
+def _store_products(store, entries):
+    """Commit ``entries`` as gups' account products, one per epoch."""
+    replay = _replay(store)
+    for epoch, entry in enumerate(entries):
+        replay.put(epoch, *entry)
+    replay.commit()
+
+
+@pytest.fixture
+def store():
+    return TraceStore()
+
+
+@pytest.fixture
+def process_store(monkeypatch):
+    """A fresh store in place of the process's shared one."""
+    fresh = TraceStore()
+    monkeypatch.setattr(runner, "TRACE_STORE", fresh)
+    return fresh
+
+
 class TestEpochAccountMemo:
-    def test_replay_returns_copies(self):
-        """Mutating what get() hands out must not corrupt the shared entry."""
-        memo = _EpochAccountMemo([_entry(0)], record=False)
-        first = memo.get(0)
+    def test_replay_returns_copies(self, store):
+        """Mutating what get() hands out must not corrupt the stored entry."""
+        _store_products(store, [_entry(t) for t in range(CONFIG.batches)])
+        replay = _replay(store)
+        first = replay.get(0)
         assert first is not None
         first[1][:] = -99
-        again = memo.get(0)
+        again = replay.get(0)
         assert np.array_equal(again[1], np.array([0, 1]))
 
-    def test_replay_past_the_end_returns_none(self):
-        memo = _EpochAccountMemo([_entry(0)], record=False)
-        assert memo.get(1) is None
+    def test_replay_past_the_end_returns_none(self, store):
+        _store_products(store, [_entry(t) for t in range(CONFIG.batches)])
+        assert _replay(store).get(CONFIG.batches) is None
 
-    def test_recording_memo_never_serves(self):
-        entries = []
-        memo = _EpochAccountMemo(entries, record=True)
-        memo.put(0, *_entry(0))
-        assert memo.get(0) is None  # record mode: engine computes fresh
+    def test_recording_memo_never_serves(self, store):
+        replay = _replay(store)
+        replay.put(0, *_entry(0))
+        assert replay.get(0) is None  # record mode: engine computes fresh
 
-    def test_put_stores_copies(self):
-        """The engine reuses its epoch arrays; the memo must snapshot."""
-        entries = []
-        memo = _EpochAccountMemo(entries, record=True)
+    def test_put_stores_copies(self, store):
+        """The engine reuses its epoch arrays; the store must snapshot."""
+        replay = _replay(store)
         mask, pages, writes, touched = _entry(3)
-        memo.put(0, mask, pages, writes, touched)
+        replay.put(0, mask, pages, writes, touched)
         pages[:] = -1
-        stored = entries[0][1]
-        assert np.array_equal(stored, np.array([3, 4]))
+        for epoch in range(1, CONFIG.batches):
+            replay.put(epoch, *_entry(epoch))
+        replay.commit()
+        assert np.array_equal(_replay(store).get(0)[1], np.array([3, 4]))
 
-    def test_put_only_appends_in_sequence(self):
-        entries = [_entry(0)]
-        memo = _EpochAccountMemo(entries, record=True)
-        memo.put(5, *_entry(5))  # out of sequence: dropped
-        assert len(entries) == 1
-        memo.put(1, *_entry(1))
-        assert len(entries) == 2
+    def test_put_only_appends_in_sequence(self, store):
+        replay = _replay(store)
+        replay.put(5, *_entry(5))  # out of sequence: dropped
+        for epoch in range(CONFIG.batches):
+            replay.put(epoch, *_entry(epoch))
+        replay.commit()  # commits only if exactly one entry per epoch
+        served = _replay(store)
+        assert np.array_equal(served.get(0)[1], _entry(0)[1])
+        assert np.array_equal(served.get(5)[1], _entry(5)[1])
 
 
 class TestMemoSharingAcrossRuns:
-    @pytest.fixture(autouse=True)
-    def clean_caches(self):
-        saved_trace = dict(runner._TRACE_CACHE)
-        saved_derived = dict(_DERIVED_CACHE)
-        runner._TRACE_CACHE.clear()
-        _DERIVED_CACHE.clear()
-        yield
-        runner._TRACE_CACHE.clear()
-        runner._TRACE_CACHE.update(saved_trace)
-        _DERIVED_CACHE.clear()
-        _DERIVED_CACHE.update(saved_derived)
-
-    CONFIG = ExperimentConfig(num_pages=2048, batches=6, batch_size=2048)
-
-    def test_memo_replay_is_bit_identical(self):
-        """Cold run records the memo; warm runs (same and different
-        policies) replay it.  Reports must match the cold ones exactly."""
-        cold_a = run_one("gups", "neomem", self.CONFIG)
-        assert len(_DERIVED_CACHE) == 1  # published: trace was complete
-        cold_b = run_one("gups", "memtis", self.CONFIG)
-        warm_a = run_one("gups", "neomem", self.CONFIG)
-        warm_b = run_one("gups", "memtis", self.CONFIG)
+    def test_memo_replay_is_bit_identical(self, process_store):
+        """Cold run records the products; warm runs (same and different
+        policies) replay them.  Reports must match the cold ones exactly."""
+        cold_a = run_one("gups", "neomem", CONFIG)
+        assert _replay(process_store).get(0) is not None  # trace was complete
+        cold_b = run_one("gups", "memtis", CONFIG)
+        warm_a = run_one("gups", "neomem", CONFIG)
+        warm_b = run_one("gups", "memtis", CONFIG)
         for cold, warm in ((cold_a, warm_a), (cold_b, warm_b)):
             assert cold.summary() == warm.summary()
             for name in ("llc_misses", "fast_hits", "duration_ns", "accesses"):
                 assert cold.series(name) == warm.series(name)
 
-    def test_truncated_run_does_not_publish(self):
+    def test_truncated_run_does_not_publish(self, process_store):
         """A max_epochs-truncated run covers only a prefix of the trace;
-        publishing it would hand later full runs a partial memo with cold
+        committing it would hand later full runs a partial memo with cold
         filter state at the cliff edge."""
-        run_one("gups", "memtis", self.CONFIG, engine_overrides={"max_epochs": 2})
-        assert len(_DERIVED_CACHE) == 0
+        run_one("gups", "memtis", CONFIG, engine_overrides={"max_epochs": 2})
+        assert len(process_store) == 1  # the trace itself is complete
+        assert _replay(process_store).get(0) is None
+
+
+class TestTraceStore:
+    def test_partly_drained_workload_is_rejected(self, store):
+        """Draining a workload that already emitted a batch would store
+        its tail under the full trace's key, and serve that short trace
+        to every fresh workload after it."""
+        drained = build_workload("gups", CONFIG)
+        drained.next_batch(np.random.default_rng(CONFIG.seed))
+        with pytest.raises(ValueError, match="already drained"):
+            store.trace(drained, CONFIG.seed)
+        assert len(store) == 0
+        fresh = build_workload("gups", CONFIG)
+        assert len(store.trace(fresh, CONFIG.seed)) == CONFIG.batches
+
+    def test_least_recently_used_trace_is_evicted_with_its_products(self, store):
+        _store_products(store, [_entry(t) for t in range(CONFIG.batches)])
+        held = build_workload("gups", CONFIG).trace_key(CONFIG.seed)
+        first_other = build_workload("silo", CONFIG).trace_key(0)
+
+        def add_other(seed):
+            store.trace(build_workload("silo", CONFIG), seed)
+
+        for seed in range(TraceStore.MAX_ENTRIES - 1):
+            add_other(seed)
+        store.trace(build_workload("gups", CONFIG), CONFIG.seed)  # gups is newest
+        add_other(100)
+        assert len(store) == TraceStore.MAX_ENTRIES
+        assert held in store and first_other not in store
+        assert _replay(store).get(0) is not None  # a held trace keeps its products
+        for seed in range(101, 101 + TraceStore.MAX_ENTRIES):
+            add_other(seed)
+        assert held not in store
+        assert _replay(store).get(0) is None  # regenerated, products gone
+
+    def test_paper_grid_generates_and_filters_each_trace_once(self, process_store, monkeypatch):
+        """Figs. 11, 12 and 17 replay 8 benchmark traces on one filter
+        geometry: the first pass generates and filters each once, the
+        second pass neither generates nor filters."""
+        config = ExperimentConfig(num_pages=2048, batches=4, batch_size=2048)
+        jobs = fig11_jobs(config=config) + fig12_jobs(config=config) + fig17_jobs(config=config)
+        counts: Counter = Counter()
+        next_batch, filter_batch = TraceWorkload.next_batch, PageCacheFilter.filter_batch
+
+        def counted_next_batch(self, rng):
+            batch = next_batch(self, rng)
+            counts["generated"] += batch is not None
+            return batch
+
+        def counted_filter_batch(self, *args, **kwargs):
+            counts["filtered"] += 1
+            return filter_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceWorkload, "next_batch", counted_next_batch)
+        monkeypatch.setattr(PageCacheFilter, "filter_batch", counted_filter_batch)
+        executor = SweepExecutor(workers=1, cache_dir="")
+        executor.run(jobs)
+        assert counts == {"generated": 8 * config.batches, "filtered": 8 * config.batches}
+        counts.clear()
+        executor.run(jobs)
+        assert +counts == Counter()

@@ -18,7 +18,6 @@ from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import JobSpec, SweepExecutor
 from repro.experiments.traceplane import (
-    SegmentDescriptor,
     TracePlane,
     _pack_into,
     _packed_size,
@@ -54,19 +53,25 @@ def grid_jobs():
     return fig12.fig12_jobs(TINY, workloads=("gups", "silo"), ratios=((1, 2),))
 
 
-def _grid_key(spec):
+def _grid_workload(spec):
+    """A spec's fresh workload and the engine seed its run uses."""
     config = spec.resolved_config()
-    workload = runner_mod.build_workload(
-        spec.workload, config, **spec.workload_overrides
-    )
-    seed = config.engine_config(**spec.engine_overrides).seed
-    return runner_mod._workload_trace_key(workload, seed)
+    workload = runner_mod.build_workload(spec.workload, config, **spec.workload_overrides)
+    return workload, config.engine_config(**spec.engine_overrides).seed
+
+
+def _regenerate(workload, seed) -> list:
+    """The trace generated live, bypassing the trace store and plane."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    while (batch := workload.next_batch(rng)) is not None:
+        trace.append(batch)
+    return trace
 
 
 def _traces_equal(a, b) -> bool:
     return len(a) == len(b) and all(
-        np.array_equal(pa, pb) and np.array_equal(wa, wb)
-        for (pa, wa), (pb, wb) in zip(a, b)
+        np.array_equal(pa, pb) and np.array_equal(wa, wb) for (pa, wa), (pb, wb) in zip(a, b)
     )
 
 
@@ -75,9 +80,7 @@ class TestPacking:
         rng = np.random.default_rng(7)
         trace = []
         for n in (5, 0, 17, 1):  # includes an empty epoch
-            trace.append(
-                (rng.integers(0, 2048, size=n), rng.integers(0, 2, size=n) > 0)
-            )
+            trace.append((rng.integers(0, 2048, size=n), rng.integers(0, 2, size=n) > 0))
         return trace
 
     def test_round_trip_is_bit_identical(self):
@@ -150,9 +153,7 @@ class TestPublishFor:
             assert len(plane) == 2
 
     def test_custom_runner_specs_are_skipped(self):
-        spec = JobSpec(
-            "gups", "none", TINY, runner="repro.experiments._testhooks:seed_runner"
-        )
+        spec = JobSpec("gups", "none", TINY, runner="repro.experiments._testhooks:seed_runner")
         with publish_for([spec]) as plane:
             assert len(plane) == 0
 
@@ -161,18 +162,10 @@ class TestPublishFor:
         with publish_for(jobs) as plane:
             traceplane.install_table(plane.table())
             for spec in jobs[:2]:
-                key = _grid_key(spec)
-                attached = traceplane.worker_trace(key)
+                workload, seed = _grid_workload(spec)
+                attached = traceplane.worker_trace(workload.trace_key(seed))
                 assert attached is not None
-                config = spec.resolved_config()
-                workload = runner_mod.build_workload(
-                    spec.workload, config, **spec.workload_overrides
-                )
-                runner_mod._TRACE_CACHE.clear()  # force regeneration
-                regenerated = runner_mod.materialize_trace(
-                    workload, config.engine_config(**spec.engine_overrides).seed
-                )
-                assert _traces_equal(attached, regenerated)
+                assert _traces_equal(attached, _regenerate(workload, seed))
 
     def test_unknown_key_returns_none(self):
         with publish_for(grid_jobs()) as plane:
@@ -186,7 +179,8 @@ class TestPublishFor:
         plane.release()
         traceplane.close_attached()
         traceplane.install_table(table)
-        key = _grid_key(grid_jobs()[0])
+        workload, seed = _grid_workload(grid_jobs()[0])
+        key = workload.trace_key(seed)
         assert traceplane.worker_trace(key) is None
         # the dead descriptor was dropped: the retry short-circuits
         assert trace_digest(key) not in traceplane._TABLE
@@ -206,8 +200,7 @@ class TestPoolLifecycle:
         with SweepExecutor(workers=2, cache_dir="") as pool:
             parallel = pool.run(jobs)
         assert all(
-            a.epochs == b.epochs and a.workload == b.workload
-            for a, b in zip(serial, parallel)
+            a.epochs == b.epochs and a.workload == b.workload for a, b in zip(serial, parallel)
         )
 
     def test_job_exception_releases_segments(self):
@@ -244,7 +237,7 @@ class TestPoolLifecycle:
 
     def test_spawn_pool_attaches_and_matches_serial(self):
         """Spawn workers start with cold caches, so the shm attach path
-        (not fork's inherited trace cache) must carry the traces."""
+        (not fork's inherited trace store) must carry the traces."""
         jobs = grid_jobs()[:2]
         serial = SweepExecutor(workers=1, cache_dir="").run(jobs)
         backend = ProcessPoolBackend(workers=2, start_method="spawn")
@@ -252,6 +245,5 @@ class TestPoolLifecycle:
             parallel = pool.run(jobs)
             assert pool.stats.dispatch_ns.get("shm_attach", 0) > 0
         assert all(
-            a.epochs == b.epochs and a.workload == b.workload
-            for a, b in zip(serial, parallel)
+            a.epochs == b.epochs and a.workload == b.workload for a, b in zip(serial, parallel)
         )

@@ -2,8 +2,8 @@
 
 The determinism bars pinned here are the ISSUE's: the same (workload,
 seed, geometry) must produce bit-identical pages whether the trace is
-generated live, replayed through ``materialize_trace``'s in-process
-cache, or attached from the shared-memory trace plane.
+generated live, served by the runner's in-process ``TraceStore``, or
+attached from the shared-memory trace plane.
 """
 
 import numpy as np
@@ -37,13 +37,12 @@ def geometry(**overrides) -> KVGeometry:
 
 def _traces_equal(a, b) -> bool:
     return len(a) == len(b) and all(
-        np.array_equal(pa, pb) and np.array_equal(wa, wb)
-        for (pa, wa), (pb, wb) in zip(a, b)
+        np.array_equal(pa, pb) and np.array_equal(wa, wb) for (pa, wa), (pb, wb) in zip(a, b)
     )
 
 
 def _drain(workload, seed: int) -> list:
-    """A fresh trace, bypassing the in-process trace cache entirely."""
+    """A fresh trace, bypassing the in-process trace store entirely."""
     rng = np.random.default_rng(seed)
     trace = []
     while True:
@@ -132,8 +131,7 @@ class TestWorkload:
         )
 
     def test_materialized_trace_matches_live_generation(self):
-        runner_mod._TRACE_CACHE.clear()
-        materialized = runner_mod.materialize_trace(KVCacheWorkload(**SMALL), seed=7)
+        materialized = runner_mod.TraceStore().trace(KVCacheWorkload(**SMALL), seed=7)
         assert _traces_equal(materialized, _drain(KVCacheWorkload(**SMALL), seed=7))
 
     def test_trace_ignores_rng_stream(self):
@@ -145,13 +143,11 @@ class TestWorkload:
         )
 
     def test_workload_is_trace_cacheable(self):
-        # scalar-only instance state: the trace key (and with it the
-        # in-process cache and the shm trace plane) must capture it
-        key = runner_mod._workload_trace_key(KVCacheWorkload(**SMALL), seed=7)
+        # the declared key (and with it the trace store and the shm
+        # trace plane) captures every geometry knob
+        key = KVCacheWorkload(**SMALL).trace_key(seed=7)
         assert key is not None
-        other = runner_mod._workload_trace_key(
-            KVCacheWorkload(**SMALL, skip_level=0), seed=7
-        )
+        other = KVCacheWorkload(**SMALL, skip_level=0).trace_key(seed=7)
         assert other is not None and other != key
 
     def test_batches_are_epoch_sized_and_aligned(self):
@@ -189,20 +185,13 @@ class TestShmPlane:
         traceplane.close_attached()
 
     def test_plane_trace_is_bit_identical_to_materialized(self):
-        jobs = kvcache_jobs(
-            TINY_CONFIG, contexts=(0.25,), strategies=("first-touch", "lookahead")
-        )
+        jobs = kvcache_jobs(TINY_CONFIG, contexts=(0.25,), strategies=("first-touch", "lookahead"))
         with publish_for(jobs) as plane:
             assert len(plane) == 1  # one context -> one distinct trace
             traceplane.install_table(plane.table())
             spec = jobs[0]
             config = spec.resolved_config()
-            workload = runner_mod.build_workload(
-                spec.workload, config, **spec.workload_overrides
-            )
-            key = runner_mod._workload_trace_key(workload, config.seed)
-            attached = traceplane.worker_trace(key)
+            workload = runner_mod.build_workload(spec.workload, config, **spec.workload_overrides)
+            attached = traceplane.worker_trace(workload.trace_key(config.seed))
             assert attached is not None
-            runner_mod._TRACE_CACHE.clear()
-            regenerated = runner_mod.materialize_trace(workload, config.seed)
-            assert _traces_equal(attached, regenerated)
+            assert _traces_equal(attached, _drain(workload, config.seed))
