@@ -539,8 +539,8 @@ class LayeringRule(Rule):
 
     @classmethod
     def applies(cls, ctx: ModuleContext) -> bool:
-        package = _package_path(ctx.rel)[1:2]
-        return bool(package) and package[0] in (*_BELOW_EXPERIMENTS, "telemetry")
+        path = _package_path(ctx.rel)
+        return len(path) > 1 and path[1] in (*_BELOW_EXPERIMENTS, "telemetry")
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
