@@ -1,4 +1,4 @@
-"""Repo-specific rule classes: DET, HOT, PKL, TEL, SHM, LAY.
+"""Repo-specific rule classes: DET, HOT, PKL, TEL, LAY.
 
 Every rule code is stable (baselines and suppressions reference it) and
 carries a fix-it in its message.  The rule families enforce the
@@ -19,10 +19,6 @@ fan-in, and the vectorized hot path rely on:
 * **TEL** — telemetry discipline: phase spans only as context
   managers, metric objects only through the registry, MigrationStats
   drained only by its owner (everyone else ``peek()``\\ s).
-* **SHM** — shared-memory ownership: ``SharedMemory`` segments are
-  created, attached, closed and unlinked by the trace plane's registry
-  (:mod:`repro.experiments.traceplane`); a bare construction elsewhere
-  is a /dev/shm leak waiting for its first exception.
 * **LAY** — layering: the README's architecture map as import rules.
   The simulation packages never import the experiment harnesses built
   on them, and telemetry, which every layer uses, imports no other
@@ -478,37 +474,6 @@ class TelemetryRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SHM — shared-memory segment ownership
-# ----------------------------------------------------------------------
-class SharedMemoryRule(Rule):
-    codes = {
-        "SHM001": "bare multiprocessing SharedMemory construction outside "
-        "repro.experiments — segments must be owned by the trace plane's "
-        "registry or they leak in /dev/shm on error paths",
-    }
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        # the trace plane (repro/experiments/traceplane.py) is the
-        # designated segment owner; its package may construct freely
-        return not _in_tree(ctx.rel, "repro/experiments")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        full = qualified_name(self.ctx, node.func) or ""
-        if full == "multiprocessing.shared_memory.SharedMemory" or (
-            isinstance(node.func, ast.Name) and node.func.id == "SharedMemory"
-        ):
-            self.ctx.report(
-                node,
-                "SHM001",
-                "SharedMemory() constructed outside repro.experiments — "
-                "segment lifetime (create/attach/close/unlink, fork AND "
-                "spawn) is owned by repro.experiments.traceplane; publish "
-                "through a TracePlane or attach via worker_trace()",
-            )
-
-
-# ----------------------------------------------------------------------
 # LAY — layering
 # ----------------------------------------------------------------------
 #: packages below the experiment harnesses in the architecture map
@@ -581,7 +546,6 @@ ALL_RULES = [
     HotPathRule,
     PicklabilityRule,
     TelemetryRule,
-    SharedMemoryRule,
     LayeringRule,
 ]
 

@@ -39,8 +39,8 @@ def seed_runner(spec) -> float:
 
 def raising_runner(spec):
     """Custom runner that always fails — exercises the executor's
-    cleanup paths (the trace plane must release its segments even when
-    a job blows up mid-sweep)."""
+    failure path (the job's exception must reach the caller through
+    the pool)."""
     raise RuntimeError(f"raising_runner: {spec.label()}")
 
 

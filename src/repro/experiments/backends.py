@@ -1,33 +1,25 @@
 """Pluggable execution backends for the sweep subsystem.
 
-PR 2's :class:`~repro.experiments.sweep.SweepExecutor` hard-coded one
-execution strategy (serial, or a local process pool).  This module
-turns "how do pending jobs actually run" into a small interface so new
-strategies — starting with multi-host sharding — plug in without
-touching the executor's dedup/cache logic:
+:class:`~repro.experiments.sweep.SweepExecutor` owns spec hashing,
+dedup and the result cache; a backend owns only how the pending jobs
+run:
 
 * :class:`SerialBackend` — in-process, deterministic, no pool overhead.
 * :class:`ProcessPoolBackend` — a *persistent, warm*
-  ``ProcessPoolExecutor`` fan-out: workers start once (pre-importing
-  the hot modules), jobs ship as pre-pickled chunks in heaviest-first
-  order, and traces arrive through the shared-memory trace plane
-  (:mod:`repro.experiments.traceplane`) instead of being regenerated
-  per worker.
-* :class:`ShardedBackend` — the first *distributed* backend: it
-  deterministically partitions the job list (:func:`shard_assignment`)
-  and executes only its own shard, leaving :data:`SHARD_SKIPPED`
-  markers for the rest.  N independent hosts (CI runners, cluster
-  nodes) each run one shard against a private cache directory;
+  ``ProcessPoolExecutor`` fan-out: workers start once and keep their
+  process-level caches (the runner's trace store, the H3 tables)
+  across ``run`` calls, and jobs ship as pre-pickled chunks,
+  heaviest first.
+* :class:`ShardedBackend` — the *distributed* backend: it executes only
+  its own slice of the job list and leaves :data:`SHARD_SKIPPED`
+  markers for the rest.  A job's shard is its content hash modulo the
+  shard count (:func:`shard_of`), so assignment keys off
+  :func:`~repro.experiments.sweep.job_key` — not list position — and is
+  stable under job reordering; two shards can never execute (or cache)
+  conflicting entries for one key.  N independent hosts (CI runners,
+  cluster nodes) each run one shard against a private cache directory;
   :func:`merge_shards` then fans the per-shard caches into one
   directory, erroring on key collisions whose payloads disagree.
-  Assignment is cost-weighted LPT by default — per-job weights mined
-  from manifest ``wall_s`` history, a pages×batches heuristic on cold
-  caches (:mod:`repro.experiments.scheduling`) — with
-  ``REPRO_SWEEP_SCHEDULER=hash`` restoring PR 5's content-hash
-  round-robin (:func:`shard_of`).  Either way assignment keys off
-  :func:`~repro.experiments.sweep.job_key` — not list position — so it
-  is stable under job reordering and two shards can never execute (or
-  cache) conflicting entries for one key.
 
 Backend selection is env-driven so existing harnesses pick it up
 without code changes: ``REPRO_SWEEP_SHARD``/``REPRO_SWEEP_NUM_SHARDS``
@@ -46,19 +38,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.experiments import traceplane
-from repro.experiments.scheduling import (
-    lpt_assignment,
-    job_weights,
-    resolve_scheduler,
-    SCHEDULER_HASH,
-    submission_order,
-)
+from repro.experiments.runner import workload_pages
 from repro.experiments.sweep import (
     JobSpec,
     SweepError,
+    _env_int,
     _execute_job,
     job_key,
 )
@@ -74,7 +60,6 @@ __all__ = [
     "SHARD_SKIPPED",
     "is_shard_skipped",
     "shard_of",
-    "shard_assignment",
     "partition",
     "merge_shards",
     "make_backend",
@@ -83,7 +68,6 @@ __all__ = [
     "BACKEND_ENV",
     "SHARD_ENV",
     "NUM_SHARDS_ENV",
-    "CHUNK_ENV",
 ]
 
 #: force a named backend ("serial", "process-pool", "sharded")
@@ -92,8 +76,6 @@ BACKEND_ENV = "REPRO_SWEEP_BACKEND"
 SHARD_ENV = "REPRO_SWEEP_SHARD"
 #: total number of shards splitting the job list
 NUM_SHARDS_ENV = "REPRO_SWEEP_NUM_SHARDS"
-#: jobs per pool submission (default: auto-sized from batch and workers)
-CHUNK_ENV = "REPRO_SWEEP_CHUNK"
 
 
 class ShardMergeError(SweepError):
@@ -119,10 +101,6 @@ class ExecutionBackend(ABC):
     """
 
     name: str = "?"
-    #: True when the backend ships jobs to other processes that can
-    #: attach the shared-memory trace plane (the executor only pays the
-    #: plane's publish cost for such backends)
-    uses_plane: bool = False
 
     def __init__(self) -> None:
         self.last_job_wall_ns: list[int | None] = []
@@ -134,19 +112,12 @@ class ExecutionBackend(ABC):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         """Run every spec, returning sanitized results in spec order.
 
         ``keys`` are the specs' precomputed :func:`job_key` hashes when
         the caller already has them (the executor always does); backends
-        that partition by key use them instead of re-hashing.
-        ``weights`` maps job keys (covering at least the given specs —
-        the executor passes the whole run's key set so sharded
-        assignment sees the full list) to relative costs for LPT
-        scheduling; ``plane_table`` is the shared-memory trace-plane
-        descriptor table to install in workers.
+        that order or partition by key use them instead of re-hashing.
         """
 
     def close(self) -> None:
@@ -167,24 +138,21 @@ def _timed_execute_job(payload: tuple[JobSpec, str]):
     return result, tel.phase_totals().get("job", 0)
 
 
-def _execute_chunk(blob: bytes, plane_table: dict | None):
-    """Process-pool entry point for one pre-pickled chunk of payloads.
-
-    Installs the trace-plane table (so the runner's trace-store misses
-    attach shared memory instead of regenerating), runs every payload,
-    and ships back per-job wall clocks plus this worker's accumulated
-    dispatch-overhead ns (attach + warmup, consume-once).
-    """
-    if plane_table:
-        traceplane.install_table(plane_table)
-    payloads = pickle.loads(blob)
+def _execute_inline(specs: Sequence[JobSpec], unpicklable: str) -> tuple[list, list]:
+    """Run specs one after another in this process: results and walls."""
     results = []
-    walls = []
-    for payload in payloads:
-        result, wall_ns = _timed_execute_job(payload)
+    walls: list[int | None] = []
+    for spec in specs:
+        result, wall_ns = _timed_execute_job((spec, unpicklable))
         results.append(result)
         walls.append(wall_ns)
-    return results, walls, traceplane.consume_worker_ns()
+    return results, walls
+
+
+def _execute_chunk(blob: bytes) -> tuple[list, list]:
+    """Process-pool entry point for one pre-pickled ``(specs,
+    unpicklable)`` chunk: every spec's result and measured wall clock."""
+    return _execute_inline(*pickle.loads(blob))
 
 
 class SerialBackend(ExecutionBackend):
@@ -198,44 +166,49 @@ class SerialBackend(ExecutionBackend):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         self.last_dispatch_ns = {}
-        results = []
-        walls: list[int | None] = []
-        for spec in specs:
-            result, wall_ns = _timed_execute_job((spec, unpicklable))
-            results.append(result)
-            walls.append(wall_ns)
-        self.last_job_wall_ns = walls
+        results, self.last_job_wall_ns = _execute_inline(specs, unpicklable)
         return results
 
 
-def _chunk_size_for(n_jobs: int, workers: int) -> int:
-    """Jobs per pool submission: ``REPRO_SWEEP_CHUNK`` when set, else
-    sized so each worker sees ~4 chunks — big enough to amortize pickle
-    and IPC, small enough that LPT ordering still balances the tail."""
-    explicit = _env_int(CHUNK_ENV)
-    if explicit is not None:
-        if explicit < 1:
-            raise SweepError(f"{CHUNK_ENV} must be >= 1, got {explicit}")
-        return explicit
-    return max(1, min(32, -(-n_jobs // (workers * 4))))
+def _cost(spec: JobSpec) -> float:
+    """Cold-cache cost estimate: RSS pages x batches, from the spec alone.
+
+    Simulated wall clock is dominated by accesses processed, and the
+    access count scales with the workload's page footprint times its
+    batch count.
+    """
+    config = spec.resolved_config()
+    try:
+        pages = int(spec.workload_overrides.get("num_pages", 0))
+        if pages <= 0:
+            pages = workload_pages(spec.workload, config)
+        batches = int(spec.workload_overrides.get("total_batches", 0))
+        if batches <= 0:
+            batches = config.batches
+    except Exception:
+        pages, batches = config.num_pages, config.batches
+    return float(max(1, pages)) * float(max(1, batches))
+
+
+def _heaviest_first(specs: Sequence[JobSpec], keys: Sequence[str]) -> list[int]:
+    """Indices into ``specs`` in ``(-cost, key)`` order: the stragglers
+    start first and the small jobs fill the tail."""
+    costs = [_cost(spec) for spec in specs]
+    return sorted(range(len(specs)), key=lambda i: (-costs[i], keys[i]))
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """Fan jobs over a persistent, warm ``ProcessPoolExecutor``.
 
-    The pool outlives ``execute`` calls: workers start once (running
-    :func:`repro.experiments.traceplane.pool_initializer`, which
-    pre-imports the hot modules) and keep their process-level caches —
-    the trace store (attached shared-memory traces and their account
-    products), H3 XOR tables — across batches, so consecutive jobs on a warm worker skip
-    setup entirely.  Jobs ship as pre-pickled chunks (amortizing
-    pickle/IPC, measured under a ``job_pickle`` span) in heaviest-first
-    LPT order.  A batch of one job (or ``workers=1``) runs inline — the
-    pool buys nothing there.
+    The pool outlives ``execute`` calls: workers start once and keep
+    their process-level caches — the runner's trace store (traces and
+    their account products), the H3 XOR tables — across batches, so
+    consecutive jobs on a warm worker skip setup.  Jobs ship as
+    pre-pickled chunks (amortizing pickle/IPC, measured under a
+    ``job_pickle`` span), heaviest first.  A batch of one job (or
+    ``workers=1``) runs inline — the pool buys nothing there.
 
     Call :meth:`close` (or let the executor's context manager do it) to
     shut the pool down; a broken pool (worker crash) is disposed and
@@ -243,21 +216,12 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process-pool"
-    uses_plane = True
 
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, workers: int, start_method: str | None = None):
         super().__init__()
         if workers < 1:
             raise SweepError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise SweepError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
 
@@ -269,11 +233,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if self.start_method
                 else None
             )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=traceplane.pool_initializer,
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
         return self._pool
 
     def _dispose_pool(self) -> None:
@@ -298,25 +258,19 @@ class ProcessPoolBackend(ExecutionBackend):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         self.last_dispatch_ns = {}
         if self.workers <= 1 or len(specs) <= 1:
-            results = []
-            walls: list[int | None] = []
-            for spec in specs:
-                result, wall_ns = _timed_execute_job((spec, unpicklable))
-                results.append(result)
-                walls.append(wall_ns)
-            self.last_job_wall_ns = walls
+            results, self.last_job_wall_ns = _execute_inline(specs, unpicklable)
             return results
 
         if keys is None:
             keys = [job_key(spec) for spec in specs]
-        order = submission_order(keys, weights)
-        chunk_size = self.chunk_size or _chunk_size_for(len(specs), self.workers)
-        chunks = [order[i : i + chunk_size] for i in range(0, len(order), chunk_size)]
+        order = _heaviest_first(specs, keys)
+        # ~4 chunks per worker: big enough to amortize pickle and IPC,
+        # small enough that heaviest-first ordering still balances the tail
+        size = max(1, min(32, -(-len(specs) // (self.workers * 4))))
+        chunks = [order[i : i + size] for i in range(0, len(order), size)]
 
         # pre-pickling in the parent (rather than letting the pool's
         # feeder thread do it per submit) is what lets the job_pickle
@@ -326,29 +280,26 @@ class ProcessPoolBackend(ExecutionBackend):
         blobs = []
         with tel.span("job_pickle"):
             for chunk in chunks:
-                payloads = [(specs[i], unpicklable) for i in chunk]
-                blobs.append(pickle.dumps(payloads, protocol=pickle.HIGHEST_PROTOCOL))
+                payload = ([specs[i] for i in chunk], unpicklable)
+                blobs.append(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
         pool = self._ensure_pool()
         try:
-            futures = [pool.submit(_execute_chunk, blob, plane_table) for blob in blobs]
+            futures = [pool.submit(_execute_chunk, blob) for blob in blobs]
             results: list = [None] * len(specs)
-            walls = [None] * len(specs)
-            dispatch = {"job_pickle": tel.phase_totals().get("job_pickle", 0)}
+            walls: list[int | None] = [None] * len(specs)
             for chunk, future in zip(chunks, futures):
-                chunk_results, chunk_walls, worker_ns = future.result()
+                chunk_results, chunk_walls = future.result()
                 for i, result, wall_ns in zip(chunk, chunk_results, chunk_walls):
                     results[i] = result
                     walls[i] = wall_ns
-                for phase, ns in worker_ns.items():
-                    dispatch[phase] = dispatch.get(phase, 0) + ns
         except BrokenProcessPool:
             # a dead worker poisons the whole pool; drop it so the next
             # execute starts clean instead of failing forever
             self._dispose_pool()
             raise
         self.last_job_wall_ns = walls
-        self.last_dispatch_ns = dispatch
+        self.last_dispatch_ns = {"job_pickle": tel.phase_totals().get("job_pickle", 0)}
         return results
 
     def describe(self) -> str:
@@ -398,51 +349,19 @@ def shard_of(spec: JobSpec, num_shards: int) -> int:
     """The shard owning a spec: its content hash modulo ``num_shards``.
 
     Keyed off :func:`job_key`, so assignment is a pure function of the
-    job's identity — independent of list order, duplicate count, or
-    which host asks.  Every host slicing the same job list with the
-    same ``num_shards`` computes the same disjoint, exhaustive split.
+    job's identity — independent of list order, duplicate count, tag,
+    or which host asks.  Every host slicing the same job list with the
+    same ``num_shards`` computes the same disjoint, exhaustive split,
+    and a partially cached grid splits exactly like the full one.
     """
     _validate_sharding(0, num_shards)
     return _shard_of_key(job_key(spec), num_shards)
 
 
-def shard_assignment(
-    specs: Sequence[JobSpec],
-    num_shards: int,
-    keys: Sequence[str] | None = None,
-    weights: Mapping[str, float] | None = None,
-    scheduler: str | None = None,
-) -> dict[str, int]:
-    """Job key -> owning shard for a whole job list.
-
-    The default (``REPRO_SWEEP_SCHEDULER=cost``) packs keys onto shards
-    longest-processing-time-first using manifest-mined or heuristic
-    weights (:mod:`repro.experiments.scheduling`); ``hash`` restores the
-    PR 5 content-hash round-robin.  Either way assignment is a pure
-    function of job identities (plus weights), so it is reorder-stable,
-    disjoint and exhaustive, and a tag change can never move a job.
-    """
-    _validate_sharding(0, num_shards)
-    if keys is None:
-        keys = [job_key(spec) for spec in specs]
-    if resolve_scheduler(scheduler) == SCHEDULER_HASH:
-        return {key: _shard_of_key(key, num_shards) for key in keys}
-    if weights is None:
-        weights = job_weights(specs, keys)
-    return lpt_assignment(weights, num_shards)
-
-
-def partition(
-    specs: Sequence[JobSpec],
-    shard: int,
-    num_shards: int,
-    scheduler: str | None = None,
-) -> list[JobSpec]:
+def partition(specs: Sequence[JobSpec], shard: int, num_shards: int) -> list[JobSpec]:
     """The sub-list of ``specs`` owned by ``shard``, in input order."""
     _validate_sharding(shard, num_shards)
-    keys = [job_key(spec) for spec in specs]
-    assignment = shard_assignment(specs, num_shards, keys=keys, scheduler=scheduler)
-    return [spec for spec, key in zip(specs, keys) if assignment[key] == shard]
+    return [spec for spec in specs if _shard_of_key(job_key(spec), num_shards) == shard]
 
 
 class ShardedBackend(ExecutionBackend):
@@ -466,7 +385,6 @@ class ShardedBackend(ExecutionBackend):
         shard: int,
         num_shards: int,
         inner: ExecutionBackend | None = None,
-        scheduler: str | None = None,
     ):
         super().__init__()
         _validate_sharding(shard, num_shards)
@@ -475,11 +393,6 @@ class ShardedBackend(ExecutionBackend):
         self.shard = shard
         self.num_shards = num_shards
         self.inner = inner if inner is not None else SerialBackend()
-        self.scheduler = scheduler
-
-    @property
-    def uses_plane(self) -> bool:
-        return self.inner.uses_plane
 
     def close(self) -> None:
         self.inner.close()
@@ -489,32 +402,15 @@ class ShardedBackend(ExecutionBackend):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         if keys is None:
             keys = [job_key(spec) for spec in specs]
-        # assignment covers the whole weight table when the executor
-        # passed one (its run's full key set), so a partially cached
-        # grid still splits exactly like the uncached full list and the
-        # shards' executed slices stay complementary
-        assignment = shard_assignment(
-            specs, self.num_shards, keys=keys, weights=weights,
-            scheduler=self.scheduler,
-        )
-        owned = [assignment[key] == self.shard for key in keys]
+        owned = [_shard_of_key(key, self.num_shards) == self.shard for key in keys]
         mine = [spec for spec, ours in zip(specs, owned) if ours]
         mine_keys = [key for key, ours in zip(keys, owned) if ours]
-        results = iter(
-            self.inner.execute(
-                mine, unpicklable, keys=mine_keys, weights=weights,
-                plane_table=plane_table,
-            )
-        )
+        results = iter(self.inner.execute(mine, unpicklable, keys=mine_keys))
         inner_walls = iter(self.inner.last_job_wall_ns)
-        self.last_job_wall_ns = [
-            next(inner_walls, None) if ours else None for ours in owned
-        ]
+        self.last_job_wall_ns = [next(inner_walls, None) if ours else None for ours in owned]
         self.last_dispatch_ns = dict(self.inner.last_dispatch_ns)
         return [next(results) if ours else SHARD_SKIPPED for ours in owned]
 
@@ -594,16 +490,6 @@ def merge_shards(
 # ----------------------------------------------------------------------
 # selection
 # ----------------------------------------------------------------------
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SweepError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _local_backend(workers: int) -> ExecutionBackend:
     return ProcessPoolBackend(workers) if workers > 1 else SerialBackend()
 

@@ -16,7 +16,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.experiments import traceplane
 from repro.experiments.config import (
     DEFAULT_CONFIG,
     ExperimentConfig,
@@ -86,16 +85,12 @@ class TraceStore:
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        # a pool worker attaches the trace the parent published instead
-        # of generating it (views stay valid after the parent unlinks)
-        trace = traceplane.worker_trace(key)
-        if trace is None:
-            # drain a copy: the caller's workload stays fresh for its run
-            source = copy.deepcopy(workload)
-            rng = np.random.default_rng(seed)
-            trace = []
-            while (batch := source.next_batch(rng)) is not None:
-                trace.append((batch[0].copy(), batch[1].copy()))
+        # drain a copy: the caller's workload stays fresh for its run
+        source = copy.deepcopy(workload)
+        rng = np.random.default_rng(seed)
+        trace = []
+        while (batch := source.next_batch(rng)) is not None:
+            trace.append((batch[0].copy(), batch[1].copy()))
         entry = self._entries[key] = (trace, {})
         while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)

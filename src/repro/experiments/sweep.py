@@ -10,8 +10,8 @@ This module turns that structure into data:
   or an alternative runner.  A spec fully determines its result.
 * :class:`SweepExecutor` — runs a list of JobSpecs through a pluggable
   :class:`~repro.experiments.backends.ExecutionBackend`: serial (the
-  deterministic default), a ``ProcessPoolExecutor`` fan-out
-  (``workers=`` / ``REPRO_SWEEP_WORKERS``), or a deterministic shard of
+  deterministic default), a warm process pool fed heaviest-first
+  (``workers=`` / ``REPRO_SWEEP_WORKERS``), or a content-hash shard of
   the list for multi-host execution (``REPRO_SWEEP_SHARD`` /
   ``REPRO_SWEEP_NUM_SHARDS``; see :mod:`repro.experiments.backends`).
 * an on-disk result cache keyed by :func:`job_key` — a stable hash of
@@ -58,8 +58,6 @@ import numpy as np
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import run_one
 from repro.telemetry import (
-    MODE_METRICS,
-    Telemetry,
     append_manifest,
     get_telemetry,
     manifest_record,
@@ -100,6 +98,17 @@ class SweepError(RuntimeError):
 class SweepSerializationError(SweepError):
     """A job produced a result that cannot cross the process/cache
     boundary (typically a live engine or policy in ``annotations``)."""
+
+
+def _env_int(name: str) -> int | None:
+    """An integer environment knob, ``None`` when unset or blank."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise SweepError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +387,8 @@ class SweepStats:
     deduplicated: int = 0
     #: jobs left to other shards by a ShardedBackend
     shard_skipped: int = 0
-    #: accumulated dispatch-overhead ns by phase (``trace_build``,
-    #: ``job_pickle``, ``shm_attach``, ``worker_warmup``)
+    #: accumulated dispatch-overhead ns by phase (``job_pickle``: the
+    #: process pool pickling its chunks)
     dispatch_ns: dict = field(default_factory=dict)
 
 
@@ -424,8 +433,8 @@ class SweepExecutor:
         from repro.experiments.backends import resolve_backend
 
         if workers is None:
-            env = os.environ.get(WORKERS_ENV, "").strip()
-            workers = int(env) if env else 1
+            env = _env_int(WORKERS_ENV)
+            workers = 1 if env is None else env
         if workers < 1:
             raise SweepError(f"workers must be >= 1, got {workers}")
         if cache_dir is None:
@@ -474,43 +483,11 @@ class SweepExecutor:
                     continue
                 pending[key] = spec
         if pending:
-            from repro.experiments import traceplane
-            from repro.experiments.scheduling import job_weights, runtime_history
-
-            # weights cover the run's FULL key set (not just pending):
-            # sharded assignment must split a partially cached grid
-            # exactly like the uncached full list, or shards with
-            # divergent caches would leave coverage gaps
-            weights = job_weights(jobs, keys, runtime_history(self.cache_dir))
-            dispatch_ns: dict[str, int] = {}
-            plane = None
-            plane_table = None
-            if self.backend.uses_plane and traceplane.plane_enabled():
-                build_tel = Telemetry(MODE_METRICS)
-                with build_tel.span("trace_build"):
-                    plane = traceplane.publish_for(pending.values())
-                dispatch_ns["trace_build"] = build_tel.phase_totals().get(
-                    "trace_build", 0
+            with tel.span("sweep.dispatch"):
+                executed = self.backend.execute(
+                    list(pending.values()), self.unpicklable, keys=list(pending)
                 )
-                plane_table = plane.table()
-            try:
-                with tel.span("sweep.dispatch"):
-                    executed = self.backend.execute(
-                        list(pending.values()),
-                        self.unpicklable,
-                        keys=list(pending),
-                        weights=weights,
-                        plane_table=plane_table,
-                    )
-            finally:
-                # deterministic segment teardown, even when a job (or
-                # the pool itself) blew up: workers keep their existing
-                # mappings, /dev/shm keeps nothing
-                if plane is not None:
-                    plane.release()
             for phase, ns in self.backend.last_dispatch_ns.items():
-                dispatch_ns[phase] = dispatch_ns.get(phase, 0) + ns
-            for phase, ns in dispatch_ns.items():
                 self.stats.dispatch_ns[phase] = (
                     self.stats.dispatch_ns.get(phase, 0) + ns
                 )
@@ -602,9 +579,7 @@ class SweepExecutor:
         The manifest (``MANIFEST.jsonl``) records what produced each
         cached result — job key, label, seed, git revision, measured
         wall clock, and (on telemetry runs) per-phase totals — so a
-        cache directory is auditable after the fact and the cost
-        scheduler (:mod:`repro.experiments.scheduling`) can mine real
-        per-job runtimes out of it.
+        cache directory is auditable after the fact.
         """
         if self.cache_dir is None:
             return

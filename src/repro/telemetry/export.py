@@ -121,8 +121,7 @@ def manifest_record(
     content hash of the job's full configuration.  Per-phase totals are
     lifted from the result's telemetry annotations when the run
     collected them.  ``wall_s`` is the worker-measured real wall clock
-    of the job (``runtime_s`` is *simulated* seconds) — the signal the
-    cost-weighted scheduler mines for LPT weights.
+    of the job (``runtime_s`` is *simulated* seconds).
     """
     record: dict = {
         "key": key,

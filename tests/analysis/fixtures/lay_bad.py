@@ -9,6 +9,6 @@ from ..experiments import sweep  # LAY001
 
 
 def deferred():
-    from repro.experiments import traceplane  # LAY001
+    from repro.experiments import backends  # LAY001
 
-    return experiments, ExperimentConfig, sweep, traceplane, repro.experiments.runner
+    return experiments, ExperimentConfig, sweep, backends, repro.experiments.runner

@@ -68,28 +68,6 @@ class TestTelemetry:
         assert fixture_codes("tel_good") == []
 
 
-class TestSharedMemory:
-    def test_bad_fixture_fires_on_every_construction_spelling(self, fixture_codes):
-        codes = Counter(fixture_codes("shm_bad"))
-        assert codes["SHM001"] == 3  # from-import, module attr, fully dotted
-
-    def test_good_fixture_is_silent(self, fixture_codes):
-        assert fixture_codes("shm_good") == []
-
-    def test_experiments_tree_is_exempt(self, tmp_path):
-        """The trace plane itself must be allowed to own segments."""
-        from repro.analysis import analyze_file
-
-        src = tmp_path / "traceplane.py"
-        src.write_text(
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def publish(n):\n"
-            "    return SharedMemory(create=True, size=n)\n"
-        )
-        ctx = analyze_file(src, rel="src/repro/experiments/traceplane.py")
-        assert [f.code for f in ctx.findings] == []
-
-
 class TestLayering:
     """The rule keys on where a module sits, so each fixture is analyzed
     under the path of the package it stands in for."""
@@ -131,14 +109,13 @@ class TestCodeTable:
             "HOT001", "HOT002", "HOT003", "HOT004", "HOT005",
             "PKL001", "PKL002",
             "TEL001", "TEL002", "TEL003",
-            "SHM001",
             "LAY001", "LAY002",
             "SYN001", "SUP001", "SUP002",
         }
         assert set(codes) == expected
         assert all(codes[c] for c in codes)
 
-    @pytest.mark.parametrize("family", ["DET", "HOT", "PKL", "TEL", "SHM", "LAY"])
+    @pytest.mark.parametrize("family", ["DET", "HOT", "PKL", "TEL", "LAY"])
     def test_families_are_contiguous_from_001(self, family):
         nums = sorted(int(c[3:]) for c in all_codes() if c.startswith(family))
         assert nums == list(range(1, len(nums) + 1))

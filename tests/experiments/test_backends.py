@@ -1,4 +1,5 @@
-"""Tests for pluggable execution backends: sharding, merging, replicas.
+"""Tests for pluggable execution backends: the pool, sharding, merging,
+replicas.
 
 The acceptance bar pinned here is the CI fan-in invariant: a figure
 sweep split over 2 shards, after ``merge_shards()``, is bit-identical
@@ -7,6 +8,8 @@ to the serial backend's results.
 
 import pickle
 import random
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,14 +30,7 @@ from repro.experiments.backends import (
     resolve_backend,
     shard_of,
 )
-from repro.experiments.backends import shard_assignment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scheduling import (
-    SCHEDULER_ENV,
-    job_weights,
-    lpt_assignment,
-    runtime_history,
-)
 from repro.experiments.sweep import (
     JobSpec,
     SweepError,
@@ -107,105 +103,11 @@ class TestPartitioning:
         tagged = dataclasses.replace(spec, tag="elsewhere")
         assert shard_of(spec, 5) == shard_of(tagged, 5)
 
-
-class TestCostScheduling:
-    """ISSUE acceptance: cost-weighted partitioning is deterministic
-    given the same manifest history — reorder-stable, disjoint,
-    exhaustive — and the hash scheduler remains selectable."""
-
-    def _history_dir(self, tmp_path, jobs, walls):
-        from repro.telemetry import append_manifest, manifest_record
-
-        d = tmp_path / "hist"
-        d.mkdir()
-        for spec, wall_s in zip(jobs, walls):
-            append_manifest(
-                d,
-                manifest_record(
-                    job_key(spec), spec.label(), spec.seed, None, wall_s=wall_s
-                ),
-            )
-        return d
-
-    def test_cost_partition_disjoint_exhaustive_reorder_stable(self):
-        jobs = grid_jobs()
-        keys = [job_key(spec) for spec in jobs]
-        assignment = shard_assignment(jobs, 2, keys=keys, scheduler="cost")
-        assert set(assignment) == set(keys)
-        assert set(assignment.values()) <= {0, 1}
-        shuffled = list(zip(jobs, keys))
-        random.Random(11).shuffle(shuffled)
-        reordered = shard_assignment(
-            [s for s, _ in shuffled], 2,
-            keys=[k for _, k in shuffled], scheduler="cost",
-        )
-        assert reordered == assignment
-
-    def test_cost_partition_deterministic_given_manifest_history(self, tmp_path):
-        jobs = grid_jobs()
-        walls = [0.1 * (i + 1) for i in range(len(jobs))]
-        d = self._history_dir(tmp_path, jobs, walls)
-        history = runtime_history(d)
-        keys = [job_key(spec) for spec in jobs]
-        weights = job_weights(jobs, keys, history)
-        # measured path engaged: every label has history
-        assert set(weights.values()) == set(walls)
-        first = lpt_assignment(weights, 3)
-        again = lpt_assignment(dict(reversed(list(weights.items()))), 3)
-        assert first == again
-        assert set(first.values()) == {0, 1, 2}
-
-    def test_partial_history_falls_back_to_heuristic_for_all(self, tmp_path):
-        """Measured seconds and heuristic page counts are incomparable,
-        so a history covering only some labels must not mix scales."""
-        jobs = grid_jobs()
-        d = self._history_dir(tmp_path, jobs[:1], [0.5])
-        keys = [job_key(spec) for spec in jobs]
-        weights = job_weights(jobs, keys, runtime_history(d))
-        assert weights == job_weights(jobs, keys, {})
-
-    def test_lpt_balances_by_weight(self):
-        weights = {"a": 3.0, "b": 2.0, "c": 2.0, "d": 1.0}
-        assignment = lpt_assignment(weights, 2)
-        loads = [0.0, 0.0]
-        for key, shard in assignment.items():
-            loads[shard] += weights[key]
-        assert loads[0] == loads[1] == 4.0
-
-    def test_hash_scheduler_matches_shard_of(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "hash")
+    def test_partition_matches_shard_of(self):
         for num_shards in (2, 3):
-            expected = {spec.seed: shard_of(spec, num_shards) for spec in CHEAP}
-            shards = [partition(CHEAP, s, num_shards) for s in range(num_shards)]
-            for s, shard in enumerate(shards):
-                for spec in shard:
-                    assert expected[spec.seed] == s
-
-    def test_unknown_scheduler_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "psychic")
-        with pytest.raises(SweepError, match="unknown scheduler"):
-            partition(CHEAP, 0, 2)
-
-    def test_tag_does_not_move_a_job_under_cost(self):
-        import dataclasses
-
-        tagged = [dataclasses.replace(spec, tag="routed") for spec in CHEAP]
-        plain = partition(CHEAP, 0, 3, scheduler="cost")
-        routed = partition(tagged, 0, 3, scheduler="cost")
-        assert [spec.seed for spec in plain] == [spec.seed for spec in routed]
-
-    def test_sharded_backend_agrees_with_partition(self):
-        """The backend and the module-level partition() resolve the same
-        default scheduler, so tests (and hosts) can predict ownership."""
-        executor = SweepExecutor(backend=ShardedBackend(1, 3))
-        results = executor.run(CHEAP, allow_partial=True)
-        mine = {spec.seed for spec in partition(CHEAP, 1, 3)}
-        executed = {
-            spec.seed
-            for spec, result in zip(CHEAP, results)
-            if not is_shard_skipped(result)
-        }
-        assert executed == mine
+            for s in range(num_shards):
+                owned = partition(CHEAP, s, num_shards)
+                assert all(shard_of(spec, num_shards) == s for spec in owned)
 
 
 class TestShardedBackend:
@@ -237,6 +139,94 @@ class TestShardedBackend:
         assert [r for r in results if not is_shard_skipped(r)] == [
             float(s.seed) for s in partition(CHEAP, 0, 2)
         ]
+
+    def test_sharded_backend_agrees_with_partition(self):
+        """The backend and the module-level partition() split by the same
+        content hash, so tests (and hosts) can predict ownership."""
+        executor = SweepExecutor(backend=ShardedBackend(1, 3))
+        results = executor.run(CHEAP, allow_partial=True)
+        mine = {spec.seed for spec in partition(CHEAP, 1, 3)}
+        executed = {
+            spec.seed for spec, result in zip(CHEAP, results) if not is_shard_skipped(result)
+        }
+        assert executed == mine
+
+
+class _InlinePool:
+    """Stands in for the worker pool: records every submitted chunk's
+    specs, in submission order, and runs the chunk in this process."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def submit(self, fn, blob):
+        self.chunks.append(pickle.loads(blob)[0])
+        future = Future()
+        future.set_result(fn(blob))
+        return future
+
+
+class TestProcessPool:
+    def test_cold_cache_submission_is_heaviest_first_ties_by_key(self, monkeypatch):
+        """Chunks ship in (-pages x batches, job key) order; results
+        still come back in spec order."""
+
+        def job(seed, **overrides):
+            return JobSpec(
+                "gups",
+                "none",
+                TINY,
+                seed=seed,
+                workload_overrides=overrides,
+                runner="repro.experiments._testhooks:seed_runner",
+            )
+
+        light = job(0, num_pages=1024, total_batches=1)
+        heavy = job(1, num_pages=8192, total_batches=8)
+        ties = [job(seed, num_pages=4096, total_batches=4) for seed in (2, 3, 4, 5)]
+        specs = [light, *ties, heavy]
+        pool = _InlinePool()
+        backend = ProcessPoolBackend(2)
+        monkeypatch.setattr(backend, "_ensure_pool", lambda: pool)
+
+        results = backend.execute(specs)
+
+        assert results == [float(spec.seed) for spec in specs]
+        shipped = [spec for chunk in pool.chunks for spec in chunk]
+        assert shipped == [heavy, *sorted(ties, key=job_key), light]
+        assert backend.last_dispatch_ns.keys() == {"job_pickle"}
+
+
+class TestPoolFailures:
+    def test_job_exception_reaches_the_caller(self):
+        jobs = grid_jobs() + [
+            JobSpec(
+                "gups",
+                "none",
+                TINY,
+                seed=999,
+                runner="repro.experiments._testhooks:raising_runner",
+            )
+        ]
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            with pytest.raises(RuntimeError, match="raising_runner"):
+                pool.run(jobs)
+
+    def test_worker_crash_disposes_the_broken_pool(self):
+        jobs = grid_jobs() + [
+            JobSpec(
+                "gups",
+                "none",
+                TINY,
+                seed=999,
+                runner="repro.experiments._testhooks:exit_runner",
+            )
+        ]
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            with pytest.raises(BrokenProcessPool):
+                pool.run(jobs)
+            # a broken pool is disposed; the next batch starts a fresh one
+            assert len(pool.run(grid_jobs()[:2])) == 2
 
 
 class TestEnvResolution:

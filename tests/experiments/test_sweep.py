@@ -199,6 +199,11 @@ class TestExecutor:
         with pytest.raises(SweepError):
             SweepExecutor(unpicklable="maybe")
 
+    def test_malformed_workers_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "two")
+        with pytest.raises(SweepError, match="REPRO_SWEEP_WORKERS must be an integer"):
+            SweepExecutor()
+
     def test_env_knobs(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "c"))

@@ -1,25 +1,18 @@
 """KV-cache workload: geometry invariants, trace determinism, cacheability.
 
-The determinism bars pinned here are the ISSUE's: the same (workload,
-seed, geometry) must produce bit-identical pages whether the trace is
-generated live, served by the runner's in-process ``TraceStore``, or
-attached from the shared-memory trace plane.
+The determinism bar pinned here: the same (workload, seed, geometry)
+must produce bit-identical pages whether the trace is generated live or
+served by the runner's in-process ``TraceStore``.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments import runner as runner_mod
-from repro.experiments import traceplane
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.kvcache import kvcache_jobs
-from repro.experiments.traceplane import publish_for
 from repro.workloads import make_workload
 from repro.workloads.kvcache import KVCacheWorkload, KVGeometry
 
 SMALL = dict(num_pages=4096, total_batches=6, batch_size=4096)
-
-TINY_CONFIG = ExperimentConfig(num_pages=2048, batches=4, batch_size=2048)
 
 
 def geometry(**overrides) -> KVGeometry:
@@ -143,8 +136,8 @@ class TestWorkload:
         )
 
     def test_workload_is_trace_cacheable(self):
-        # the declared key (and with it the trace store and the shm
-        # trace plane) captures every geometry knob
+        # the declared key (and with it the trace store) captures every
+        # geometry knob
         key = KVCacheWorkload(**SMALL).trace_key(seed=7)
         assert key is not None
         other = KVCacheWorkload(**SMALL, skip_level=0).trace_key(seed=7)
@@ -175,23 +168,3 @@ class TestWorkload:
         wl.reset()
         assert wl.next_batch(rng) is not None
 
-
-class TestShmPlane:
-    @pytest.fixture(autouse=True)
-    def _detach_after(self):
-        # close after the test returns, once the locals holding views
-        # into the segments are gone (the traceplane suite's pattern)
-        yield
-        traceplane.close_attached()
-
-    def test_plane_trace_is_bit_identical_to_materialized(self):
-        jobs = kvcache_jobs(TINY_CONFIG, contexts=(0.25,), strategies=("first-touch", "lookahead"))
-        with publish_for(jobs) as plane:
-            assert len(plane) == 1  # one context -> one distinct trace
-            traceplane.install_table(plane.table())
-            spec = jobs[0]
-            config = spec.resolved_config()
-            workload = runner_mod.build_workload(spec.workload, config, **spec.workload_overrides)
-            attached = traceplane.worker_trace(workload.trace_key(config.seed))
-            assert attached is not None
-            assert _traces_equal(attached, _drain(workload, config.seed))
