@@ -187,7 +187,7 @@ def _cost(spec: JobSpec) -> float:
         batches = int(spec.workload_overrides.get("total_batches", 0))
         if batches <= 0:
             batches = config.batches
-    except Exception:
+    except (TypeError, ValueError):  # a non-integer override
         pages, batches = config.num_pages, config.batches
     return float(max(1, pages)) * float(max(1, batches))
 

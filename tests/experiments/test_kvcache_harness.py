@@ -132,4 +132,3 @@ class TestRows:
         table = kvcache.format_kvcache(rows)
         assert "first-touch" in table and "lookahead" in table
         assert table.count("\n") >= len(rows)
-

@@ -167,4 +167,3 @@ class TestWorkload:
         assert n == wl.total_batches
         wl.reset()
         assert wl.next_batch(rng) is not None
-
