@@ -1,8 +1,7 @@
 """Declared trace identity over the workload registry (property tests).
 
 ``TraceWorkload.trace_key`` is the only identity the runner's trace
-store and the shared-memory trace plane know: workloads with equal keys
-are served one trace.  So every constructor argument must reach the key,
+store knows: workloads with equal keys are served one trace.  So every constructor argument must reach the key,
 and equal keys must mean bit-identical traces.
 """
 
