@@ -22,7 +22,7 @@ from repro.experiments.fig11 import fig11_jobs
 from repro.experiments.fig12 import fig12_jobs
 from repro.experiments.fig17 import fig17_jobs
 from repro.experiments.runner import TraceStore, build_engine, build_workload, run_one
-from repro.experiments.sweep import SweepExecutor
+from repro.experiments.sweep import JobSpec, SweepExecutor
 from repro.memsim.cachefilter import PageCacheFilter
 from repro.workloads.base import TraceWorkload
 
@@ -162,6 +162,56 @@ class TestTraceStore:
             add_other(seed)
         assert held not in store
         assert _replay(store).get(0) is None  # regenerated, products gone
+
+    def test_trace_leaves_the_callers_workload_fresh(self, store):
+        """The store drains a copy, so the workload it was handed can
+        still run (or be replayed) from its first batch."""
+        workload = build_workload("gups", CONFIG)
+        trace = store.trace(workload, CONFIG.seed)
+        assert workload.emitted == 0
+        first = workload.next_batch(np.random.default_rng(CONFIG.seed))
+        assert np.array_equal(first[0], trace[0][0])
+
+    def test_equal_workloads_share_one_entry(self, store):
+        first = store.trace(build_workload("gups", CONFIG), CONFIG.seed)
+        second = store.trace(build_workload("gups", CONFIG), CONFIG.seed)
+        assert second is first
+        assert len(store) == 1
+
+    def test_seed_is_part_of_the_key(self, store):
+        a = store.trace(build_workload("gups", CONFIG), 1)
+        b = store.trace(build_workload("gups", CONFIG), 2)
+        assert len(store) == 2
+        assert not all(np.array_equal(pa, pb) for (pa, _), (pb, _) in zip(a, b))
+
+    @pytest.mark.parametrize("name", ["gups", "silo"])
+    def test_stored_trace_is_bit_identical_to_live_generation(self, store, name):
+        stored = store.trace(build_workload(name, CONFIG), CONFIG.seed)
+        live_workload = build_workload(name, CONFIG)
+        rng = np.random.default_rng(CONFIG.seed)
+        live = []
+        while (batch := live_workload.next_batch(rng)) is not None:
+            live.append(batch)
+        assert len(stored) == len(live) == CONFIG.batches
+        for (pages, is_write), (live_pages, live_is_write) in zip(stored, live):
+            assert np.array_equal(pages, live_pages)
+            assert np.array_equal(is_write, live_is_write)
+
+    def test_grid_dedupes_to_distinct_traces(self, process_store):
+        """A trace is a function of the workload, not of the system or
+        the tier ratio: 2 workloads x 2 ratios x 2 systems share 2."""
+        jobs = fig12_jobs(config=CONFIG, workloads=("gups", "silo"), ratios=((1, 2), (1, 4)))
+        assert len(jobs) == 8
+        SweepExecutor(workers=1, cache_dir="").run(jobs)
+        assert len(process_store) == 2
+
+    def test_custom_runner_specs_are_skipped(self, process_store):
+        """Jobs with their own runner build no workload, so they leave
+        the store empty."""
+        runner_path = "repro.experiments._testhooks:seed_runner"
+        jobs = [JobSpec("gups", "none", CONFIG, seed=seed, runner=runner_path) for seed in range(3)]
+        assert SweepExecutor(workers=1, cache_dir="").run(jobs) == [0.0, 1.0, 2.0]
+        assert len(process_store) == 0
 
     def test_paper_grid_generates_and_filters_each_trace_once(self, process_store, monkeypatch):
         """Figs. 11, 12 and 17 replay 8 benchmark traces on one filter

@@ -22,6 +22,7 @@ from repro.experiments.backends import (
     SerialBackend,
     ShardedBackend,
     ShardMergeError,
+    _cost,
     is_shard_skipped,
     is_sharded_env,
     make_backend,
@@ -31,6 +32,7 @@ from repro.experiments.backends import (
     shard_of,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import workload_pages
 from repro.experiments.sweep import (
     JobSpec,
     SweepError,
@@ -39,6 +41,7 @@ from repro.experiments.sweep import (
     replicate,
     run_replicated,
 )
+from repro.experiments.sweep_cli import results_digest
 
 TINY = ExperimentConfig(num_pages=2048, batches=4, batch_size=2048)
 
@@ -58,6 +61,18 @@ CHEAP = [
 def grid_jobs():
     """A small real figure grid (2 workloads x 1 ratio x 2 systems)."""
     return fig12.fig12_jobs(TINY, workloads=("gups", "silo"), ratios=((1, 2),))
+
+
+def sized_job(seed, **overrides):
+    """A cheap job whose pool cost comes from its workload overrides."""
+    return JobSpec(
+        "gups",
+        "none",
+        TINY,
+        seed=seed,
+        workload_overrides=overrides,
+        runner="repro.experiments._testhooks:seed_runner",
+    )
 
 
 class TestPartitioning:
@@ -151,43 +166,63 @@ class TestShardedBackend:
         }
         assert executed == mine
 
+    def test_skipped_jobs_report_no_wall_clock(self):
+        backend = ShardedBackend(0, 2)
+        results = backend.execute(CHEAP)
+        walls = backend.last_job_wall_ns
+        assert len(walls) == len(CHEAP)
+        for result, wall in zip(results, walls):
+            assert (wall is None) == is_shard_skipped(result)
+
+    def test_dispatch_overhead_is_the_inner_backends(self, monkeypatch):
+        inner, _ = inline_pool_backend(monkeypatch)
+        backend = ShardedBackend(0, 2, inner=inner)
+        backend.execute(CHEAP)
+        assert backend.last_dispatch_ns == inner.last_dispatch_ns
+        assert backend.last_dispatch_ns.keys() == {"job_pickle"}
+
+    def test_precomputed_keys_decide_ownership(self):
+        """The executor hands over the keys it already hashed; the
+        backend splits by those instead of hashing the specs again."""
+        results = ShardedBackend(1, 2).execute(CHEAP[:4], keys=["1", "2", "3", "4"])
+        assert [is_shard_skipped(r) for r in results] == [False, True, False, True]
+
 
 class _InlinePool:
     """Stands in for the worker pool: records every submitted chunk's
-    specs, in submission order, and runs the chunk in this process."""
+    specs and unpicklable mode, in submission order, and runs the chunk
+    in this process."""
 
     def __init__(self):
         self.chunks = []
+        self.modes = []
 
     def submit(self, fn, blob):
-        self.chunks.append(pickle.loads(blob)[0])
+        specs, unpicklable = pickle.loads(blob)
+        self.chunks.append(specs)
+        self.modes.append(unpicklable)
         future = Future()
         future.set_result(fn(blob))
         return future
+
+
+def inline_pool_backend(monkeypatch, workers=2):
+    """A pool backend whose chunks run through an :class:`_InlinePool`."""
+    pool = _InlinePool()
+    backend = ProcessPoolBackend(workers)
+    monkeypatch.setattr(backend, "_ensure_pool", lambda: pool)
+    return backend, pool
 
 
 class TestProcessPool:
     def test_cold_cache_submission_is_heaviest_first_ties_by_key(self, monkeypatch):
         """Chunks ship in (-pages x batches, job key) order; results
         still come back in spec order."""
-
-        def job(seed, **overrides):
-            return JobSpec(
-                "gups",
-                "none",
-                TINY,
-                seed=seed,
-                workload_overrides=overrides,
-                runner="repro.experiments._testhooks:seed_runner",
-            )
-
-        light = job(0, num_pages=1024, total_batches=1)
-        heavy = job(1, num_pages=8192, total_batches=8)
-        ties = [job(seed, num_pages=4096, total_batches=4) for seed in (2, 3, 4, 5)]
+        light = sized_job(0, num_pages=1024, total_batches=1)
+        heavy = sized_job(1, num_pages=8192, total_batches=8)
+        ties = [sized_job(seed, num_pages=4096, total_batches=4) for seed in (2, 3, 4, 5)]
         specs = [light, *ties, heavy]
-        pool = _InlinePool()
-        backend = ProcessPoolBackend(2)
-        monkeypatch.setattr(backend, "_ensure_pool", lambda: pool)
+        backend, pool = inline_pool_backend(monkeypatch)
 
         results = backend.execute(specs)
 
@@ -195,6 +230,114 @@ class TestProcessPool:
         shipped = [spec for chunk in pool.chunks for spec in chunk]
         assert shipped == [heavy, *sorted(ties, key=job_key), light]
         assert backend.last_dispatch_ns.keys() == {"job_pickle"}
+
+    def test_cost_is_pages_times_batches_from_the_overrides(self):
+        assert _cost(sized_job(0, num_pages=4096, total_batches=3)) == 4096 * 3
+
+    def test_cost_defaults_to_the_workload_footprint_and_config_batches(self):
+        """Unset (or zero) overrides fall back to the page count the
+        runner would build the workload with, so a larger-RSS benchmark
+        costs more on the same configuration."""
+        for workload in ("gups", "silo", "bwaves"):
+            spec = JobSpec(workload, "none", TINY)
+            assert _cost(spec) == workload_pages(workload, TINY) * TINY.batches
+        assert _cost(sized_job(0, num_pages=0)) == _cost(sized_job(0))
+        assert _cost(JobSpec("bwaves", "none", TINY)) > _cost(JobSpec("gups", "none", TINY))
+
+    def test_cost_survives_a_non_integer_override(self):
+        assert _cost(sized_job(0, num_pages="lots")) == TINY.num_pages * TINY.batches
+        assert _cost(sized_job(0, total_batches=None)) == TINY.num_pages * TINY.batches
+
+    @pytest.mark.parametrize(
+        ("jobs", "workers", "sizes"),
+        [
+            (2, 2, [1, 1]),
+            (20, 2, [3, 3, 3, 3, 3, 3, 2]),
+            (17, 3, [2, 2, 2, 2, 2, 2, 2, 2, 1]),
+            (300, 2, [32] * 9 + [12]),
+        ],
+        ids=["one-per-chunk", "four-per-worker", "three-workers", "capped-at-32"],
+    )
+    def test_chunks_are_about_four_per_worker_and_at_most_32(
+        self, monkeypatch, jobs, workers, sizes
+    ):
+        specs = [sized_job(seed) for seed in range(jobs)]
+        backend, pool = inline_pool_backend(monkeypatch, workers)
+        assert backend.execute(specs) == [float(seed) for seed in range(jobs)]
+        assert [len(chunk) for chunk in pool.chunks] == sizes
+
+    def test_every_job_reports_its_wall_clock(self, monkeypatch):
+        specs = [sized_job(seed, num_pages=1024 * (seed + 1)) for seed in range(6)]
+        backend, _ = inline_pool_backend(monkeypatch)
+        backend.execute(specs)
+        walls = backend.last_job_wall_ns
+        assert len(walls) == len(specs)
+        assert all(isinstance(wall, int) and wall > 0 for wall in walls)
+
+    @pytest.mark.parametrize(("workers", "jobs"), [(1, 4), (2, 1)], ids=["one-worker", "one-job"])
+    def test_inline_paths_start_no_pool(self, workers, jobs):
+        backend = ProcessPoolBackend(workers)
+        specs = CHEAP[:jobs]
+        assert backend.execute(specs) == [float(spec.seed) for spec in specs]
+        assert backend._pool is None
+        assert backend.last_dispatch_ns == {}
+        assert len(backend.last_job_wall_ns) == jobs
+
+    def test_dispatch_ns_is_reset_by_every_execute(self, monkeypatch):
+        backend, _ = inline_pool_backend(monkeypatch)
+        backend.execute(CHEAP[:4])
+        assert backend.last_dispatch_ns["job_pickle"] > 0
+        backend.execute(CHEAP[:1])  # runs inline: nothing is pickled
+        assert backend.last_dispatch_ns == {}
+
+    def test_unpicklable_mode_rides_every_chunk(self, monkeypatch):
+        """Workers sanitize results under the caller's mode, so "strip"
+        must reach them inside each chunk."""
+        specs = [
+            JobSpec(
+                "gups",
+                "first-touch",
+                TINY,
+                seed=seed,
+                extractor="repro.experiments._testhooks:poison_annotations",
+            )
+            for seed in (1, 2)
+        ]
+        backend, pool = inline_pool_backend(monkeypatch)
+        reports = backend.execute(specs, unpicklable="strip")
+        assert pool.modes == ["strip", "strip"]
+        for report in reports:
+            assert report.annotations["stripped_annotations"] == ["extractor_leak"]
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(SweepError, match="workers must be >= 1"):
+            ProcessPoolBackend(0)
+
+    def test_close_is_idempotent_and_a_closed_backend_reopens(self):
+        backend = ProcessPoolBackend(2)
+        try:
+            assert backend.execute(CHEAP[:4]) == [0.0, 1.0, 2.0, 3.0]
+            backend.close()
+            backend.close()
+            assert backend._pool is None
+            assert backend.execute(CHEAP[4:8]) == [4.0, 5.0, 6.0, 7.0]
+            assert backend._pool is not None
+        finally:
+            backend.close()
+
+
+class TestPoolStartMethods:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+    def test_pool_matches_serial(self, start_method):
+        """Workers started by spawn or forkserver begin with an empty
+        trace store and regenerate every trace; fork workers inherit
+        the parent's.  All three return the serial results."""
+        jobs = grid_jobs()
+        serial = SweepExecutor(workers=1, cache_dir="").run(jobs)
+        backend = ProcessPoolBackend(2, start_method=start_method)
+        with SweepExecutor(cache_dir="", backend=backend) as pool:
+            parallel = pool.run(jobs)
+        assert results_digest(parallel) == results_digest(serial)
 
 
 class TestPoolFailures:
@@ -250,6 +393,20 @@ class TestEnvResolution:
         monkeypatch.setenv(SHARD_ENV, "0")
         with pytest.raises(SweepError, match="NUM_SHARDS"):
             SweepExecutor()
+
+    @pytest.mark.parametrize("name", [SHARD_ENV, NUM_SHARDS_ENV])
+    def test_malformed_shard_env_names_the_variable(self, monkeypatch, name):
+        monkeypatch.setenv(SHARD_ENV, "0")
+        monkeypatch.setenv(NUM_SHARDS_ENV, "2")
+        monkeypatch.setenv(name, "first")
+        with pytest.raises(SweepError, match=f"{name} must be an integer, got 'first'"):
+            SweepExecutor(workers=1)
+
+    def test_blank_shard_env_is_unset(self, monkeypatch):
+        monkeypatch.setenv(SHARD_ENV, " ")
+        monkeypatch.setenv(NUM_SHARDS_ENV, "")
+        assert not is_sharded_env()
+        assert isinstance(SweepExecutor(workers=1).backend, SerialBackend)
 
     def test_backend_env_forces_name(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")

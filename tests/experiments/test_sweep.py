@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.sweep as sweep_module
+from repro.experiments.backends import SerialBackend
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import (
     JobSpec,
@@ -203,6 +204,41 @@ class TestExecutor:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "two")
         with pytest.raises(SweepError, match="REPRO_SWEEP_WORKERS must be an integer"):
             SweepExecutor()
+
+    @pytest.mark.parametrize("raw", ["1.5", "2 workers"])
+    def test_workers_env_must_be_a_whole_number(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", raw)
+        message = f"REPRO_SWEEP_WORKERS must be an integer, got '{raw}'"
+        with pytest.raises(SweepError, match=message):
+            SweepExecutor()
+
+    def test_workers_env_below_one_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "0")
+        with pytest.raises(SweepError, match="workers must be >= 1"):
+            SweepExecutor()
+
+    def test_blank_workers_env_means_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "  ")
+        executor = SweepExecutor()
+        assert executor.workers == 1
+        assert isinstance(executor.backend, SerialBackend)
+
+    def test_pool_dispatch_stats_hold_only_job_pickle(self):
+        """The pool's one dispatch phase is pickling its chunks, and the
+        executor accumulates it over every run."""
+        jobs = tiny_jobs()
+        with SweepExecutor(workers=2, cache_dir="") as executor:
+            executor.run(jobs)
+            first = executor.stats.dispatch_ns["job_pickle"]
+            assert first > 0
+            executor.run(jobs[:2])
+            second = executor.backend.last_dispatch_ns["job_pickle"]
+            assert executor.stats.dispatch_ns == {"job_pickle": first + second}
+
+    def test_serial_run_records_no_dispatch_overhead(self):
+        executor = SweepExecutor(workers=1, cache_dir="")
+        executor.run(tiny_jobs())
+        assert executor.stats.dispatch_ns == {}
 
     def test_env_knobs(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
