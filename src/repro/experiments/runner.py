@@ -41,6 +41,9 @@ class TraceStore:
     back into it), so jobs sharing a trace and a geometry skip the whole
     filter pipeline.
 
+    Every stored array is read-only, so replays hand out views of them
+    rather than copies, and a write through one raises.
+
     :attr:`MAX_ENTRIES` traces is the only bound, which keeps resident
     traces small: the least recently used entry is evicted together with
     its products.
@@ -90,24 +93,36 @@ class TraceStore:
         rng = np.random.default_rng(seed)
         trace = []
         while (batch := source.next_batch(rng)) is not None:
-            trace.append((batch[0].copy(), batch[1].copy()))
+            trace.append(tuple(_frozen(array) for array in batch))
         entry = self._entries[key] = (trace, {})
         while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
         return entry
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only for keeping.  One that is still
+    writeable, or a view whose base someone may still write or unfreeze,
+    is copied first, so nothing outside the store can change it."""
+    if array.flags.writeable or not array.flags.owndata:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 class _TraceReplay:
     """One run's view of a store entry: the engine's workload and its
     account memo.
 
-    Batches and account products are handed out as fresh copies, so
-    neither the engine nor a policy mutating an ``EpochView`` array can
-    corrupt the store.  Products are recorded when the entry has none for
-    this filter geometry, and :meth:`commit` stores them only if the run
-    covered the whole trace: a ``max_epochs``-truncated run never leaves
-    a prefix that a later, longer run would fall off the end of with cold
-    filter state.  Everything else proxies to the inner workload.
+    Batches and account products are handed out as read-only views of
+    the stored arrays, whose own write flag is off: writing through an
+    ``EpochView`` array raises instead of corrupting the store, and so
+    does switching the flag back on.  Products are recorded when the
+    entry has none for this filter geometry, and :meth:`commit` stores
+    them only if the run covered the whole trace: a
+    ``max_epochs``-truncated run never leaves a prefix that a later,
+    longer run would fall off the end of with cold filter state.
+    Everything else proxies to the inner workload.
     """
 
     def __init__(self, inner, trace: list, products: dict, geometry: tuple) -> None:
@@ -124,18 +139,17 @@ class _TraceReplay:
             return None
         pages, is_write = self._trace[self._inner.emitted]
         self._inner.emitted += 1
-        return pages.copy(), is_write.copy()
+        return pages.view(), is_write.view()
 
     def get(self, epoch: int):
         if self._served is None or epoch >= len(self._served):
             return None
-        return tuple(a.copy() for a in self._served[epoch])
+        return tuple(a.view() for a in self._served[epoch])
 
     def put(self, epoch: int, miss_mask, miss_pages, miss_is_write, touched) -> None:
         if self._recorded is not None and epoch == len(self._recorded):
-            self._recorded.append(
-                (miss_mask.copy(), miss_pages.copy(), miss_is_write.copy(), touched.copy())
-            )
+            products = (miss_mask, miss_pages, miss_is_write, touched)
+            self._recorded.append(tuple(_frozen(array) for array in products))
 
     def commit(self) -> None:
         if self._recorded is not None and len(self._recorded) == len(self._trace):

@@ -22,6 +22,7 @@ two behaviours the paper's results depend on:
 The filter is intentionally deterministic given its inputs so property
 tests can pin its invariants.
 """
+
 # repro: hot-path — PR-7 vectorized epoch path; per-element python loops are regressions
 
 
@@ -50,6 +51,8 @@ class PageCacheFilter:
             raise ValueError("capacity must be positive")
         if max_page_id <= 0:
             raise ValueError("max_page_id must be positive")
+        if lines_per_page <= 0:
+            raise ValueError("lines_per_page must be positive")
         self.capacity_pages = int(capacity_pages)
         self.max_page_id = int(max_page_id)
         self.lines_per_page = int(lines_per_page)
@@ -73,7 +76,12 @@ class PageCacheFilter:
         self._credit.fill(0.0)
 
     # ------------------------------------------------------------------
-    def filter_batch(self, pages: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    def filter_batch(
+        self,
+        pages: np.ndarray,
+        distinct: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Process one epoch batch; return a boolean LLC-miss mask.
 
         Pages are processed as an unordered epoch: per-page access counts
@@ -82,126 +90,69 @@ class PageCacheFilter:
         Pressure beyond capacity decays every page's credit
         proportionally, evicting the long-idle pages first in expectation.
 
-        ``counts`` optionally passes a page-space histogram the caller
-        already computed (``np.bincount(pages, minlength=max_page_id)``)
-        so the engine's shared per-epoch bincount is not recomputed here.
+        ``distinct`` and ``counts`` optionally pass the batch's sorted
+        distinct pages and their access counts when the caller already
+        has them (the engine reuses them as its touched set); otherwise
+        they come from ``np.unique``.
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
+        if distinct is None:
+            distinct, counts = np.unique(pages, return_counts=True)
+        if distinct.size == 0:
             return np.zeros(0, dtype=bool)
-        if counts is not None:
-            # a caller-supplied bincount already proves the range: the
-            # bincount raised on negatives, and an id >= max_page_id
-            # would have grown the histogram past max_page_id
-            if counts.size != self.max_page_id:
-                raise ValueError("page number out of range for the cache filter")
-        elif pages.min() < 0 or pages.max() >= self.max_page_id:
+        if distinct[0] < 0 or distinct[-1] >= self.max_page_id:
             raise ValueError("page number out of range for the cache filter")
 
-        # Dense batches skip compaction entirely and work in page space:
-        # the credit array is already page-indexed, per-page counts come
-        # from one bincount, and the page numbers themselves serve as the
-        # group labels ``_spread_misses`` needs.  Sparse page spaces
-        # compact to the batch's unique pages first.
-        dense = counts is not None or self.max_page_id <= 4 * pages.size
-        if dense:
-            unique = None
-            if counts is None:
-                counts = np.bincount(pages, minlength=self.max_page_id)
-            inverse = pages
-            credit = self._credit
-        else:
-            unique, inverse, counts = np.unique(
-                pages, return_inverse=True, return_counts=True
-            )
-            credit = self._credit[unique]
+        # Miss budget per page.  After the first touch of each line a page
+        # is resident, so of c accesses at most min(c, lines) miss; a page
+        # holding `credit` lines misses on the uncovered fraction of those
+        # first touches: all of them when cold, none when fully resident.
+        # (float32 fraction, float64 product: reports depend on the dtypes.)
+        lines = self.lines_per_page
+        credit = self._credit[distinct]
+        budget = np.minimum(counts, lines)
+        budget = np.ceil(budget * (1.0 - credit / lines)).astype(np.int64)
 
-        # Hits this epoch: one access per line of residency credit can hit;
-        # additional accesses to the same page mostly hit once the page's
-        # lines are resident (temporal locality within the epoch).  A page
-        # with credit c and n accesses sees min(n, c + in-epoch reuse) hits.
-        # In-epoch reuse: after the first touch of each line the page is
-        # resident, so of n accesses roughly n - lines_touched miss at
-        # most; lines_touched <= lines_per_page.
-        first_touch_misses = np.minimum(counts, self.lines_per_page)
-        cold = credit <= 0.0
-        miss_per_page = np.where(cold, first_touch_misses, 0)
-        # Warm pages with partial residency miss on the uncovered fraction
-        # of their first touches.
-        partial = (~cold) & (credit < self.lines_per_page)
-        if np.any(partial):
-            uncovered = 1.0 - credit[partial] / self.lines_per_page
-            miss_per_page = miss_per_page.astype(np.float64)
-            miss_per_page[partial] = first_touch_misses[partial] * uncovered
-        # (miss_per_page <= counts holds by construction: cold pages miss
-        # at most min(count, lines) times, partial pages a fraction of
-        # that, resident pages never.)
-
-        # Build the per-access miss mask: the first `miss` accesses of each
-        # page in the batch are misses, the rest hit.
-        miss_mask = self._spread_misses(inverse, counts, miss_per_page, pages.size)
+        # Most pages are all-or-nothing in any given epoch: every access
+        # misses (budget >= count) or none does (budget == 0).  One gather
+        # of a per-page class marks those; a page with a partial budget
+        # misses on its first `budget` occurrences in batch order, so only
+        # accesses to those pages are ranked.  Classes: 0 no miss, 1 all
+        # miss, 2 + k the k-th partial page.
+        page_class = (budget >= counts).astype(np.int32)
+        partial = np.flatnonzero((budget > 0) & (budget < counts))
+        page_class[partial] = np.arange(2, partial.size + 2, dtype=np.int32)
+        # page-indexed, so `pages` gathers it; entries off the batch are never read
+        by_page = np.empty(self.max_page_id, dtype=np.int32)
+        by_page[distinct] = page_class
+        miss_class = by_page[pages]
+        miss_mask = miss_class == 1
+        if partial.size:
+            sel = np.flatnonzero(miss_class > 1)
+            key = miss_class[sel]
+            if partial.size + 2 <= 1 << 16:
+                # numpy's stable sort is an O(n) radix sort for 16-bit
+                # ints but a comparison sort for wider types
+                key = key.astype(np.uint16)
+            order = np.argsort(key, kind="stable")
+            # sorted by page, partial page k holds positions
+            # [start_k, start_k + count_k) and misses on the first budget_k
+            sub_counts = counts[partial]
+            miss_ends = np.cumsum(sub_counts) - sub_counts + budget[partial]
+            miss_mask[sel[order]] = np.arange(sel.size) < np.repeat(miss_ends, sub_counts)
 
         # Refresh residency: touched pages become (close to) fully resident.
-        if dense:
-            self._credit += counts.astype(np.float32)
-            np.minimum(
-                self._credit, np.float32(self.lines_per_page), out=self._credit
-            )
-        else:
-            self._credit[unique] = np.minimum(
-                credit + counts.astype(np.float32), float(self.lines_per_page)
-            )
+        self._credit[distinct] = np.minimum(credit + counts.astype(np.float32), np.float32(lines))
 
         # Capacity pressure: decay everything proportionally to overflow.
+        # The sum spans the whole page space: its pairwise summation order
+        # is part of the reports' bit-identity.
         total = float(self._credit.sum())
         if total > self._capacity_lines:
             self._credit *= np.float32(self._capacity_lines / total)
             # Sub-line residue behaves as evicted.
             self._credit[self._credit < 0.5] = 0.0
 
-        return miss_mask
-
-    @staticmethod
-    def _spread_misses(
-        inverse: np.ndarray,
-        counts: np.ndarray,
-        miss_per_page: np.ndarray,
-        batch_size: int,
-    ) -> np.ndarray:
-        """Mark the first ``miss_per_page[p]`` occurrences of each page."""
-        if miss_per_page.dtype == np.int64:
-            miss_budget = miss_per_page  # integral already; ceil is a no-op
-        else:
-            miss_budget = np.ceil(miss_per_page).astype(np.int64)
-        # Most pages are all-or-nothing in any given epoch: cold pages
-        # miss on every access (budget >= count), fully resident pages
-        # on none (budget == 0).  Those need no occurrence numbering —
-        # the expensive stable sort runs only over accesses to the few
-        # pages with a partial budget.
-        full = miss_budget >= counts
-        partial = ~full & (miss_budget > 0)
-        miss_mask = full[inverse]
-        if not np.any(partial):
-            return miss_mask
-        sel = np.nonzero(partial[inverse])[0]
-        sub_inverse = inverse[sel]
-        if len(counts) <= 1 << 16:
-            # numpy's stable sort is an O(n) radix sort for 16-bit ints
-            # but a comparison sort for wider types; group ranks fit.
-            sub_inverse = sub_inverse.astype(np.uint16)
-        # Occurrence index of each selected access among accesses to the
-        # same page: every access of a partial page is selected, so the
-        # occurrence number within the subset equals the one within the
-        # full batch.  After a stable sort by page, it is the position
-        # minus the page's group start.
-        order = np.argsort(sub_inverse, kind="stable")
-        sub_counts = np.where(partial, counts, 0)
-        starts = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(sub_counts, out=starts[1:])
-        occ_sorted = np.arange(sel.size, dtype=np.int64) - starts[sub_inverse[order]]
-        occ = np.empty(sel.size, dtype=np.int64)
-        occ[order] = occ_sorted
-        miss_mask[sel] = occ < miss_budget[sub_inverse]
         return miss_mask
 
     # ------------------------------------------------------------------

@@ -80,10 +80,21 @@ class EngineConfig:
     seed: int = 1234
     migration: MigrationConfig = field(default_factory=MigrationConfig)
 
+    def __post_init__(self) -> None:
+        if not self.mlp > 0:
+            raise ValueError(f"mlp must be positive, got {self.mlp}")
+        if not 0.0 <= self.writeback_fraction <= 1.0:
+            raise ValueError(
+                f"writeback_fraction must lie in [0, 1], got {self.writeback_fraction}"
+            )
+        for name in ("cpu_ns_per_access", "llc_hit_ns"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 @dataclass
 class EpochView:
-    """Read-mostly snapshot handed to the policy every epoch."""
+    """Snapshot handed to the policy every epoch; its arrays are read-only."""
 
     epoch: int
     sim_time_ns: float
@@ -119,8 +130,14 @@ class EpochView:
         Returns ``(pages, is_write)`` restricted to misses served by slow
         (CXL) nodes — i.e. exactly what arrives on the CXL channel.
         """
-        on_slow = self.miss_nodes != self.engine.topology.fast_node.node_id
+        on_slow = np.flatnonzero(self.miss_nodes != self.engine.topology.fast_node.node_id)
         return self.miss_pages[on_slow], self.miss_is_write[on_slow]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Freeze ``array`` in place and return it."""
+    array.flags.writeable = False
+    return array
 
 
 class SimulationEngine:
@@ -169,7 +186,9 @@ class SimulationEngine:
         #: ``get(epoch)`` returning ``(miss_mask, miss_pages,
         #: miss_is_write, touched)`` or None — a replay skips the LLC
         #: filter, so it must serve every epoch of a run or none — and
-        #: ``put(epoch, ...)`` with the same fields.
+        #: ``put(epoch, ...)`` with the same fields.  Both directions
+        #: pass read-only arrays, so the memo keeps and hands out views
+        #: of them instead of copies.
         self.account_memo = None
         self._fully_mapped = False
         self.report = SimulationReport(workload=workload.name, policy=policy.name)
@@ -204,8 +223,10 @@ class SimulationEngine:
         """
         tel = self.telemetry
         with tel.span("account"):
-            pages = np.asarray(pages, dtype=np.int64)
-            is_write = np.asarray(is_write, dtype=bool)
+            # read-only views: the caller keeps its arrays, the policy
+            # cannot write through the EpochView
+            pages = _read_only(np.asarray(pages, dtype=np.int64).view())
+            is_write = _read_only(np.asarray(is_write, dtype=bool).view())
             if pages.shape != is_write.shape:
                 raise ValueError("pages and is_write must have matching shapes")
 
@@ -217,43 +238,36 @@ class SimulationEngine:
 
             memo = self.account_memo
             cached = memo.get(self.epoch) if memo is not None else None
-            page_counts = None
             if cached is not None:
                 miss_mask, miss_pages, miss_is_write, touched = cached
             else:
-                # One page-space bincount is shared by the LLC filter and
-                # the touched-page set below (dense batches only; sparse
-                # spaces let each consumer pick its own compaction).
-                num_pages = self.page_table.num_pages
-                if num_pages <= 4 * pages.size:
-                    page_counts = np.bincount(pages, minlength=num_pages)
-                miss_mask = self.cache.filter_batch(pages, counts=page_counts)
-                miss_pages = pages[miss_mask]
-                miss_is_write = is_write[miss_mask]
-            miss_nodes = self.page_table.nodes_of(miss_pages).astype(np.int64)
+                # the batch's distinct pages feed the LLC filter and are
+                # the touched set the OS-visible state updates below use
+                touched, counts = self._distinct_pages(pages)
+                _read_only(touched)
+                miss_mask = _read_only(self.cache.filter_batch(pages, touched, counts))
+                miss = np.flatnonzero(miss_mask)
+                miss_pages = _read_only(pages[miss])
+                miss_is_write = _read_only(is_write[miss])
+                if memo is not None:
+                    memo.put(self.epoch, miss_mask, miss_pages, miss_is_write, touched)
+            miss_nodes = _read_only(self.page_table.nodes_of(miss_pages))
 
-            # One bincount pair replaces the per-node mask scans shared
-            # by the timing model and the traffic accounting below.
+            # One bincount over (node, is_write) pairs books the per-node
+            # misses and writes shared by the timing model and the
+            # traffic accounting below.
             num_nodes = len(self.topology.nodes)
-            node_misses = np.bincount(miss_nodes, minlength=num_nodes)
-            node_writes = np.bincount(miss_nodes[miss_is_write], minlength=num_nodes)
+            booked = np.bincount(miss_nodes * 2 + miss_is_write, minlength=2 * num_nodes)
+            node_writes = booked[1::2]
+            node_misses = booked[0::2] + node_writes
 
-            duration_ns = self._epoch_time_ns(
-                pages.size, miss_pages.size, node_misses, node_writes
-            )
+            duration_ns = self._epoch_time_ns(pages.size, miss_pages.size, node_misses, node_writes)
             metrics = self._account_traffic(
                 pages, miss_pages, node_misses, node_writes, duration_ns
             )
 
         # OS-visible state updates.
         with tel.span("profile"):
-            if cached is None:
-                if page_counts is not None:
-                    touched = np.nonzero(page_counts > 0)[0]
-                else:
-                    touched = self._touched_pages(pages)
-                if memo is not None:
-                    memo.put(self.epoch, miss_mask, miss_pages, miss_is_write, touched)
             self.page_table.set_accessed(touched)
             fast_id = self.topology.fast_node.node_id
             on_fast = self.page_table.nodes_of(touched) == fast_id
@@ -309,20 +323,19 @@ class SimulationEngine:
         return metrics
 
     # ------------------------------------------------------------------
-    def _touched_pages(self, pages: np.ndarray) -> np.ndarray:
-        """Sorted distinct pages of the batch.
+    def _distinct_pages(self, pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct pages of the batch and their access counts.
 
-        For dense batches a boolean scatter over the page space beats the
-        O(n log n) sort inside ``np.unique``; sparse batches (page space
-        much larger than the batch) keep the sort.  Both produce the same
-        sorted array.
+        For dense batches a page-space bincount beats the O(n log n) sort
+        inside ``np.unique``; sparse batches (page space much larger than
+        the batch) keep the sort.  Both produce the same arrays.
         """
         num_pages = self.page_table.num_pages
         if num_pages > 4 * pages.size:
-            return np.unique(pages)
-        seen = np.zeros(num_pages, dtype=bool)
-        seen[pages] = True
-        return np.nonzero(seen)[0]
+            return np.unique(pages, return_counts=True)
+        page_counts = np.bincount(pages, minlength=num_pages)
+        distinct = np.flatnonzero(page_counts)
+        return distinct, page_counts[distinct]
 
     def _epoch_time_ns(
         self,

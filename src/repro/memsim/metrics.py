@@ -13,6 +13,7 @@ aggregates a run and exposes those readouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,6 +74,8 @@ _INT_FIELDS = frozenset(
 EPOCH_DTYPE = np.dtype(
     [(f.name, np.int64 if f.name in _INT_FIELDS else np.float64) for f in fields(EpochMetrics)]
 )
+#: one EpochMetrics as a tuple in EPOCH_DTYPE field order
+_row_of = attrgetter(*EPOCH_DTYPE.names)
 
 
 @dataclass
@@ -109,9 +112,7 @@ class SimulationReport:
             grown = np.zeros(self._buf.size * 2, dtype=EPOCH_DTYPE)
             grown[: self._n] = self._buf[: self._n]
             self._buf = grown
-        row = self._buf[self._n]
-        for name in EPOCH_DTYPE.names:
-            row[name] = getattr(metrics, name)
+        self._buf[self._n] = _row_of(metrics)
         self._n += 1
 
     def append(self, metrics: EpochMetrics) -> None:

@@ -6,7 +6,7 @@ the filter pipeline: the per-epoch ``(miss_mask, miss_pages,
 miss_is_write, touched)`` tuple is a pure function of the trace prefix
 and the filter geometry, independent of policy and tier ratio.  These
 tests pin the rules that keep that sharing sound: products commit only
-when they cover a complete trace, consumers get isolated copies, only
+when they cover a complete trace, consumers get read-only views, only
 fresh workloads are stored, and one bound evicts a trace together with
 its products.
 """
@@ -66,15 +66,22 @@ def process_store(monkeypatch):
 
 
 class TestEpochAccountMemo:
-    def test_replay_returns_copies(self, store):
-        """Mutating what get() hands out must not corrupt the stored entry."""
+    def test_replay_is_read_only(self, store):
+        """What a replay hands out is a read-only view of the stored
+        arrays: a write raises, so does switching the write flag back on,
+        and a second replay sees the stored values."""
         _store_products(store, [_entry(t) for t in range(CONFIG.batches)])
         replay = _replay(store)
-        first = replay.get(0)
-        assert first is not None
-        first[1][:] = -99
-        again = replay.get(0)
-        assert np.array_equal(again[1], np.array([0, 1]))
+        product = replay.get(0)
+        batch = replay.next_batch(None)
+        for array in (*product, *batch):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+        again = _replay(store)
+        assert np.array_equal(again.get(0)[1], np.array([0, 1]))
+        assert np.array_equal(again.next_batch(None)[0], batch[0])
 
     def test_replay_past_the_end_returns_none(self, store):
         _store_products(store, [_entry(t) for t in range(CONFIG.batches)])
@@ -86,7 +93,9 @@ class TestEpochAccountMemo:
         assert replay.get(0) is None  # record mode: engine computes fresh
 
     def test_put_stores_copies(self, store):
-        """The engine reuses its epoch arrays; the store must snapshot."""
+        """A writeable array handed to put is copied: its owner's later
+        writes must not reach the store (the engine's frozen arrays are
+        kept as they are)."""
         replay = _replay(store)
         mask, pages, writes, touched = _entry(3)
         replay.put(0, mask, pages, writes, touched)
@@ -120,6 +129,16 @@ class TestMemoSharingAcrossRuns:
             assert cold.summary() == warm.summary()
             for name in ("llc_misses", "fast_hits", "duration_ns", "accesses"):
                 assert cold.series(name) == warm.series(name)
+
+    def test_recorded_products_replay_sealed(self, process_store):
+        """Neither the batches nor the products a live run recorded can
+        have their write flag switched back on when replayed."""
+        run_one("gups", "first-touch", CONFIG)
+        replay = _replay(process_store)
+        for epoch in range(CONFIG.batches):
+            for array in (*replay.get(epoch), *replay.next_batch(None)):
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
 
     def test_truncated_run_does_not_publish(self, process_store):
         """A max_epochs-truncated run covers only a prefix of the trace;

@@ -1,5 +1,7 @@
 """Tests for the fast page-granularity LLC filter."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,10 @@ class TestBasics:
             PageCacheFilter(0, 10)
         with pytest.raises(ValueError):
             PageCacheFilter(10, 0)
+        # a page with no lines would never miss
+        for lines in (0, -4):
+            with pytest.raises(ValueError):
+                PageCacheFilter(4, 100, lines_per_page=lines)
 
     def test_llc_pages_helper(self):
         assert llc_pages(60 * 1024 * 1024) == 15360
@@ -95,9 +101,7 @@ class TestCapacityPressure:
 
 
 class TestProperties:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=499), min_size=1, max_size=500)
-    )
+    @given(st.lists(st.integers(min_value=0, max_value=499), min_size=1, max_size=500))
     @settings(max_examples=50, deadline=None)
     def test_miss_mask_shape_matches_batch(self, pages):
         f = PageCacheFilter(16, 500)
@@ -130,3 +134,89 @@ class TestProperties:
         batch = rng.integers(0, 1000, size=2048)
         f1, f2 = PageCacheFilter(32, 1000), PageCacheFilter(32, 1000)
         assert np.array_equal(f1.filter_batch(batch), f2.filter_batch(batch))
+
+
+def reference_epoch(credit, batch, capacity_pages, lines):
+    """One epoch of the filter's documented rule, page by page.
+
+    Returns the miss mask and the new credit array; ``credit`` is not
+    modified.  Budgets use the filter's dtypes: float32 credit, the
+    uncovered fraction in float32, the budget product in float64.
+    """
+    credit = credit.copy()
+    budget = {}
+    for page in dict.fromkeys(batch.tolist()):
+        count = int((batch == page).sum())
+        first = min(count, lines)
+        held = credit[page]
+        if held <= 0:  # cold: every first touch misses
+            budget[page] = first
+        elif held < lines:  # partly resident: the uncovered fraction
+            uncovered = np.float32(1.0) - held / np.float32(lines)
+            budget[page] = math.ceil(first * float(uncovered))
+        else:  # fully resident
+            budget[page] = 0
+        credit[page] = min(np.float32(held + np.float32(count)), np.float32(lines))
+    # the misses are each page's first occurrences in batch order
+    seen = dict.fromkeys(budget, 0)
+    mask = np.zeros(batch.size, dtype=bool)
+    for i, page in enumerate(batch.tolist()):
+        mask[i] = seen[page] < budget[page]
+        seen[page] += 1
+    total = float(credit.sum())
+    if total > capacity_pages * lines:
+        credit *= np.float32(capacity_pages * lines / total)
+        credit[credit < 0.5] = 0.0
+    return mask, credit
+
+
+@st.composite
+def filter_runs(draw):
+    """A filter geometry and a few epochs over a small hot set, with
+    per-page counts above ``lines_per_page`` and capacity pressure."""
+    max_page_id = draw(st.sampled_from([24, 96, 6000]))  # dense to sparse
+    lines = draw(st.integers(min_value=1, max_value=8))
+    capacity = draw(st.integers(min_value=1, max_value=6))
+    hot = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=max_page_id - 1),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    batches = draw(st.lists(st.lists(st.sampled_from(hot), max_size=80), min_size=1, max_size=6))
+    return max_page_id, lines, capacity, [np.array(b, dtype=np.int64) for b in batches]
+
+
+class TestAgainstReference:
+    @given(filter_runs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_page_reference(self, run, caller_counts):
+        """Miss masks and credit match the scalar rule bit for bit, epoch
+        after epoch, whether the filter counts the batch itself or takes
+        the engine's page-space bincount."""
+        max_page_id, lines, capacity, batches = run
+        f = PageCacheFilter(capacity, max_page_id, lines_per_page=lines)
+        credit = np.zeros(max_page_id, dtype=np.float32)
+        for batch in batches:
+            if caller_counts:
+                page_counts = np.bincount(batch, minlength=max_page_id)
+                distinct = np.flatnonzero(page_counts)
+                mask = f.filter_batch(batch, distinct, page_counts[distinct])
+            else:
+                mask = f.filter_batch(batch)
+            if batch.size == 0:
+                assert mask.size == 0
+                continue
+            expected, credit = reference_epoch(credit, batch, capacity, lines)
+            np.testing.assert_array_equal(mask, expected)
+            np.testing.assert_array_equal(f._credit, credit)
+
+    def test_partial_budget_rounds_up_and_misses_first(self):
+        """A page holding 3 of 4 lines, touched 3 times, misses
+        ceil(3 * 0.25) = 1 time: on its first occurrence."""
+        f = PageCacheFilter(16, 8, lines_per_page=4)
+        f._credit[5] = 3.0
+        mask = f.filter_batch(np.array([5, 1, 5, 5]))
+        np.testing.assert_array_equal(mask, [True, True, False, False])

@@ -1,10 +1,13 @@
 """Tests for the epoch-driven simulation engine."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.memsim.engine import EngineConfig, EpochView, SimulationEngine
-from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
+from repro.memsim.tiers import CXL_DRAM_PROTO, CXL_PCM, DDR5_LOCAL
 
 
 class StubWorkload:
@@ -120,6 +123,30 @@ class TestEngineBasics:
             engine.step(np.arange(4), np.zeros(3, dtype=bool))
 
 
+class TestEngineConfig:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"mlp": 0},  # divides every epoch's latency
+            {"mlp": -6},  # negative simulated time
+            {"writeback_fraction": 3.0},  # three writebacks per miss
+            {"writeback_fraction": -0.1},
+            {"cpu_ns_per_access": -1.0},
+            {"llc_hit_ns": -20.0},
+        ],
+    )
+    def test_invalid_timing_rejected_at_construction(self, override):
+        with pytest.raises(ValueError):
+            EngineConfig(**override)
+        # the path JobSpec.engine_overrides takes
+        with pytest.raises(ValueError):
+            ExperimentConfig().engine_config(**override)
+
+    def test_boundary_values_accepted(self):
+        EngineConfig(writeback_fraction=0.0, cpu_ns_per_access=0.0, llc_hit_ns=0.0)
+        EngineConfig(writeback_fraction=1.0, mlp=0.5)
+
+
 class TestTimingModel:
     def test_slow_tier_placement_is_slower(self):
         """Same trace, all pages on slow tier vs all fast, must be slower."""
@@ -144,6 +171,58 @@ class TestTimingModel:
 
 
 class TestTrafficAccounting:
+    def test_per_node_books_on_three_tiers(self):
+        """Every per-node figure matches a per-node mask computation over
+        the epoch's misses, with misses on all three nodes."""
+        workload = StubWorkload(num_pages=3000, batches=6, batch_size=8192, hot_fraction=0.5)
+        config = EngineConfig(llc_capacity_pages=16, seed=11)
+        expected, recorded = [], []
+
+        class Spy(PromoteAllPolicy):
+            def on_epoch(self, view):
+                # placement as booked: this runs before any migration
+                nodes = view.page_table.node_of_page[view.miss_pages]
+                books = {}
+                for node in view.topology.nodes:
+                    on_node = nodes == node.node_id
+                    count = int(on_node.sum())
+                    writes = int((on_node & view.miss_is_write).sum())
+                    if count:
+                        books[node.node_id] = (
+                            count,
+                            (count - writes) * 64,
+                            writes * 64 + int(count * config.writeback_fraction) * 64,
+                        )
+                expected.append(books)
+                return super().on_epoch(view)
+
+        engine = SimulationEngine(
+            workload,
+            [(DDR5_LOCAL, 400), (CXL_DRAM_PROTO, 900), (CXL_PCM, 3000)],
+            Spy(),
+            config,
+        )
+
+        def record(node_id, read_bytes, write_bytes, seconds):
+            recorded.append((engine.epoch, node_id, read_bytes, write_bytes))
+
+        for node in engine.topology.nodes:
+            node.tier.record_traffic = partial(record, node.node_id)
+        report = engine.run()
+
+        assert all(len(books) == 3 for books in expected), "a node saw no misses"
+        assert recorded == [
+            (epoch, node_id, read_bytes, write_bytes)
+            for epoch, books in enumerate(expected)
+            for node_id, (_, read_bytes, write_bytes) in sorted(books.items())
+        ]
+        for metrics, books in zip(report.epochs, expected, strict=True):
+            slow = [book for node_id, book in books.items() if node_id != 0]
+            assert metrics.fast_hits == books[0][0]
+            assert metrics.slow_hits == sum(book[0] for book in slow)
+            assert metrics.slow_read_bytes == sum(book[1] for book in slow)
+            assert metrics.slow_write_bytes == sum(book[2] for book in slow)
+
     def test_traffic_split_by_node(self):
         engine = build_engine(fast=100, slow=4000, num_pages=3000)
         report = engine.run()
@@ -177,8 +256,9 @@ class TestPolicyInteraction:
         """Promoted hot pages should serve later misses from the fast tier."""
 
         def run(policy):
-            engine = build_engine(policy=policy, fast=60, slow=4000,
-                                  num_pages=3000, batches=12, batch_size=8192)
+            engine = build_engine(
+                policy=policy, fast=60, slow=4000, num_pages=3000, batches=12, batch_size=8192
+            )
             # Pre-touch pages high-to-low so the hot set (pages 0-49) is
             # first-touch-placed on the *slow* tier — the scenario
             # promotion exists to fix.
@@ -197,6 +277,33 @@ class TestPolicyInteraction:
 
 
 class TestEpochView:
+    def test_live_epoch_arrays_are_read_only(self):
+        """An epoch the engine filters itself (nothing replayed) hands the
+        policy read-only arrays, and the caller's batch stays writeable."""
+        engine = build_engine()
+        checked = []
+
+        class Spy(NullPolicy):
+            def on_epoch(self, view):
+                arrays = [a for a in vars(view).values() if isinstance(a, np.ndarray)]
+                assert len(arrays) == 7
+                for array in arrays:
+                    assert array.size > 0
+                    with pytest.raises(ValueError):
+                        array[0] = array[-1]
+                checked.append(view.epoch)
+                return 0.0
+
+        engine.policy = Spy()
+        engine.policy.bind(engine)
+        pages = np.arange(64, dtype=np.int64)
+        is_write = np.ones(64, dtype=bool)
+        engine.step(pages, is_write)
+        engine.run()
+        assert checked == list(range(6))
+        pages[0] = 1
+        is_write[0] = False
+
     def test_slow_miss_stream_filters_nodes(self):
         engine = build_engine(fast=100, slow=4000, num_pages=3000)
         captured = {}
