@@ -22,6 +22,9 @@ class HotPageDetector:
         sketch: The backing Count-Min sketch.
         threshold: Initial hotness threshold theta.
         buffer_entries: Hot-page FIFO capacity (Table IV: 16K).
+        dedup_filter: Suppress repeat reports through the hot bits
+            (Fig. 7's hot-page filter); ``False`` reports a page every
+            batch its estimate exceeds the threshold (an ablation).
     """
 
     def __init__(
@@ -70,10 +73,9 @@ class HotPageDetector:
             return 0
         # One pass of the H3 units feeds the whole pipeline: hash the
         # distinct pages once, fold their multiplicities into the update,
-        # and reuse the columns for the estimate and both hot-bit ops.
+        # and reuse the entries for the estimate and both hot-bit ops.
         unique, counts = self._unique_counts(pages)
-        cols = self.sketch.hash_cols(unique)
-        flat = self.sketch.flat_index(cols)
+        flat = self.sketch.entries(unique)
         estimates = self.sketch.update_estimate_batch(unique, counts=counts, flat=flat)
         hot_sel = estimates > self.threshold
         if not hot_sel.any():

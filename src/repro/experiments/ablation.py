@@ -139,7 +139,7 @@ def _bound_ablation(
         sketch.update_batch(batch[0].astype(np.uint64))
         updates += batch[0].size
 
-    hist = HistogramUnit(64).compute(sketch.lane_counters(0))
+    hist = HistogramUnit(64).compute(sketch.lane_snapshot(0))
     tight = tight_error_bound(hist, depth=2, delta=0.25)
     loose = loose_error_bound(2.0 / sketch_width, updates)
 

@@ -123,7 +123,7 @@ def run_fig15c(
         sketch = CountMinSketch(width=width, depth=2)
         for pages in batches:
             sketch.update_batch(pages.astype(np.uint64))
-        hist = unit.compute(sketch.lane_counters(0))
+        hist = unit.compute(sketch.lane_snapshot(0))
         bounds[width] = tight_error_bound(hist, depth=2, delta=0.25)
     return bounds
 

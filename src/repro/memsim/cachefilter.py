@@ -155,11 +155,6 @@ class PageCacheFilter:
 
         return miss_mask
 
-    # ------------------------------------------------------------------
-    def miss_bytes(self, miss_count: int) -> int:
-        """Bytes of memory traffic for ``miss_count`` LLC line misses."""
-        return int(miss_count) * 64
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PageCacheFilter(capacity={self.capacity_pages} pages, "

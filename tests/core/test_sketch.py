@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.neoprof.histogram import HistogramUnit
 from repro.core.neoprof.sketch import CountMinSketch
 
 
@@ -101,12 +102,12 @@ class TestValidBits:
         s.update_batch(np.zeros(3, dtype=np.uint64))
         assert s.estimate(0) == 3
 
-    def test_lane_counters_valid_aware(self):
+    def test_lane_snapshot_valid_aware(self):
         s = small_sketch()
         s.update_batch(np.arange(50, dtype=np.uint64))
-        assert s.lane_counters(0).sum() == 50
+        assert s.lane_snapshot(0).sum() == 50
         s.clear()
-        assert s.lane_counters(0).sum() == 0
+        assert s.lane_snapshot(0).sum() == 0
 
     def test_many_clears_stable(self):
         s = small_sketch()
@@ -144,9 +145,7 @@ class TestHotBits:
 
 
 class TestProperties:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=200)
-    )
+    @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_estimate_lower_bounded_by_truth(self, values):
         s = small_sketch(width=256)
@@ -226,13 +225,11 @@ class TestFusedUpdateEstimate:
         assert out.size == 0 and out.dtype == np.int64
 
 
-class TestSparseValidTracking:
+class TestSparseHistogramReadout:
     """lane_valid_counters + compute_sparse must reproduce the dense
     full-row histogram exactly (the SET_HIST_EN fast path)."""
 
     def test_sparse_matches_dense_snapshot(self):
-        from repro.core.neoprof.histogram import HistogramUnit
-
         rng = np.random.default_rng(23)
         s = small_sketch(width=2048, counter_bits=8)
         hu = HistogramUnit(16)
@@ -247,10 +244,120 @@ class TestSparseValidTracking:
             assert np.array_equal(dense.counts, sparse.counts)
             assert np.array_equal(dense.edges, sparse.edges)
 
-    def test_clear_resets_tracked_entries(self):
+    def test_clear_empties_every_lane(self):
         s = small_sketch(width=256)
         s.update_batch(np.arange(50, dtype=np.uint64))
-        assert s._valid_entries().size > 0
+        for lane in range(s.depth):
+            assert s.lane_valid_counters(lane).sum() == 50
         s.clear()
-        assert s._valid_entries().size == 0
-        assert s.lane_valid_counters(0).size == 0
+        for lane in range(s.depth):
+            assert s.lane_valid_counters(lane).size == 0
+            assert not s.lane_snapshot(lane).any()
+
+
+#: page universe of the reference programs: small ids (H3's dense table)
+#: and wide addresses (its chunked gather), enough to collide constantly
+#: in the tiny sketch below
+REF_PAGES = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 987, 65_535, 65_536, 1 << 20, 2**32 - 1)
+#: 4-bit counters, so the programs saturate them
+REF_GEOMETRY = dict(width=16, depth=3, counter_bits=4)
+
+
+class ReferenceSketch:
+    """Fig. 7 entry by entry: a counter, hot bit and valid bit per entry,
+    pages applied one at a time.
+
+    ``clear`` drops only the valid bits.  An invalid entry reads as zero,
+    and an update or hot-bit write zeroes it and marks it valid first.
+    """
+
+    def __init__(self, sketch):
+        shape = (sketch.depth, sketch.width)
+        self.counter_max = sketch.counter_max
+        self.counter = np.zeros(shape, dtype=np.int64)
+        self.hot = np.zeros(shape, dtype=bool)
+        self.valid = np.zeros(shape, dtype=bool)
+        self.total_updates = 0
+        self.entries = {
+            page: [(lane, sketch.hashes.hash_one(page, lane)) for lane in range(sketch.depth)]
+            for page in REF_PAGES
+        }
+
+    def _write(self, entry):
+        if not self.valid[entry]:
+            self.counter[entry] = 0
+            self.hot[entry] = False
+            self.valid[entry] = True
+
+    def update(self, pages, counts):
+        for page, count in zip(pages, counts):
+            for entry in self.entries[page]:
+                self._write(entry)
+                self.counter[entry] = min(self.counter[entry] + count, self.counter_max)
+            self.total_updates += count
+
+    def set_hot(self, pages):
+        for page in pages:
+            for entry in self.entries[page]:
+                self._write(entry)
+                self.hot[entry] = True
+
+    def clear(self):
+        self.valid[:] = False
+        self.total_updates = 0
+
+    def estimate(self, page):
+        return min(int(self.counter[e]) if self.valid[e] else 0 for e in self.entries[page])
+
+    def hot_all_set(self, page):
+        return all(self.valid[e] and self.hot[e] for e in self.entries[page])
+
+    def valid_counters(self, lane):
+        return self.counter[lane][self.valid[lane]]
+
+
+@st.composite
+def sketch_ops(draw):
+    kind = draw(st.sampled_from(("update", "update_estimate", "set_hot", "clear")))
+    pages = draw(st.lists(st.sampled_from(REF_PAGES), min_size=1, max_size=12))
+    counts = None
+    if kind != "set_hot" and draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 9), min_size=len(pages), max_size=len(pages)))
+    return kind, pages, counts
+
+
+class TestAgainstValidBitReference:
+    """The plain-array sketch reads exactly like Fig. 7's valid bits."""
+
+    @given(st.lists(sketch_ops(), min_size=1, max_size=24))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_entry_reference(self, program):
+        s = CountMinSketch(**REF_GEOMETRY)
+        ref = ReferenceSketch(s)
+        unit = HistogramUnit()
+        universe = np.array(REF_PAGES, dtype=np.uint64)
+        for kind, pages, counts in program:
+            arr = np.array(pages, dtype=np.uint64)
+            weights = None if counts is None else np.array(counts)
+            if kind == "update":
+                s.update_batch(arr, counts=weights)
+                ref.update(pages, counts or [1] * len(pages))
+            elif kind == "update_estimate":
+                fused = s.update_estimate_batch(arr, counts=weights)
+                ref.update(pages, counts or [1] * len(pages))
+                assert fused.tolist() == [ref.estimate(p) for p in pages]
+            elif kind == "set_hot":
+                s.set_hot_bits(arr)
+                ref.set_hot(pages)
+            else:
+                s.clear()
+                ref.clear()
+            # readout after every step: estimates, hot bits, each lane's histogram
+            assert s.estimate_batch(universe).tolist() == [ref.estimate(p) for p in REF_PAGES]
+            assert s.hot_bits_all_set(universe).tolist() == [ref.hot_all_set(p) for p in REF_PAGES]
+            for lane in range(s.depth):
+                got = unit.compute_sparse(s.lane_valid_counters(lane), s.width)
+                want = unit.compute_sparse(ref.valid_counters(lane), s.width)
+                assert np.array_equal(got.edges, want.edges)
+                assert np.array_equal(got.counts, want.counts)
+            assert s.total_updates == ref.total_updates
