@@ -14,6 +14,7 @@ Guarantees (Cormode & Muthukrishnan):  with ``W = ceil(2/eps)`` and
 ``D = ceil(log2(1/delta))``, the estimate ``a_hat`` satisfies
 ``a <= a_hat <= a + eps*N`` with probability ``1 - delta``.
 """
+
 # repro: hot-path — PR-7 vectorized epoch path; per-element python loops are regressions
 
 
