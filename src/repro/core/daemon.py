@@ -1,12 +1,14 @@
 """NeoMem kernel daemon: the tiering control loop (Sections III & V).
 
-The daemon is the engine-facing policy object for full NeoMem.  Each
-epoch it lets the NeoProf device snoop the CXL request stream; on its
-configured intervals (Table V) it
+The daemon is the engine-facing policy object for full NeoMem, and runs
+on the same loop as every baseline (:class:`BaseTieringPolicy`): the
+NeoProf device takes the profiler's place.  Each epoch the device snoops
+the CXL request stream; on its configured intervals (Table V) the daemon
 
 * every ``migration_interval`` (10 ms): drains the hot-page FIFO through
   the driver and promotes those pages (kernel migration functions, quota
-  applied by the migration engine);
+  applied by the migration engine; THP mode coalesces them into 2 MB
+  pages through the base class);
 * every ``thr_update_interval`` (1 s): reads the histogram and state
   monitor and runs Algorithm 1 to retune the hotness threshold;
 * every ``clear_interval`` (5 s): resets NeoProf's counters so stale
@@ -29,6 +31,7 @@ from repro.core.driver import NeoProfDriver
 from repro.core.neoprof.device import NeoProfConfig, NeoProfDevice
 from repro.core.neoprof.histogram import tight_error_bound
 from repro.core.policy import DynamicThresholdPolicy, FixedThresholdPolicy, ThresholdPolicyConfig
+from repro.policies.base import BaseTieringPolicy
 
 
 @dataclass
@@ -50,8 +53,6 @@ class NeoMemConfig:
     #: are coalesced and whole 2 MB pages migrate together, "provided
     #: the profiled hot 4KB pages are part of huge pages".
     thp: bool = False
-    #: hot base-page reports required before a huge page migrates.
-    thp_hot_reports: int = 2
     threshold_policy: ThresholdPolicyConfig = field(default_factory=ThresholdPolicyConfig)
 
 
@@ -67,10 +68,16 @@ class _PeriodCounters:
         self.ping_pong = 0
 
 
-class NeoMemDaemon:
-    """Full NeoMem: NeoProf device + driver + Algorithm 1 + daemon loop."""
+class NeoMemDaemon(BaseTieringPolicy):
+    """Full NeoMem: NeoProf device + driver + Algorithm 1 + daemon loop.
+
+    The migration interval, watermark, demotion target and syscall cost
+    are copied from :class:`NeoMemConfig` at construction; the sysfs
+    knobs write the daemon's attributes.
+    """
 
     name = "neomem"
+    candidates_counter = "daemon.hot_page_reports"
 
     def __init__(
         self,
@@ -79,21 +86,22 @@ class NeoMemDaemon:
         fixed_threshold: float | None = None,
     ) -> None:
         self.config = config or NeoMemConfig()
+        super().__init__(
+            migration_interval_s=self.config.migration_interval_s,
+            demotion_watermark=self.config.demotion_watermark,
+            demotion_target=self.config.demotion_target,
+            syscall_ns_per_page=self.config.syscall_ns_per_page,
+        )
+        self.thp = self.config.thp
         self.device = NeoProfDevice(device_config)
         self.driver = NeoProfDriver(self.device)
         if fixed_threshold is None:
             self.threshold_policy = DynamicThresholdPolicy(self.config.threshold_policy)
-            self.name = "neomem-thp" if self.config.thp else "neomem"
+            self.name = "neomem-thp" if self.thp else "neomem"
         else:
             self.threshold_policy = FixedThresholdPolicy(fixed_threshold)
             self.name = f"neomem-fixed-{int(fixed_threshold)}"
         self.current_threshold = float(self.device.detector.threshold)
-        #: QoS arbitration hook (multi-tenant co-location): when set, the
-        #: daemon passes every hot-page report through this callable
-        #: before migrating, so an arbiter can veto promotions that would
-        #: exceed a tenant's fast-tier quota.
-        self.promotion_filter = None
-        self._next_migration_ns = 0.0
         self._next_thr_update_ns = 0.0
         self._next_clear_ns = 0.0
         self._period = _PeriodCounters()
@@ -104,7 +112,7 @@ class NeoMemDaemon:
 
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        self.engine = engine
+        super().bind(engine)
         if isinstance(self.threshold_policy, FixedThresholdPolicy):
             self.current_threshold = self.threshold_policy.threshold
             self.driver.set_threshold(int(self.current_threshold))
@@ -112,32 +120,16 @@ class NeoMemDaemon:
     # ------------------------------------------------------------------
     def on_epoch(self, view) -> float:
         cfg = self.config
-        tel = view.engine.telemetry
         now_ns = view.sim_time_ns + view.duration_ns
 
         # 1. the device snoops the CXL channel (hardware, no CPU cost)
-        with tel.span("profile"):
+        with view.engine.telemetry.span("profile"):
             slow_pages, slow_writes = view.slow_miss_stream()
             self.device.snoop(slow_pages, slow_writes, view.duration_ns)
 
-        overhead_ns = 0.0
-
-        # 2. hot-page promotion at migration_interval
-        if now_ns >= self._next_migration_ns:
-            self._next_migration_ns = now_ns + cfg.migration_interval_s * 1e9
-            hot_pages = self.driver.read_hot_pages()
-            tel.counter("daemon.hot_page_reports").inc(int(hot_pages.size))
-            if self.promotion_filter is not None and hot_pages.size:
-                hot_pages = self.promotion_filter(hot_pages)
-            if hot_pages.size:
-                if cfg.thp:
-                    overhead_ns += self._promote_thp(view, hot_pages)
-                else:
-                    promoted = view.migration.promote(hot_pages, view.epoch)
-                    overhead_ns += promoted * cfg.syscall_ns_per_page
-
-        # 3. watermark demotion keeps promotion headroom available
-        overhead_ns += self._watermark_demotion(view)
+        # 2. hot-page promotion at migration_interval, then 3. watermark
+        # demotion keeps promotion headroom available
+        overhead_ns = self._promote_due(view) + self._watermark_demotion(view)
 
         # period accounting (this epoch's migration activity so far; the
         # engine drains the stats after on_epoch returns, so peek())
@@ -158,60 +150,9 @@ class NeoMemDaemon:
         overhead_ns += self.driver.drain_cpu_overhead_ns()
         return overhead_ns
 
-    # ------------------------------------------------------------------
-    def _watermark_demotion(self, view) -> float:
-        """Demote the coldest fast-node pages when free headroom dips.
-
-        Victim membership keys off the topology's actual fast-node id —
-        not literal node 0 — so a remapped fast node (non-default
-        topologies, multi-socket layouts) still demotes its own pages
-        instead of evicting a slow node's.
-        """
-        cfg = self.config
-        fast = view.topology.fast_node.tier
-        if fast.free_pages >= fast.capacity_pages * cfg.demotion_watermark:
-            return 0.0
-        want = int(fast.capacity_pages * cfg.demotion_target) - fast.free_pages
-        member_mask = view.page_table.node_of_page == view.topology.fast_node.node_id
-        victims = view.lru.coldest(want, member_mask)
-        demoted = view.migration.demote(victims, charge_quota=False)
-        return demoted * cfg.syscall_ns_per_page
-
-    # ------------------------------------------------------------------
-    def _promote_thp(self, view, hot_pages: np.ndarray) -> float:
-        """THP-mode promotion: migrate whole 2 MB pages (Sec. VII).
-
-        NeoProf still reports hot 4 KB pages; huge pages collecting at
-        least ``thp_hot_reports`` distinct hot reports migrate whole,
-        and leftover reports fall back to base-page migration.
-        """
-        from repro.memsim.address import PAGES_PER_HUGE_PAGE
-
-        huge_ids = np.asarray(hot_pages, dtype=np.int64) // PAGES_PER_HUGE_PAGE
-        unique, counts = np.unique(huge_ids, return_counts=True)
-        qualifying = unique[counts >= self.config.thp_hot_reports]
-        if qualifying.size and self.promotion_filter is not None:
-            # a huge page migrates whole, so QoS arbitration must approve
-            # its *entire* span, not just the hot reports inside it — an
-            # unaligned frame straddling a tenant boundary would otherwise
-            # smuggle a neighbour's pages past their fast-tier quota
-            spans = (
-                qualifying[:, None] * PAGES_PER_HUGE_PAGE
-                + np.arange(PAGES_PER_HUGE_PAGE)
-            ).ravel()
-            spans = spans[spans < self.engine.page_table.num_pages]
-            vetoed = np.setdiff1d(spans, self.promotion_filter(spans))
-            bad = np.unique(vetoed // PAGES_PER_HUGE_PAGE)
-            qualifying = qualifying[~np.isin(qualifying, bad)]
-        overhead_ns = 0.0
-        if qualifying.size:
-            moved = view.migration.promote_huge(qualifying, view.epoch)
-            overhead_ns += moved * self.config.syscall_ns_per_page * 4
-        stragglers = hot_pages[~np.isin(huge_ids, qualifying)]
-        if stragglers.size:
-            promoted = view.migration.promote(stragglers, view.epoch)
-            overhead_ns += promoted * self.config.syscall_ns_per_page
-        return overhead_ns
+    def _select_promotions(self, view) -> np.ndarray:
+        """Drain the hot-page FIFO through the driver."""
+        return self.driver.read_hot_pages()
 
     # ------------------------------------------------------------------
     def _run_threshold_update(self, now_ns: float) -> None:
@@ -235,7 +176,5 @@ class NeoMemDaemon:
 
         now_s = now_ns * 1e-9
         self.threshold_timeline.append((now_s, self.current_threshold))
-        self.bandwidth_timeline.append(
-            (now_s, state.bandwidth_utilization, state.read_fraction)
-        )
+        self.bandwidth_timeline.append((now_s, state.bandwidth_utilization, state.read_fraction))
         self.histogram_timeline.append((now_s, histogram.counts.copy()))

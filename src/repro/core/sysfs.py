@@ -31,10 +31,10 @@ class NeoMemSysfs:
         tp = daemon.config.threshold_policy
         self._getters: dict[str, Callable[[], object]] = {
             "hot_threshold": lambda: int(daemon.current_threshold),
-            "migration_interval_ms": lambda: cfg.migration_interval_s * 1e3,
+            "migration_interval_ms": lambda: daemon.migration_interval_s * 1e3,
             "clear_interval_s": lambda: cfg.clear_interval_s,
             "thr_update_interval_s": lambda: cfg.thr_update_interval_s,
-            "demotion_watermark": lambda: cfg.demotion_watermark,
+            "demotion_watermark": lambda: daemon.demotion_watermark,
             "p_min": lambda: tp.p_min,
             "p_max": lambda: tp.p_max,
             "alpha": lambda: tp.alpha,
@@ -46,13 +46,13 @@ class NeoMemSysfs:
         self._setters: dict[str, Callable[[str], None]] = {
             "hot_threshold": self._set_threshold,
             "migration_interval_ms": lambda v: setattr(
-                cfg, "migration_interval_s", float(v) * 1e-3
+                daemon, "migration_interval_s", float(v) * 1e-3
             ),
             "clear_interval_s": lambda v: setattr(cfg, "clear_interval_s", float(v)),
             "thr_update_interval_s": lambda v: setattr(
                 cfg, "thr_update_interval_s", float(v)
             ),
-            "demotion_watermark": lambda v: setattr(cfg, "demotion_watermark", float(v)),
+            "demotion_watermark": lambda v: setattr(daemon, "demotion_watermark", float(v)),
             "alpha": lambda v: setattr(tp, "alpha", float(v)),
             "beta": lambda v: setattr(tp, "beta", float(v)),
         }

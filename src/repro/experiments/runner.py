@@ -264,7 +264,8 @@ def build_policy(
     """Construct a policy with the scaled-run defaults applied."""
     kwargs = default_policy_kwargs(policy_name, num_pages, config, policy_kwargs)
     policy = make_policy(policy_name, num_pages, **kwargs)
-    _apply_overhead_scale(policy, config.overhead_scale)
+    if not policy_name.startswith("neomem"):  # NeoMem's costs arrive scaled via neomem_config()
+        _apply_overhead_scale(policy, config.overhead_scale)
     return policy
 
 

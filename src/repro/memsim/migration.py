@@ -20,7 +20,7 @@ Models the kernel migration path NeoMem invokes (Section III ``7``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,24 +41,6 @@ class MigrationStats:
     ping_pong_events: int = 0
     quota_dropped_pages: int = 0
     stall_ns: float = 0.0
-
-    def reset(self) -> "MigrationStats":
-        """Return a copy and zero the live counters."""
-        snapshot = MigrationStats(
-            self.promoted_pages,
-            self.demoted_pages,
-            self.promoted_huge_pages,
-            self.ping_pong_events,
-            self.quota_dropped_pages,
-            self.stall_ns,
-        )
-        self.promoted_pages = 0
-        self.demoted_pages = 0
-        self.promoted_huge_pages = 0
-        self.ping_pong_events = 0
-        self.quota_dropped_pages = 0
-        self.stall_ns = 0.0
-        return snapshot
 
 
 @dataclass
@@ -92,30 +74,26 @@ class MigrationConfig:
             )
 
 
-def _dedup_keep_order(pages: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _dedup_keep_order(pages: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Drop duplicate page numbers, keeping first-occurrence order.
 
     Duplicate requests would otherwise double-book tier capacity (one
-    physical move, two reservations).  With a page-space ``scratch``
-    array, duplicates are found by a reverse-order position scatter —
-    after writing positions back-to-front, each page's slot holds its
+    physical move, two reservations).  Duplicates are found by a
+    reverse-order position scatter into the page-space ``scratch`` array
+    — after writing positions back-to-front, each page's slot holds its
     first-occurrence index — instead of the sort inside ``np.unique``.
     Stale scratch entries are never read: only slots of pages present in
-    the current call are compared.
+    the current call are compared.  A page past the page space raises
+    ``IndexError``.
     """
     if pages.size <= 1:
         return pages
-    if scratch is not None and pages.size and int(pages.max()) < scratch.size:
-        positions = np.arange(pages.size, dtype=np.int32)
-        scratch[pages[::-1]] = positions[::-1]
-        keep = scratch[pages] == positions
-        if keep.all():
-            return pages
-        return pages[keep]
-    _, first_idx = np.unique(pages, return_index=True)
-    if first_idx.size == pages.size:
+    positions = np.arange(pages.size, dtype=np.int32)
+    scratch[pages[::-1]] = positions[::-1]
+    keep = scratch[pages] == positions
+    if keep.all():
         return pages
-    return pages[np.sort(first_idx)]
+    return pages[keep]
 
 
 class MigrationEngine:
@@ -211,37 +189,15 @@ class MigrationEngine:
             headroom_target = int(fast.capacity_pages * self.config.fast_free_target)
             deficit = movable.size - (fast.free_pages - headroom_target)
             if deficit > 0:
-                self._make_room(deficit, epoch)
+                self._make_room(deficit)
                 budget = max(fast.free_pages - headroom_target, 0)
                 if movable.size > budget:
                     movable = movable[:budget]
             if movable.size == 0:
                 return 0
 
-            src_nodes = self.page_table.nodes_of(movable)
-            if self._inclusive:
-                # the slow frame stays reserved as the shadow copy; the
-                # copy itself (quota + stall) is still paid in full
-                self._shadow_node[movable] = src_nodes
-            else:
-                # per-node release counts via one O(n) bincount; the node
-                # space is tiny, so this beats np.unique's sort
-                node_counts = np.bincount(src_nodes, minlength=len(self.topology.nodes))
-                for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — iterates distinct NUMA nodes (a handful), not pages
-                    self.topology[int(node_id)].tier.release(int(node_counts[node_id]))
-            fast.reserve(movable.size)
-            self.page_table.map_pages(movable, self.topology.fast_node.node_id)
-
-            # ping-pong accounting: promoted pages that carry PG_demoted
-            demoted_before = self.page_table.demoted_mask(movable)
-            ping_pong = int(demoted_before.sum())
-            self.stats.ping_pong_events += ping_pong
-            self.page_table.clear_demoted(movable)
-
-            # promoted pages enter the fast node's lists as recently used
-            self.lru.touch(movable, epoch, assume_unique=True)
+            ping_pong = self._map_up(movable, epoch)
             moved = int(movable.size)
-            self.stats.promoted_pages += moved
             self.stats.stall_ns += moved * self.config.page_copy_ns
             self._audit(
                 "migration.promote",
@@ -291,25 +247,12 @@ class MigrationEngine:
                 headroom = int(fast.capacity_pages * self.config.fast_free_target)
                 deficit = slow_members.size - (fast.free_pages - headroom)
                 if deficit > 0:
-                    self._make_room(deficit, epoch)
+                    self._make_room(deficit)
                 if fast.free_pages - headroom < slow_members.size:
                     break
-                src_nodes = self.page_table.nodes_of(slow_members)
-                if self._inclusive:
-                    self._shadow_node[slow_members] = src_nodes
-                else:
-                    node_counts = np.bincount(src_nodes, minlength=len(self.topology.nodes))
-                    for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — iterates distinct NUMA nodes (a handful), not pages
-                        self.topology[int(node_id)].tier.release(int(node_counts[node_id]))
-                fast.reserve(slow_members.size)
-                self.page_table.map_pages(slow_members, self.topology.fast_node.node_id)
-                demoted_before = self.page_table.demoted_mask(slow_members)
-                self.stats.ping_pong_events += int(demoted_before.sum())
-                self.page_table.clear_demoted(slow_members)
-                self.lru.touch(slow_members, epoch, assume_unique=True)
+                self._map_up(slow_members, epoch)
                 moved += 1
                 base_pages += int(slow_members.size)
-                self.stats.promoted_pages += int(slow_members.size)
                 self.stats.stall_ns += self.config.huge_page_copy_ns
             self.stats.promoted_huge_pages += moved
             if moved:
@@ -322,15 +265,44 @@ class MigrationEngine:
                 )
             return moved
 
+    def _map_up(self, pages: np.ndarray, epoch: int) -> int:
+        """Map slow-resident, distinct ``pages`` onto the fast node.
+
+        The one place a page becomes fast-resident: releases the source
+        frames (exclusive mode) or records them as shadows (inclusive
+        mode), reserves fast capacity, maps the pages, counts ping-pong
+        and clears PG_demoted, touches the LRU lists and counts the
+        promoted pages.  Quota, headroom, stall and audit stay with the
+        caller.  Returns the ping-pong events.
+        """
+        src_nodes = self.page_table.nodes_of(pages)
+        if self._inclusive:
+            # the slow frame stays reserved as the shadow copy; the copy
+            # itself (quota + stall) is still paid in full
+            self._shadow_node[pages] = src_nodes
+        else:
+            # per-node release counts via one O(n) bincount; the node
+            # space is tiny, so this beats np.unique's sort
+            node_counts = np.bincount(src_nodes, minlength=len(self.topology.nodes))
+            for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — iterates distinct NUMA nodes (a handful), not pages
+                self.topology[int(node_id)].tier.release(int(node_counts[node_id]))
+        self.topology.fast_node.tier.reserve(pages.size)
+        self.page_table.map_pages(pages, self.topology.fast_node.node_id)
+
+        # ping-pong accounting: promoted pages that carry PG_demoted
+        ping_pong = int(self.page_table.demoted_mask(pages).sum())
+        self.stats.ping_pong_events += ping_pong
+        self.page_table.clear_demoted(pages)
+
+        # promoted pages enter the fast node's lists as recently used
+        self.lru.touch(pages, epoch, assume_unique=True)
+        self.stats.promoted_pages += int(pages.size)
+        return ping_pong
+
     # ------------------------------------------------------------------
     # demotion
     # ------------------------------------------------------------------
-    def demote(
-        self,
-        pages: np.ndarray,
-        target_node: int | None = None,
-        charge_quota: bool = True,
-    ) -> int:
+    def demote(self, pages: np.ndarray, charge_quota: bool = True) -> int:
         """Demote fast-node ``pages`` to a slow node.
 
         Returns the number of pages moved.  Policy-driven demotions share
@@ -363,10 +335,7 @@ class MigrationEngine:
                     return dropped
                 movable = movable[:granted]
 
-            if target_node is None:
-                targets = [n for n in self.topology.slow_nodes if n.tier.free_pages > 0]
-            else:
-                targets = [self.topology[target_node]]
+            targets = [n for n in self.topology.slow_nodes if n.tier.free_pages > 0]
             moved = 0
             cursor = 0
             for node in targets:
@@ -438,9 +407,8 @@ class MigrationEngine:
             candidates = np.concatenate([candidates, untracked[: count - candidates.size]])
         return candidates
 
-    def _make_room(self, num_pages: int, epoch: int) -> int:
+    def _make_room(self, num_pages: int) -> int:
         """Demote the coldest fast-node pages to free ``num_pages``."""
-        del epoch  # list stamps order candidates; epoch kept for symmetry
         member_mask = self.page_table.node_of_page == self.topology.fast_node.node_id
         candidates = self.coldest_victims(num_pages, member_mask)
         if candidates.size == 0:
@@ -469,18 +437,10 @@ class MigrationEngine:
         use this; only the engine's end-of-epoch accounting is allowed
         to :meth:`drain_stats`.
         """
-        s = self.stats
-        return MigrationStats(
-            s.promoted_pages,
-            s.demoted_pages,
-            s.promoted_huge_pages,
-            s.ping_pong_events,
-            s.quota_dropped_pages,
-            s.stall_ns,
-        )
+        return replace(self.stats)
 
     def drain_stats(self) -> MigrationStats:
-        """Snapshot and reset the per-window counters.
+        """Hand back the per-window counters and start a fresh set.
 
         Stats must be drained exactly once per accounting window (the
         engine drains at the end of every epoch, after the per-epoch
@@ -496,4 +456,5 @@ class MigrationEngine:
                 "read-only observation"
             )
         self._window_drained = True
-        return self.stats.reset()
+        drained, self.stats = self.stats, MigrationStats()
+        return drained

@@ -169,14 +169,4 @@ class TenantPolicyArbiter:
             member_mask[ns.base : ns.end] = window_on_fast
             victims = view.migration.coldest_victims(excess, member_mask)
             demoted += view.migration.demote(victims, charge_quota=False)
-        return demoted * self._syscall_ns_per_page(policy)
-
-    @staticmethod
-    def _syscall_ns_per_page(policy) -> float:
-        """The policy's per-page move_pages cost (daemon keeps it on its
-        config; baselines carry it as an attribute)."""
-        direct = getattr(policy, "syscall_ns_per_page", None)
-        if direct is not None:
-            return float(direct)
-        config = getattr(policy, "config", None)
-        return float(getattr(config, "syscall_ns_per_page", 0.0))
+        return demoted * policy.syscall_ns_per_page

@@ -1,13 +1,15 @@
 """Tiering policies: NeoMem plus every baseline the paper compares.
 
 ``make_policy`` is the registry used by the experiment harness; names
-match the labels in Figs. 11-13 and 17.
+match the labels in Figs. 11-13 and 17.  Every policy runs on
+:class:`BaseTieringPolicy`'s loop; NeoMem's daemon lives in
+:mod:`repro.core.daemon` and is built here on demand.
 """
 
 from __future__ import annotations
 
-from repro.core.daemon import NeoMemConfig, NeoMemDaemon
-from repro.core.neoprof.device import NeoProfConfig
+from typing import TYPE_CHECKING
+
 from repro.policies.autonuma import AutoNumaPolicy
 from repro.policies.base import BaseTieringPolicy
 from repro.policies.first_touch import FirstTouchPolicy
@@ -16,6 +18,10 @@ from repro.policies.memtis import MemtisPolicy
 from repro.policies.pebs_policy import PebsPolicy
 from repro.policies.pte_scan_policy import PteScanPolicy
 from repro.policies.tpp import TppPolicy
+
+if TYPE_CHECKING:
+    from repro.core.daemon import NeoMemConfig
+    from repro.core.neoprof.device import NeoProfConfig
 
 __all__ = [
     "BaseTieringPolicy",
@@ -26,7 +32,6 @@ __all__ = [
     "PebsPolicy",
     "MemtisPolicy",
     "LookAheadPolicy",
-    "NeoMemDaemon",
     "make_policy",
     "POLICY_NAMES",
 ]
@@ -63,6 +68,9 @@ def make_policy(
         neomem_config / neoprof_config: NeoMem-specific configuration.
         kwargs: Forwarded to the policy constructor.
     """
+    # deferred: repro.core.daemon imports repro.policies.base, so a load-time import is circular
+    from repro.core.daemon import NeoMemDaemon
+
     if name == "neomem":
         return NeoMemDaemon(neomem_config, neoprof_config, **kwargs)
     if name.startswith("neomem-fixed-"):

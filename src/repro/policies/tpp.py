@@ -8,6 +8,12 @@ Transparent Page Placement enhances hint-fault monitoring with:
   cases, as it promotes pages only after two consecutive hint-faults");
 * **proactive demotion watermarks**: kswapd-style reclaim keeps a free
   headroom on the fast node so promotions never stall on allocation.
+
+In THP mode (``thp=True``, Table VI) the base class coalesces the
+candidates: a huge page with two faulting base pages moves whole.
+TPP's low time-resolution rarely produces two co-located fault pairs
+inside one 2 MB page, so most migrations stay base-sized — the
+behaviour Table VI reports.
 """
 
 from __future__ import annotations
@@ -63,27 +69,3 @@ class TppPolicy(BaseTieringPolicy):
         # promotions go in fault order, not hotness order
         self._rng.shuffle(candidates)
         return candidates
-
-    def _promote(self, view, candidates) -> float:
-        """THP mode: huge pages with two faulting base pages move whole.
-
-        TPP's low time-resolution rarely produces two co-located fault
-        pairs inside one 2 MB page, so most migrations stay base-sized —
-        the behaviour Table VI reports.
-        """
-        if not self.thp:
-            return super()._promote(view, candidates)
-        from repro.memsim.address import PAGES_PER_HUGE_PAGE
-
-        huge_ids = candidates // PAGES_PER_HUGE_PAGE
-        unique, counts = np.unique(huge_ids, return_counts=True)
-        qualifying = unique[counts >= 2]
-        overhead = 0.0
-        if qualifying.size:
-            moved = view.migration.promote_huge(qualifying, view.epoch)
-            overhead += moved * self.syscall_ns_per_page * 4
-        stragglers = candidates[~np.isin(huge_ids, qualifying)]
-        if stragglers.size:
-            promoted = view.migration.promote(stragglers, view.epoch)
-            overhead += promoted * self.syscall_ns_per_page
-        return overhead

@@ -1,9 +1,15 @@
 """Tests for the sysfs knob surface."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.daemon import NeoMemDaemon
 from repro.core.sysfs import NeoMemSysfs, SysfsError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_policy, run_one
+
+SMALL = ExperimentConfig(num_pages=4096, batches=8, batch_size=4096)
 
 
 @pytest.fixture
@@ -38,7 +44,7 @@ class TestWrite:
 
     def test_write_migration_interval(self, sysfs):
         sysfs.write("migration_interval_ms", "25")
-        assert sysfs._daemon.config.migration_interval_s == pytest.approx(0.025)
+        assert sysfs._daemon.migration_interval_s == pytest.approx(0.025)
 
     def test_write_hyper_parameters(self, sysfs):
         sysfs.write("alpha", "2.5")
@@ -58,3 +64,29 @@ class TestWrite:
     def test_negative_threshold_rejected(self, sysfs):
         with pytest.raises(ValueError):
             sysfs.write("hot_threshold", "-3")
+
+
+def _written_through_sysfs(knob, text, num_pages, config):
+    daemon = build_policy("neomem", num_pages, config)
+    NeoMemSysfs(daemon).write(knob, text)
+    return daemon
+
+
+class TestWritesReachTheRun:
+    """A knob written before the run steers it like the built value."""
+
+    @pytest.mark.parametrize(
+        ("knob", "text", "field", "value"),
+        [
+            ("migration_interval_ms", "1.6", "migration_interval_s", 1.6e-3),
+            ("demotion_watermark", "0.2", "demotion_watermark", 0.2),
+        ],
+    )
+    def test_written_knob_matches_built_value(self, knob, text, field, value):
+        written = partial(_written_through_sysfs, knob, text)
+        built = {"neomem_config": SMALL.neomem_config(**{field: value})}
+        via_sysfs = run_one("gups", "neomem", SMALL, policy_factory=written).summary()
+        via_config = run_one("gups", "neomem", SMALL, policy_kwargs=built).summary()
+        default = run_one("gups", "neomem", SMALL).summary()
+        assert via_sysfs == via_config
+        assert via_sysfs != default

@@ -151,15 +151,27 @@ class TestFastTierQuota:
         assert ns1.owns(kept).sum() == min(8, slow1.size)
 
 
+def _neomem_thp(num_pages):
+    from repro.core.daemon import NeoMemConfig, NeoMemDaemon
+
+    return NeoMemDaemon(NeoMemConfig(thp=True))
+
+
+def _tpp_thp(num_pages):
+    from repro.policies import TppPolicy
+
+    return TppPolicy(num_pages, thp=True)
+
+
 class TestThpQuotaInteraction:
-    def test_thp_promotion_respects_promotion_filter_across_spans(self):
+    @pytest.mark.parametrize("make_thp_policy", (_neomem_thp, _tpp_thp), ids=("neomem", "tpp"))
+    def test_thp_promotion_respects_promotion_filter_across_spans(self, make_thp_policy):
         """A huge page straddling a veto boundary must not migrate whole.
 
-        Namespace windows need not align to 2 MB frames; the daemon must
-        not let a neighbour's hot reports drag a quota'd tenant's pages
+        Namespace windows need not align to 2 MB frames; no THP policy
+        may let a neighbour's hot reports drag a quota'd tenant's pages
         onto the fast tier inside one huge-page migration.
         """
-        from repro.core.daemon import NeoMemConfig, NeoMemDaemon
         from repro.memsim.address import PAGES_PER_HUGE_PAGE
         from repro.memsim.engine import EngineConfig, EpochView, SimulationEngine
         from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
@@ -175,11 +187,11 @@ class TestThpQuotaInteraction:
             def next_batch(self, rng):
                 return None
 
-        daemon = NeoMemDaemon(NeoMemConfig(thp=True, thp_hot_reports=1))
+        policy = make_thp_policy(num_pages)
         engine = SimulationEngine(
             Space(num_pages),
             [(DDR5_LOCAL, num_pages), (CXL_DRAM_PROTO, num_pages)],
-            daemon,
+            policy,
             EngineConfig(),
         )
         # everything starts on the slow node
@@ -189,7 +201,7 @@ class TestThpQuotaInteraction:
         # veto boundary mid-frame: huge page 1 spans [512, 1024), the
         # "quota'd tenant" owns [0, 768)
         boundary = PAGES_PER_HUGE_PAGE + PAGES_PER_HUGE_PAGE // 2
-        daemon.promotion_filter = lambda pages: pages[pages >= boundary]
+        policy.promotion_filter = lambda pages: pages[pages >= boundary]
         engine.migration.grant_quota(10.0)
 
         empty = np.zeros(0, dtype=np.int64)
@@ -200,7 +212,7 @@ class TestThpQuotaInteraction:
             miss_nodes=empty, touched_pages=empty, engine=engine,
         )
         hot = np.arange(boundary + 32, boundary + 40)  # inside huge page 1
-        daemon._promote_thp(view, hot)
+        policy._promote(view, hot)
 
         nodes = engine.page_table.node_of_page
         assert (nodes[:boundary] == 1).all(), "vetoed tenant pages migrated"
@@ -210,7 +222,7 @@ class TestThpQuotaInteraction:
 
         # a frame wholly past the boundary still migrates whole
         hot2 = np.arange(3 * PAGES_PER_HUGE_PAGE, 3 * PAGES_PER_HUGE_PAGE + 4)
-        daemon._promote_thp(view, hot2)
+        policy._promote(view, hot2)
         span = slice(3 * PAGES_PER_HUGE_PAGE, 4 * PAGES_PER_HUGE_PAGE)
         assert (engine.page_table.node_of_page[span] == 0).all()
         assert engine.migration.stats.promoted_huge_pages == 1
