@@ -1,8 +1,9 @@
 """CLI for the repo static checker.
 
-Exit status 0 when no *new* (unbaselined) findings exist, 1 otherwise.
-``--write-baseline`` grandfathers the current findings;
-``--json`` / ``--json-out`` emit machine-readable results for CI.
+Exit status 0 when there are no findings, 1 otherwise.  A finding is
+kept only by an inline ``# repro: noqa CODE — reason`` suppression,
+which the ``SUP`` rules audit.  ``--json`` / ``--json-out`` emit
+machine-readable results for CI.
 """
 
 from __future__ import annotations
@@ -12,27 +13,19 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.analysis.engine import analyze_paths
 from repro.analysis.rules import all_codes
 
 DEFAULT_PATHS = ["src", "tests"]
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
-def _result_payload(result, new, grandfathered) -> dict:
+def _result_payload(result) -> dict:
     return {
         "schema": 1,
         "files_scanned": result.files_scanned,
         "suppressed": result.suppressed,
         "counts": result.counts(),
-        "new": [f.to_dict() for f in new],
-        "grandfathered": [f.to_dict() for f in grandfathered],
+        "new": [f.to_dict() for f in result.findings],
     }
 
 
@@ -47,23 +40,6 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         default=DEFAULT_PATHS,
         help=f"files or directories to check (default: {' '.join(DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline JSON grandfathering old findings (default: "
-        f"{DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding is a failure",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument("--json", action="store_true", help="print findings as JSON")
     parser.add_argument(
@@ -80,43 +56,21 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     result = analyze_paths(args.paths)
-
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        default = Path(DEFAULT_BASELINE)
-        if default.is_file():
-            baseline_path = default
-
-    if args.write_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        write_baseline(target, result.findings)
-        print(f"wrote {len(result.findings)} finding(s) to {target}")
-        return 0
-
-    if args.no_baseline or baseline_path is None:
-        new, grandfathered = list(result.findings), []
-    else:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        new, grandfathered = partition(result.findings, baseline)
-
-    payload = _result_payload(result, new, grandfathered)
+    findings = result.findings
+    payload = _result_payload(result)
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
         summary = (
-            f"{result.files_scanned} file(s) scanned, {len(new)} new finding(s), "
-            f"{len(grandfathered)} grandfathered, {result.suppressed} suppressed"
+            f"{result.files_scanned} file(s) scanned, {len(findings)} new finding(s), "
+            f"{result.suppressed} suppressed"
         )
-        print(summary if not new else f"\n{summary}")
-    return 1 if new else 0
+        print(summary if not findings else f"\n{summary}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

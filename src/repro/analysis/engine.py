@@ -67,12 +67,8 @@ ENGINE_CODES = {
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation: where, what, and the offending source line.
-
-    ``content`` (the stripped source line) is what the baseline matches
-    on — line numbers shift as files are edited, the line's text rarely
-    does, so grandfathered findings survive unrelated edits above them.
-    """
+    """One rule violation: where, what, and the offending source line
+    (``content``, stripped)."""
 
     path: str
     line: int
@@ -83,9 +79,6 @@ class Finding:
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.code)
-
-    def baseline_key(self):
-        return (self.path, self.code, self.content)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -328,7 +321,7 @@ def iter_python_files(paths) -> list[Path]:
 
 
 def _relative_label(path: Path) -> str:
-    """Posix path relative to cwd when possible (stable baseline keys)."""
+    """Posix path relative to cwd when possible (stable finding paths)."""
     resolved = path.resolve()
     try:
         return resolved.relative_to(Path.cwd()).as_posix()

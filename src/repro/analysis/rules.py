@@ -1,9 +1,9 @@
 """Repo-specific rule classes: DET, HOT, PKL, TEL, LAY.
 
-Every rule code is stable (baselines and suppressions reference it) and
-carries a fix-it in its message.  The rule families enforce the
-invariants the golden-report differential harness, ``merge_shards()``
-fan-in, and the vectorized hot path rely on:
+Every rule code is stable (suppressions reference it) and carries a
+fix-it in its message.  The rule families enforce the invariants the
+golden-report differential harness, ``merge_shards()`` fan-in, and the
+vectorized hot path rely on:
 
 * **DET** — determinism: reports must be a pure function of (spec,
   seed, code).  No module-level RNG, no wall clock in accounting, no

@@ -6,15 +6,7 @@ helper that renders the same rows/series the paper reports; the
 ``benchmarks/`` harnesses call both.
 """
 
-from repro.experiments.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardedBackend,
-    ShardMergeError,
-    merge_shards,
-    resolve_backend,
-)
+from repro.experiments.backends import ProcessPoolBackend, ShardMergeError, merge_shards
 from repro.experiments.colocation import (
     build_colocation,
     colocation_job,
@@ -37,34 +29,25 @@ from repro.experiments.runner import (
     warm_first_touch,
     workload_pages,
 )
-from repro.experiments.reporting import (
-    ReplicaStats,
-    replica_stats,
-    summarize_replicas,
-)
+from repro.experiments.reporting import ReplicaStats, replica_stats
 from repro.experiments.sweep import (
     JobSpec,
     SweepError,
     SweepExecutor,
     SweepSerializationError,
     job_key,
-    replicate,
     resolve_executor,
-    run_replicated,
     source_fingerprint,
 )
 
 __all__ = [
     "DEFAULT_CONFIG",
     "SMOKE_CONFIG",
-    "ExecutionBackend",
     "ExperimentConfig",
     "JobSpec",
     "ProcessPoolBackend",
     "ReplicaStats",
-    "SerialBackend",
     "ShardMergeError",
-    "ShardedBackend",
     "SweepError",
     "SweepExecutor",
     "SweepSerializationError",
@@ -82,16 +65,12 @@ __all__ = [
     "make_tenant_specs",
     "merge_shards",
     "replica_stats",
-    "replicate",
-    "resolve_backend",
     "resolve_executor",
     "run_colocation",
     "run_colocation_sweep",
     "run_one",
-    "run_replicated",
     "solo_baseline_job",
     "source_fingerprint",
-    "summarize_replicas",
     "warm_first_touch",
     "workload_pages",
 ]

@@ -32,7 +32,7 @@ def none_runner(spec) -> None:
 
 def seed_runner(spec) -> float:
     """Custom runner returning the spec's resolved seed as a float —
-    replica-statistics tests get exactly computable aggregates without
+    sharding and pool tests get exactly predictable results without
     paying for a simulation."""
     return float(spec.resolved_config().seed)
 

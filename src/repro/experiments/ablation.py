@@ -46,8 +46,6 @@ def run_filter_ablation(
     epochs: int = 12,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> FilterAblationResult:
     """Hot-bit filter on vs off, on a GUPS slow-tier stream."""
     job = JobSpec(
@@ -57,7 +55,7 @@ def run_filter_ablation(
         runner="repro.experiments.ablation:_run_filter_job",
         runner_kwargs={"epochs": epochs},
     )
-    return resolve_executor(executor, workers, backend=backend).run([job])[0]
+    return resolve_executor(executor).run([job])[0]
 
 
 def _filter_ablation(config: ExperimentConfig, epochs: int) -> FilterAblationResult:
@@ -109,8 +107,6 @@ def run_bound_ablation(
     epochs: int = 12,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> BoundAblationResult:
     """Undersized sketch: what does the error clamp protect against?"""
     job = JobSpec(
@@ -120,7 +116,7 @@ def run_bound_ablation(
         runner="repro.experiments.ablation:_run_bound_job",
         runner_kwargs={"sketch_width": sketch_width, "epochs": epochs},
     )
-    return resolve_executor(executor, workers, backend=backend).run([job])[0]
+    return resolve_executor(executor).run([job])[0]
 
 
 def _bound_ablation(

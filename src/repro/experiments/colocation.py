@@ -225,8 +225,6 @@ def run_colocation(
     solo_baselines: bool = True,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> ColocationReport:
     """One co-located run, plus per-tenant solo baselines for slowdown.
 
@@ -243,7 +241,7 @@ def run_colocation(
             solo_baseline_job(spec, policy_name, config, topology_pages)
             for spec in specs
         ]
-    results = resolve_executor(executor, workers, backend=backend).run(jobs)
+    results = resolve_executor(executor).run(jobs)
     report = results[0]
     if solo_baselines:
         _stitch_solo_times(report, specs, results[1:])
@@ -337,8 +335,6 @@ def run_colocation_sweep(
     mix=DEFAULT_MIX,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> list[dict]:
     """Sweep tenant count x scheduler; one summary row per run.
 
@@ -357,9 +353,7 @@ def run_colocation_sweep(
     solo_jobs, solo_ids = colocation_sweep_solo_jobs(
         tenant_counts, policy_name, config, mix
     )
-    results = resolve_executor(executor, workers, backend=backend).run(
-        coloc_jobs + solo_jobs
-    )
+    results = resolve_executor(executor).run(coloc_jobs + solo_jobs)
     reports = results[: len(coloc_jobs)]
     solo_times = dict(zip(solo_ids, results[len(coloc_jobs) :]))
     rows: list[dict] = []

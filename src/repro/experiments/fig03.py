@@ -55,17 +55,13 @@ def run_fig03b(
     workloads=BENCHMARKS,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Slowdown (%) of slow-tier-only vs fast-tier-only execution.
 
     Implemented as the paper does: bind the workload's memory to one
     tier by sizing the other to (almost) nothing, with no migration.
     """
-    reports = resolve_executor(executor, workers, backend=backend).run(
-        fig03b_jobs(config, workloads)
-    )
+    reports = resolve_executor(executor).run(fig03b_jobs(config, workloads))
     slowdowns: dict[str, float] = {}
     for i, name in enumerate(workloads):
         fast_only, slow_only = reports[2 * i], reports[2 * i + 1]

@@ -89,8 +89,6 @@ def run_fig04a(
     workload_name: str = "gups",
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> list[FrontierPoint]:
     """DAMON frontier: overhead vs (interval, regions)."""
     grid = [(i, r) for i in intervals_ms for r in region_counts]
@@ -107,7 +105,7 @@ def run_fig04a(
         )
         for interval_ms, regions in grid
     ]
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor).run(jobs)
     return [
         FrontierPoint(interval_ms, regions, _profiling_overhead_percent(report))
         for (interval_ms, regions), report in zip(grid, reports)
@@ -118,8 +116,6 @@ def run_fig04a_neoprof_point(
     config: ExperimentConfig = DEFAULT_CONFIG,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> FrontierPoint:
     """NeoProf's corner: per-access resolution at ~zero CPU overhead."""
     job = JobSpec(
@@ -128,7 +124,7 @@ def run_fig04a_neoprof_point(
         config,
         policy_factory="repro.experiments.fig04:_profile_neoprof",
     )
-    report = resolve_executor(executor, workers, backend=backend).run([job])[0]
+    report = resolve_executor(executor).run([job])[0]
     # NeoProf tracks every access to every page: 4 KB space resolution,
     # per-request time resolution -> reported as region count = RSS.
     return FrontierPoint(
@@ -205,8 +201,6 @@ def run_fig04c(
     workload_name: str = "gups",
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[int, float]:
     """PEBS slowdown (%) vs sampling interval (Fig. 4-(c))."""
     jobs = [
@@ -228,7 +222,7 @@ def run_fig04c(
         )
         for interval in sample_intervals
     ]
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor).run(jobs)
     baseline = reports[0].total_time_ns
     return {
         interval: (report.total_time_ns / baseline - 1.0) * 100.0

@@ -40,13 +40,9 @@ def run_fig11(
     systems=SYSTEMS,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, dict[str, SimulationReport]]:
     """Run the full grid; returns reports[workload][system]."""
-    results = resolve_executor(executor, workers, backend=backend).run(
-        fig11_jobs(config, workloads, systems)
-    )
+    results = resolve_executor(executor).run(fig11_jobs(config, workloads, systems))
     flat = iter(results)
     return {
         workload: {system: next(flat) for system in systems}

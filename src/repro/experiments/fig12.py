@@ -38,13 +38,9 @@ def run_fig12(
     ratios=RATIOS,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, dict[tuple[int, int], dict[str, float]]]:
     """Returns runtimes[workload][ratio][system] in seconds."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
-        fig12_jobs(config, workloads, ratios)
-    )
+    reports = resolve_executor(executor).run(fig12_jobs(config, workloads, ratios))
     flat = iter(reports)
     return {
         workload: {

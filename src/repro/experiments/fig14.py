@@ -91,13 +91,9 @@ def run_pagerank(
     config: ExperimentConfig = DEFAULT_CONFIG,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> PageRankProfile:
     """One instrumented Page-Rank run (dynamic or fixed threshold)."""
-    report = resolve_executor(executor, workers, backend=backend).run(
-        [pagerank_job(policy_name, config)]
-    )[0]
+    report = resolve_executor(executor).run([pagerank_job(policy_name, config)])[0]
     return profile_from_report(policy_name, report)
 
 
@@ -106,15 +102,13 @@ def run_fig14a(
     fixed_thresholds=FIXED_THRESHOLDS,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, PageRankProfile]:
     """Dynamic vs fixed-theta per-iteration times (one sweep)."""
     names = {"dynamic": "neomem"}
     for theta in fixed_thresholds:
         names[f"theta={theta}"] = f"neomem-fixed-{theta}"
     jobs = [pagerank_job(policy, config) for policy in names.values()]
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor).run(jobs)
     return {
         label: profile_from_report(policy, report)
         for (label, policy), report in zip(names.items(), reports)

@@ -43,9 +43,9 @@ def _pagerank_neomem_job(
     )
 
 
-def _normalized_runtimes(points, jobs, executor, workers, backend=None) -> dict:
+def _normalized_runtimes(points, jobs, executor) -> dict:
     """Execute the jobs; return point -> best_time / time."""
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor).run(jobs)
     times = {point: report.total_time_s for point, report in zip(points, reports)}
     best = min(times.values())
     return {point: best / t for point, t in times.items()}
@@ -56,8 +56,6 @@ def run_fig15a(
     intervals=MIGRATION_INTERVALS_S,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ):
     """Runtime vs migration interval (normalized to the best)."""
     jobs = [
@@ -68,7 +66,7 @@ def run_fig15a(
         )
         for interval in intervals
     ]
-    return _normalized_runtimes(intervals, jobs, executor, workers, backend)
+    return _normalized_runtimes(intervals, jobs, executor)
 
 
 def run_fig15b(
@@ -76,8 +74,6 @@ def run_fig15b(
     quotas=QUOTAS_BYTES_PER_S,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ):
     """Runtime vs migration quota (normalized to the best)."""
     from dataclasses import replace
@@ -86,7 +82,7 @@ def run_fig15b(
         _pagerank_neomem_job(replace(config, quota_bytes_per_s=quota))
         for quota in quotas
     ]
-    return _normalized_runtimes(quotas, jobs, executor, workers, backend)
+    return _normalized_runtimes(quotas, jobs, executor)
 
 
 def run_fig15c(
@@ -133,8 +129,6 @@ def run_fig15d(
     widths=SKETCH_WIDTHS,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ):
     """End-to-end performance vs sketch width (normalized to best)."""
     jobs = [
@@ -145,4 +139,4 @@ def run_fig15d(
         )
         for width in widths
     ]
-    return _normalized_runtimes(widths, jobs, executor, workers, backend)
+    return _normalized_runtimes(widths, jobs, executor)

@@ -83,13 +83,11 @@ def run_fig16(
     relocate_at: int = 48,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, ConvergenceCurve]:
     """Run the convergence study; returns label -> curve."""
     methods = methods or METHODS
     jobs = fig16_jobs(config, methods, total_batches, relocate_at)
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor).run(jobs)
     return {
         label: ConvergenceCurve(
             label=label,

@@ -34,13 +34,9 @@ def run_fig17(
     workloads=BENCHMARKS,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, dict[str, SimulationReport]]:
     """Run NeoMem and Memtis over the benchmark suite."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
-        fig17_jobs(config, workloads)
-    )
+    reports = resolve_executor(executor).run(fig17_jobs(config, workloads))
     flat = iter(reports)
     return {
         workload: {system: next(flat) for system in SYSTEMS}

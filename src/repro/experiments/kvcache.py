@@ -17,8 +17,9 @@ under one placement strategy and one tier mode, and reports
 * **migration traffic** — pages promoted + demoted over the run.
 
 Jobs are plain :class:`~repro.experiments.sweep.JobSpec`s, so the grid
-runs through any executor backend (serial / process pool / sharded) and
-lands in the content-addressed result cache like every other figure.
+runs through the sweep executor (inline, on the process pool, or split
+over shards) and lands in the content-addressed result cache like every
+other figure.
 """
 
 from __future__ import annotations
@@ -78,13 +79,9 @@ def run_kvcache(
     tier_modes=TIER_MODES,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> list[dict]:
     """Run the grid; one result row per (context, tier mode, strategy)."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
-        kvcache_jobs(config, contexts, strategies, tier_modes)
-    )
+    reports = resolve_executor(executor).run(kvcache_jobs(config, contexts, strategies, tier_modes))
     rows = []
     flat = iter(reports)
     for context in contexts:

@@ -71,13 +71,9 @@ def run_overhead(
     config: ExperimentConfig = DEFAULT_CONFIG,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Return baseline/profiled runtimes and the slowdown percentage."""
-    baseline, profiled = resolve_executor(executor, workers, backend=backend).run(
-        overhead_jobs(config)
-    )
+    baseline, profiled = resolve_executor(executor).run(overhead_jobs(config))
     baseline_s = baseline.total_time_s
     profiled_s = profiled.total_time_s
     slowdown = (profiled_s / baseline_s - 1.0) * 100.0

@@ -5,18 +5,17 @@ paper's figure or table reports, through these helpers, so the bench
 output is directly comparable to the publication.
 
 The replica-statistics half (:class:`ReplicaStats`,
-:func:`replica_stats`, :func:`summarize_replicas`) reduces seed-replica
-sweeps — each figure point run at N seeds via
-:func:`~repro.experiments.sweep.replicate` — to mean / sample-stddev /
-95 % confidence intervals, so figures carry error bars instead of
-single-seed point estimates.
+:func:`replica_stats`) reduces repeated measurements of one quantity to
+mean / sample-stddev / 95 % confidence intervals; the
+``BENCH_sweep.json`` regression gate
+(:mod:`repro.experiments.trajectory`) builds its band from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(
@@ -57,20 +56,8 @@ def format_series(
     return f"{name} [{x_label} -> {y_label}]: {pairs}"
 
 
-def normalize_to(baseline_key: str, values: Mapping[str, float]) -> dict[str, float]:
-    """Normalize a mapping of runtimes to one entry (Fig. 11's 'vs PEBS').
-
-    Performance = baseline_runtime / runtime, so > 1 means faster than
-    the baseline.
-    """
-    base = values[baseline_key]
-    if base <= 0:
-        raise ValueError("baseline value must be positive")
-    return {key: base / value for key, value in values.items()}
-
-
 # ----------------------------------------------------------------------
-# seed-replica statistics
+# replica statistics
 # ----------------------------------------------------------------------
 #: two-sided 95 % Student-t critical values for df 1..30, then banded
 #: upper bounds (each band reports its smallest-df value, so intervals
@@ -102,7 +89,7 @@ def t_critical_95(df: int) -> float:
 
 @dataclass(frozen=True)
 class ReplicaStats:
-    """Mean / spread of one figure point across seed replicas.
+    """Mean / spread of one quantity across replicas.
 
     ``ci95`` is the *half-width* of the two-sided 95 % confidence
     interval for the mean (Student-t), so an error bar is drawn as
@@ -114,9 +101,6 @@ class ReplicaStats:
     stddev: float
     ci95: float
     n: int
-    #: optional mean per-phase wall-clock split (telemetry runs only):
-    #: phase name -> mean nanoseconds across the replicas.
-    phase_ns: Mapping[str, float] | None = None
 
     @property
     def lo(self) -> float:
@@ -131,11 +115,11 @@ class ReplicaStats:
 
 
 def replica_stats(values: Iterable[float]) -> ReplicaStats:
-    """Reduce one point's replica values to :class:`ReplicaStats`.
+    """Reduce one quantity's replica values to :class:`ReplicaStats`.
 
     Uses the sample standard deviation (ddof=1) and the Student-t
-    interval — at the 3-10 replica counts sweeps actually run, the
-    normal approximation would understate the interval badly.
+    interval — at the handful of records a regression gate compares,
+    the normal approximation would understate the interval badly.
     """
     vals = [float(v) for v in values]
     n = len(vals)
@@ -148,40 +132,6 @@ def replica_stats(values: Iterable[float]) -> ReplicaStats:
     stddev = math.sqrt(var)
     ci95 = t_critical_95(n - 1) * stddev / math.sqrt(n)
     return ReplicaStats(mean=mean, stddev=stddev, ci95=ci95, n=n)
-
-
-def summarize_replicas(values: Sequence[float], n_seeds: int) -> list[ReplicaStats]:
-    """Reduce a flat replica-grouped value list, one stats row per point.
-
-    The layout is :func:`~repro.experiments.sweep.replicate`'s output
-    order: ``values[i * n_seeds : (i + 1) * n_seeds]`` are point ``i``'s
-    replicas.
-    """
-    values = list(values)
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    if len(values) % n_seeds:
-        raise ValueError(
-            f"{len(values)} values do not divide into replicas of {n_seeds}"
-        )
-    return [
-        replica_stats(values[i : i + n_seeds])
-        for i in range(0, len(values), n_seeds)
-    ]
-
-
-def format_error_bars(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """Render a table whose :class:`ReplicaStats` cells print as
-    ``mean ± ci95`` (plain cells format as in :func:`format_table`)."""
-    rendered = [
-        [str(cell) if isinstance(cell, ReplicaStats) else cell for cell in row]
-        for row in rows
-    ]
-    return format_table(headers, rendered, title=title)
 
 
 def sparkline(values: Sequence[float], width: int = 60) -> str:

@@ -1,4 +1,4 @@
-"""Declarative sweep subsystem: JobSpecs, process-pool execution, caching.
+"""Declarative sweep subsystem: JobSpecs, execution, sharding, caching.
 
 Every figure/table reproduction is a sweep over (workload x policy x
 parameter) points, and every point is one self-contained simulation.
@@ -8,22 +8,20 @@ This module turns that structure into data:
   point: workload, policy, configuration, seed, and (for non-standard
   runs) dotted-path references to a policy factory, a result extractor,
   or an alternative runner.  A spec fully determines its result.
-* :class:`SweepExecutor` — runs a list of JobSpecs through a pluggable
-  :class:`~repro.experiments.backends.ExecutionBackend`: serial (the
-  deterministic default), a warm process pool fed heaviest-first
-  (``workers=`` / ``REPRO_SWEEP_WORKERS``), or a content-hash shard of
-  the list for multi-host execution (``REPRO_SWEEP_SHARD`` /
-  ``REPRO_SWEEP_NUM_SHARDS``; see :mod:`repro.experiments.backends`).
+* :class:`SweepExecutor` — runs a list of JobSpecs on one
+  :class:`~repro.experiments.backends.ProcessPoolBackend`: inline at
+  one worker (the deterministic default), or a warm process pool fed
+  heaviest-first (``workers=`` / ``REPRO_SWEEP_WORKERS``).  On a host
+  whose environment names a shard (``REPRO_SWEEP_SHARD`` /
+  ``REPRO_SWEEP_NUM_SHARDS``) it runs only the jobs that shard owns
+  (:func:`shard_of`) and marks the rest :data:`SHARD_SKIPPED`;
+  :func:`~repro.experiments.backends.merge_shards` fans the per-shard
+  caches back together.
 * an on-disk result cache keyed by :func:`job_key` — a stable hash of
   the spec's canonical JSON, salted with a fingerprint of the simulator
   sources so editing the models invalidates stale entries — so repeated
   benchmark runs skip completed points.  Enable it with ``cache_dir=``
   or ``REPRO_SWEEP_CACHE``.
-* a seed-replica layer: :func:`replicate` expands each job into N
-  seeded replicas and :func:`run_replicated` reduces each point's
-  replica results to mean/stddev/95 %-CI statistics
-  (:mod:`repro.experiments.reporting`), so any figure harness can emit
-  error bars.
 
 Because jobs cross process boundaries, results must pickle.  The
 executor verifies this *before* handing a result back (or to the pool),
@@ -36,7 +34,7 @@ the live engine, that reduces that state to plain picklable data.
 
 Determinism: a spec's seed is part of its identity and the simulation
 is seeded end-to-end, so the same JobSpec list produces bit-identical
-reports from the serial and process-pool executors — a property the
+reports inline, on the pool, and merged from shards — a property the
 test suite pins down.
 """
 
@@ -69,20 +67,26 @@ __all__ = [
     "SweepStats",
     "SweepError",
     "SweepSerializationError",
+    "SHARD_SKIPPED",
     "job_key",
-    "replicate",
     "resolve",
     "resolve_executor",
-    "run_replicated",
     "run_single",
+    "shard_of",
     "source_fingerprint",
     "WORKERS_ENV",
     "CACHE_ENV",
+    "SHARD_ENV",
+    "NUM_SHARDS_ENV",
 ]
 
 #: environment knobs honoured by SweepExecutor's defaults
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 CACHE_ENV = "REPRO_SWEEP_CACHE"
+#: this host's shard index, 0-based
+SHARD_ENV = "REPRO_SWEEP_SHARD"
+#: total number of shards splitting the job list
+NUM_SHARDS_ENV = "REPRO_SWEEP_NUM_SHARDS"
 
 #: bump to invalidate every cached result (part of the key preimage)
 CACHE_SCHEMA_VERSION = 2
@@ -139,7 +143,7 @@ class JobSpec:
     workload: str = ""
     policy: str = ""
     config: ExperimentConfig = DEFAULT_CONFIG
-    #: overrides config.seed when set (the sweep axis for replicas)
+    #: overrides config.seed when set (the sweep's seed axis)
     seed: int | None = None
     workload_overrides: dict = field(default_factory=dict)
     policy_kwargs: dict = field(default_factory=dict)
@@ -237,16 +241,68 @@ def job_key(spec: JobSpec) -> str:
     import repro  # deferred: repro/__init__ imports the experiments tier
 
     # seed=None and an explicit seed equal to config.seed resolve to the
-    # identical simulation, so they must share one identity (a replicated
-    # sweep's replica 0 then reuses the plain run's cache entry)
-    payload = _canonical(
-        dataclasses.replace(spec, tag="", seed=spec.resolved_config().seed)
-    )
+    # identical simulation, so they must share one identity (and one
+    # cache entry)
+    payload = _canonical(dataclasses.replace(spec, tag="", seed=spec.resolved_config().seed))
     payload["__cache_schema__"] = CACHE_SCHEMA_VERSION
     payload["__repro_version__"] = repro.__version__
     payload["__source_fingerprint__"] = source_fingerprint()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+# ----------------------------------------------------------------------
+# deterministic sharding
+# ----------------------------------------------------------------------
+class _ShardSkipped:
+    """Marker returned for jobs belonging to another shard."""
+
+    def __repr__(self) -> str:
+        return "<shard-skipped>"
+
+    def __reduce__(self) -> str:
+        # pickles by reference: an unpickled marker is SHARD_SKIPPED itself
+        return "SHARD_SKIPPED"
+
+
+SHARD_SKIPPED = _ShardSkipped()
+
+
+def _validate_sharding(shard: int, num_shards: int) -> None:
+    if num_shards < 1:
+        raise SweepError(f"num_shards must be >= 1, got {num_shards}")
+    if not 0 <= shard < num_shards:
+        raise SweepError(f"shard must be in [0, {num_shards}), got {shard}")
+
+
+def _shard_of_key(key: str, num_shards: int) -> int:
+    return int(key, 16) % num_shards
+
+
+def shard_of(spec: JobSpec, num_shards: int) -> int:
+    """The shard owning a spec: its content hash modulo ``num_shards``.
+
+    Keyed off :func:`job_key`, so assignment is a pure function of the
+    job's identity — independent of list order, duplicate count, tag,
+    or which host asks.  Every host slicing the same job list with the
+    same ``num_shards`` computes the same disjoint, exhaustive split,
+    and a partially cached grid splits exactly like the full one.
+    """
+    _validate_sharding(0, num_shards)
+    return _shard_of_key(job_key(spec), num_shards)
+
+
+def _shard_from_env() -> tuple[int, int] | None:
+    """This host's ``(shard, num_shards)`` from the environment, or
+    ``None`` when neither variable is set."""
+    shard = _env_int(SHARD_ENV)
+    num_shards = _env_int(NUM_SHARDS_ENV)
+    if shard is None and num_shards is None:
+        return None
+    if shard is None or num_shards is None:
+        raise SweepError(f"sharded execution needs both {SHARD_ENV} and {NUM_SHARDS_ENV} set")
+    _validate_sharding(shard, num_shards)
+    return shard, num_shards
 
 
 # ----------------------------------------------------------------------
@@ -309,65 +365,44 @@ def _is_live_engine(value) -> bool:
     return isinstance(value, SimulationEngine)
 
 
-def _sanitize_result(result, spec: JobSpec, unpicklable: str):
+def _sanitize_result(result, spec: JobSpec):
     """Guarantee a job result can cross the process/cache boundary.
 
     Rejects reports still carrying ``run_one(keep_engine=True)`` state
-    and any annotation that does not pickle.  ``unpicklable="error"``
-    raises :class:`SweepSerializationError` naming the offending keys;
-    ``"strip"`` drops them and records the dropped names under
-    ``annotations["stripped_annotations"]``.
+    and any result that does not pickle, raising
+    :class:`SweepSerializationError` that names the offending annotation
+    keys when there are any.
 
     The happy path costs one pickle of the whole result; the
     per-annotation scan only runs once something is already wrong.
     """
     annotations = getattr(result, "annotations", None)
     if not isinstance(annotations, dict):
-        annotations = None
-
-    def handle(bad: list[str]) -> None:
-        if unpicklable == "strip":
-            for key in bad:
-                annotations.pop(key)
-            recorded = annotations.get("stripped_annotations", [])
-            annotations["stripped_annotations"] = sorted({*recorded, *bad})
-        else:
-            raise SweepSerializationError(
-                f"job {spec.label()}: annotations {bad} cannot cross the "
-                "sweep boundary (live engines/policies from run_one("
-                "keep_engine=True), or values that do not pickle) — use a "
-                "JobSpec.extractor to reduce them to plain data"
-            )
-
-    if annotations:
-        # live machine objects are rejected even when they pickle:
-        # shipping a whole machine model through pools and caches is a
-        # bug, not a result.  This scan is cheap (no serialization).
-        bad = sorted(
-            k for k, v in annotations.items()
-            if k in _KEEP_ENGINE_KEYS or _is_live_engine(v)
-        )
-        if bad:
-            handle(bad)
-    if _picklable(result):
-        return result
-    if annotations:
+        annotations = {}
+    # live machine objects are rejected even when they pickle: shipping
+    # a whole machine model through pools and caches is a bug, not a
+    # result.  This scan is cheap (no serialization).
+    bad = sorted(k for k, v in annotations.items() if k in _KEEP_ENGINE_KEYS or _is_live_engine(v))
+    if not bad:
+        if _picklable(result):
+            return result
         bad = sorted(k for k, v in annotations.items() if not _picklable(v))
-        if bad:
-            handle(bad)
-            if _picklable(result):
-                return result
+    if bad:
+        raise SweepSerializationError(
+            f"job {spec.label()}: annotations {bad} cannot cross the "
+            "sweep boundary (live engines/policies from run_one("
+            "keep_engine=True), or values that do not pickle) — use a "
+            "JobSpec.extractor to reduce them to plain data"
+        )
     raise SweepSerializationError(
         f"job {spec.label()}: result of type {type(result).__name__} is not "
         "picklable and cannot be returned from a sweep"
     )
 
 
-def _execute_job(payload: tuple[JobSpec, str]):
-    """Process-pool entry point: run one spec and sanitize its result."""
-    spec, unpicklable = payload
-    result = resolve(spec.runner)(spec)
-    return _sanitize_result(result, spec, unpicklable)
+def _execute_job(spec: JobSpec):
+    """Run one spec in this process and sanitize its result."""
+    return _sanitize_result(resolve(spec.runner)(spec), spec)
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +420,7 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     deduplicated: int = 0
-    #: jobs left to other shards by a ShardedBackend
+    #: uncached jobs left to other shards
     shard_skipped: int = 0
     #: accumulated dispatch-overhead ns by phase (``job_pickle``: the
     #: process pool pickling its chunks)
@@ -393,32 +428,29 @@ class SweepStats:
 
 
 class SweepExecutor:
-    """Run JobSpecs through an execution backend, with caching.
+    """Run JobSpecs on a process-pool backend, with caching and sharding.
 
     Args:
-        workers: Process count for the default local backends.  ``None``
-            reads ``REPRO_SWEEP_WORKERS``, defaulting to 1 (serial,
+        workers: Worker count for the default backend.  ``None`` reads
+            ``REPRO_SWEEP_WORKERS``, defaulting to 1 (inline,
             deterministic, no pool overhead).
         cache_dir: Result-cache directory.  ``None`` reads
             ``REPRO_SWEEP_CACHE``; unset means no caching, and ``""``
             forces caching off regardless of the environment.  Entries
             are pickled results keyed by :func:`job_key`, written
             atomically, safe to share between concurrent runs.
-        unpicklable: ``"error"`` (default) rejects results with
-            non-serializable annotations; ``"strip"`` drops the
-            offending keys instead.
-        backend: An :class:`~repro.experiments.backends.ExecutionBackend`
-            instance, a registry name (``"serial"``, ``"process-pool"``,
-            ``"sharded"``), or ``None`` to resolve from the environment
-            (``REPRO_SWEEP_BACKEND``, or ``REPRO_SWEEP_SHARD`` /
-            ``REPRO_SWEEP_NUM_SHARDS``) and fall back to serial-or-pool
-            from ``workers``.
+        backend: A :class:`~repro.experiments.backends.ProcessPoolBackend`
+            to run on, ``"serial"`` (one worker), ``"process-pool"``
+            (``workers`` of them), or ``None``: ``workers`` of them on
+            this host's shard, read from ``REPRO_SWEEP_SHARD`` /
+            ``REPRO_SWEEP_NUM_SHARDS`` into ``shard``.  A named or
+            given backend runs every job.
 
     Identical specs within one ``run`` call execute once and share the
-    result; results always come back in job order.  Under a sharded
-    backend, out-of-shard jobs come back as the
-    :data:`~repro.experiments.backends.SHARD_SKIPPED` marker — harness
-    aggregation only makes sense after :func:`merge_shards` fans the
+    result; results always come back in job order.  On a shard, an
+    uncached job the shard does not own comes back as the
+    :data:`SHARD_SKIPPED` marker — harness aggregation only makes sense
+    after :func:`~repro.experiments.backends.merge_shards` fans the
     per-shard caches back together.
     """
 
@@ -426,49 +458,50 @@ class SweepExecutor:
         self,
         workers: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        unpicklable: str = "error",
         backend=None,
     ):
         # deferred: backends imports this module for JobSpec/job_key
-        from repro.experiments.backends import resolve_backend
+        from repro.experiments.backends import ProcessPoolBackend
 
-        if workers is None:
-            env = _env_int(WORKERS_ENV)
-            workers = 1 if env is None else env
-        if workers < 1:
-            raise SweepError(f"workers must be >= 1, got {workers}")
+        #: ``(shard, num_shards)`` this host runs, or ``None`` for all jobs
+        self.shard = _shard_from_env() if backend is None else None
+        if backend is None or backend == "process-pool":
+            if workers is None:
+                env = _env_int(WORKERS_ENV)
+                workers = 1 if env is None else env
+            backend = ProcessPoolBackend(workers)
+        elif backend == "serial":
+            backend = ProcessPoolBackend(1)
+        elif not isinstance(backend, ProcessPoolBackend):
+            raise SweepError(
+                f"unknown backend {backend!r} (known: 'serial', 'process-pool', "
+                "or a ProcessPoolBackend)"
+            )
+        self.backend = backend
         if cache_dir is None:
             cache_dir = os.environ.get(CACHE_ENV, "").strip() or None
-        if unpicklable not in ("error", "strip"):
-            raise SweepError(
-                f"unpicklable must be 'error' or 'strip', got {unpicklable!r}"
-            )
-        self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir is not None:
             # eagerly: a shard owning zero jobs must still produce a
             # (valid, empty) cache directory for merge_shards/artifacts
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.unpicklable = unpicklable
-        self.backend = resolve_backend(backend, workers=workers)
         self.stats = SweepStats()
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[JobSpec], *, allow_partial: bool = False) -> list:
         """Execute every job, returning results in job order.
 
-        Under a sharded backend, out-of-shard jobs whose results are
-        not already cached come back as skip markers.  Aggregating
-        over such a partial slice is meaningless, so by default the
-        run fails fast; the sharded driver (``sweep_cli run``) passes
-        ``allow_partial=True`` because the cache slice, not the return
-        value, is its output.
+        On a shard, uncached jobs the shard does not own come back as
+        skip markers.  Aggregating over such a partial slice is
+        meaningless, so by default the run fails fast; the sharded
+        driver (``sweep_cli run``) passes ``allow_partial=True`` because
+        the cache slice, not the return value, is its output.
         """
-        from repro.experiments.backends import is_shard_skipped
-
         tel = get_telemetry()
         jobs = list(jobs)
         keys = [job_key(spec) for spec in jobs]
+        # an unsharded host is shard 0 of 1: it owns every job
+        shard, num_shards = self.shard or (0, 1)
         results: dict[str, object] = {}
         pending: dict[str, JobSpec] = {}
         with tel.span("sweep.cache_lookup"):
@@ -481,36 +514,27 @@ class SweepExecutor:
                     results[key] = cached
                     self.stats.cache_hits += 1
                     continue
+                # after the lookup: a cached result is served on any shard
+                if _shard_of_key(key, num_shards) != shard:
+                    results[key] = SHARD_SKIPPED
+                    self.stats.shard_skipped += 1
+                    continue
                 pending[key] = spec
         if pending:
             with tel.span("sweep.dispatch"):
-                executed = self.backend.execute(
-                    list(pending.values()), self.unpicklable, keys=list(pending)
-                )
+                executed = self.backend.execute(list(pending.values()), keys=list(pending))
             for phase, ns in self.backend.last_dispatch_ns.items():
-                self.stats.dispatch_ns[phase] = (
-                    self.stats.dispatch_ns.get(phase, 0) + ns
-                )
+                self.stats.dispatch_ns[phase] = self.stats.dispatch_ns.get(phase, 0) + ns
             walls = self.backend.last_job_wall_ns
-            for i, (key, result) in enumerate(zip(pending, executed)):
+            for key, result, wall_ns in zip(pending, executed, walls):
                 results[key] = result
-                if is_shard_skipped(result):
-                    self.stats.shard_skipped += 1
-                    continue
-                # a miss is a job this run actually had to execute —
-                # out-of-shard jobs were never this shard's work
                 if self.cache_dir is not None:
                     self.stats.cache_misses += 1
                 self._cache_store(key, result)
-                self._manifest_store(
-                    key,
-                    pending[key],
-                    result,
-                    wall_ns=walls[i] if i < len(walls) else None,
-                )
+                self._manifest_store(key, pending[key], result, wall_ns=wall_ns)
                 self.stats.executed += 1
         out = [results[key] for key in keys]
-        if not allow_partial and any(is_shard_skipped(r) for r in out):
+        if not allow_partial and any(result is SHARD_SKIPPED for result in out):
             raise SweepError(
                 "run() returned shard-skipped results — a sharded run "
                 "produces a per-shard cache slice, not a result set; run "
@@ -518,9 +542,6 @@ class SweepExecutor:
                 "then re-run unsharded against the merged cache"
             )
         return out
-
-    def __call__(self, jobs: Sequence[JobSpec]) -> list:
-        return self.run(jobs)
 
     def close(self) -> None:
         """Release backend resources (the warm worker pool).  Idempotent;
@@ -571,9 +592,7 @@ class SweepExecutor:
             pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
 
-    def _manifest_store(
-        self, key: str, spec: JobSpec, result, wall_ns: int | None = None
-    ) -> None:
+    def _manifest_store(self, key: str, spec: JobSpec, result, wall_ns: int | None = None) -> None:
         """Append a provenance record next to the cache entry just stored.
 
         The manifest (``MANIFEST.jsonl``) records what produced each
@@ -586,95 +605,12 @@ class SweepExecutor:
         wall_s = wall_ns / 1e9 if wall_ns else None
         append_manifest(
             self.cache_dir,
-            manifest_record(
-                key, spec.label(), spec.resolved_config().seed, result, wall_s=wall_s
-            ),
+            manifest_record(key, spec.label(), spec.resolved_config().seed, result, wall_s=wall_s),
         )
 
 
-def resolve_executor(
-    executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-    backend=None,
-) -> SweepExecutor:
+def resolve_executor(executor: SweepExecutor | None = None) -> SweepExecutor:
     """The executor every ``run_*`` harness uses: the caller's, or a
-    fresh one honouring ``workers=``/``backend=`` and the environment
-    knobs (``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_CACHE``,
-    ``REPRO_SWEEP_BACKEND``, ``REPRO_SWEEP_SHARD`` + ``_NUM_SHARDS``)."""
-    if executor is not None:
-        return executor
-    return SweepExecutor(workers=workers, cache_dir=cache_dir, backend=backend)
-
-
-# ----------------------------------------------------------------------
-# seed replicas
-# ----------------------------------------------------------------------
-def replicate(specs: Sequence[JobSpec], n_seeds: int) -> list[JobSpec]:
-    """Expand each spec into ``n_seeds`` seeded replicas, grouped.
-
-    Replica ``r`` of a spec runs at ``base_seed + r`` where the base is
-    the spec's own seed (or its config's).  The output keeps each
-    point's replicas contiguous — ``out[i * n_seeds : (i + 1) * n_seeds]``
-    are the replicas of ``specs[i]`` — which is the layout
-    :func:`~repro.experiments.reporting.summarize_replicas` reduces.
-    Replicas are real JobSpecs: they dedup, cache and shard exactly
-    like any other job.
-    """
-    if n_seeds < 1:
-        raise SweepError(f"n_seeds must be >= 1, got {n_seeds}")
-    out: list[JobSpec] = []
-    for spec in specs:
-        base = spec.seed if spec.seed is not None else spec.config.seed
-        for r in range(n_seeds):
-            tag = f"{spec.tag}#seed{r}" if spec.tag else f"#seed{r}"
-            out.append(replace(spec, seed=base + r, tag=tag))
-    return out
-
-
-def run_replicated(
-    specs: Sequence[JobSpec],
-    n_seeds: int,
-    metric=None,
-    *,
-    executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend=None,
-) -> list:
-    """Run each spec at ``n_seeds`` seeds; one
-    :class:`~repro.experiments.reporting.ReplicaStats` per input spec.
-
-    ``metric`` maps one job result to the scalar being aggregated
-    (default: the report's ``total_time_s``), so any figure harness can
-    turn its grid into mean ± 95 %-CI error bars by handing its JobSpec
-    list here instead of to ``SweepExecutor.run``.
-    """
-    from repro.experiments.reporting import summarize_replicas
-
-    if metric is None:
-        def metric(report):
-            return report.total_time_s
-
-    specs = list(specs)
-    results = resolve_executor(executor, workers, backend=backend).run(
-        replicate(specs, n_seeds)
-    )
-    stats = summarize_replicas([metric(result) for result in results], n_seeds)
-    # telemetry runs: carry each point's mean per-phase wall clock along
-    for i, point in enumerate(stats):
-        phase_sums: dict[str, float] = {}
-        counted = 0
-        for result in results[i * n_seeds : (i + 1) * n_seeds]:
-            annotations = getattr(result, "annotations", None)
-            telemetry = annotations.get("telemetry") if isinstance(annotations, dict) else None
-            if not isinstance(telemetry, dict) or "phases" not in telemetry:
-                continue
-            counted += 1
-            for phase, ns in telemetry["phases"].items():
-                phase_sums[phase] = phase_sums.get(phase, 0.0) + float(ns)
-        if counted:
-            stats[i] = dataclasses.replace(
-                point,
-                phase_ns={phase: total / counted for phase, total in sorted(phase_sums.items())},
-            )
-    return stats
+    fresh one configured by the environment (``REPRO_SWEEP_WORKERS``,
+    ``REPRO_SWEEP_CACHE``, ``REPRO_SWEEP_SHARD`` + ``_NUM_SHARDS``)."""
+    return executor if executor is not None else SweepExecutor()

@@ -3,7 +3,9 @@
 Each host runs its deterministic slice of a named job set against a
 private cache directory, the caches travel (CI artifacts, rsync), and
 a fan-in host merges them and aggregates — the same executor pipeline
-the Python harnesses use, driven from a shell:
+the Python harnesses use, driven from a shell.  ``run`` takes its shard
+from the environment; ``digest`` and ``trace`` always run the whole
+set, serially, whatever shard the host's environment names:
 
 .. code-block:: bash
 
@@ -34,7 +36,7 @@ import pickle
 import sys
 from pathlib import Path
 
-from repro.experiments.backends import SerialBackend, is_sharded_env, merge_shards
+from repro.experiments.backends import merge_shards
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import JobSpec, SweepExecutor, job_key
 from repro.telemetry import configure, export_chrome_trace, get_telemetry
@@ -148,7 +150,7 @@ def _add_jobset_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_run(args) -> int:
     executor = SweepExecutor(cache_dir=args.cache_dir)
-    if is_sharded_env() and executor.cache_dir is None:
+    if executor.shard is not None and executor.cache_dir is None:
         print(
             "error: a sharded run without --cache-dir (or REPRO_SWEEP_CACHE) "
             "discards its results — the cache slice is the shard's output",
@@ -158,22 +160,23 @@ def _cmd_run(args) -> int:
     jobs = build_jobs(args)
     executor.run(jobs, allow_partial=True)
     stats = executor.stats
+    where = executor.backend.describe()
+    if executor.shard is not None:
+        where += " shard {}/{}".format(*executor.shard)
     if executor.cache_dir is not None:
         # manifest keeps a zero-job shard's artifact non-empty and
         # records what produced this slice
         manifest = {
             "job_set": args.job_set,
-            "backend": executor.backend.describe(),
+            "backend": where,
             "jobs": len(jobs),
             "executed": stats.executed,
             "shard_skipped": stats.shard_skipped,
         }
-        (executor.cache_dir / "SHARD.json").write_text(
-            json.dumps(manifest, indent=2) + "\n"
-        )
+        (executor.cache_dir / "SHARD.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(
         f"[sweep-cli] {args.job_set}: {len(jobs)} jobs via "
-        f"{executor.backend.describe()} -> executed={stats.executed} "
+        f"{where} -> executed={stats.executed} "
         f"cache_hits={stats.cache_hits} deduplicated={stats.deduplicated} "
         f"shard_skipped={stats.shard_skipped}"
     )
@@ -193,7 +196,7 @@ def _cmd_trace(args) -> int:
     parent never sees.
     """
     tel = configure("trace")
-    executor = SweepExecutor(workers=1, cache_dir="", backend=SerialBackend())
+    executor = SweepExecutor(cache_dir="", backend="serial")
     jobs = build_jobs(args)
     if args.limit is not None:
         jobs = jobs[: args.limit]
@@ -219,9 +222,7 @@ def _cmd_merge(args) -> int:
 def _cmd_digest(args) -> int:
     # digesting is always a serial, unsharded pass: with a merged cache
     # it only loads entries; without one it is the ground-truth run
-    executor = SweepExecutor(
-        workers=1, cache_dir=args.cache_dir or "", backend=SerialBackend()
-    )
+    executor = SweepExecutor(cache_dir=args.cache_dir or "", backend="serial")
     jobs = build_jobs(args)
     if args.require_cached:
         # precheck coverage: failing fast costs milliseconds, whereas

@@ -118,13 +118,9 @@ def run_table01(
     workload_name: str = "gups",
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> list[TechniqueRow]:
     """Measure each profiling technique on the same workload."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
-        table01_jobs(config, workload_name)
-    )
+    reports = resolve_executor(executor).run(table01_jobs(config, workload_name))
     rows: list[TechniqueRow] = []
     for (name, location, cache_aware, _, _), report in zip(_TECHNIQUES, reports):
         true_slow = sum(e.slow_hits for e in report.epochs)

@@ -100,12 +100,10 @@ def run_table06(
     config: ExperimentConfig = DEFAULT_CONFIG,
     *,
     executor: SweepExecutor | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> list[ThpRow]:
     """The four Table VI configurations."""
     jobs = table06_jobs(config)
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor).run(jobs)
     return [
         _row_from_report(job.tag, report) for job, report in zip(jobs, reports)
     ]

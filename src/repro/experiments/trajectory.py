@@ -18,8 +18,8 @@ record zero), so history starts from the oldest measurement we have.
 
 The regression gate (``python -m repro.experiments.trajectory gate``)
 compares the newest record against the 95 % confidence band of the
-prior records, using the same Student-t machinery seed-replica sweeps
-use (:func:`~repro.experiments.reporting.replica_stats`).  With fewer
+prior records, using Student-t statistics
+(:func:`~repro.experiments.reporting.replica_stats`).  With fewer
 than ``min_records`` priors the verdict is advisory (exit 0, warn):
 one or two CI datapoints cannot distinguish noise from a regression.
 """

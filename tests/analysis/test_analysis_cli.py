@@ -1,5 +1,5 @@
-"""CLI behavior: exit codes, JSON schema, baseline modes — and the
-acceptance-criteria assertion that the repo's own tree is clean."""
+"""CLI behavior: exit codes and JSON schema — and the assertion that
+the repo's own tree is clean."""
 
 import json
 import subprocess
@@ -15,7 +15,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(args, cwd):
-    """Invoke main() with an isolated cwd (baseline defaults are cwd-relative)."""
+    """Invoke main() with an isolated cwd (finding paths are cwd-relative)."""
     import contextlib
     import io
     import os
@@ -44,37 +44,6 @@ class TestExitCodes:
         assert rc == 1
         assert "DET001" in out
 
-    def test_corrupt_baseline_exits_two(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{nope")
-        target = tmp_path / "ok.py"
-        target.write_text("x = 1\n")
-        rc, _ = run_cli([str(target), "--baseline", str(tmp_path / "bad.json")], tmp_path)
-        assert rc == 2
-
-
-class TestBaselineModes:
-    def test_write_baseline_then_enforce(self, tmp_path):
-        bad = FIXTURES / "det_bad.py"
-        rc, out = run_cli([str(bad), "--write-baseline"], tmp_path)
-        assert rc == 0
-        assert (tmp_path / "analysis-baseline.json").is_file()
-        # default run picks the baseline up from cwd and passes
-        rc, out = run_cli([str(bad)], tmp_path)
-        assert rc == 0
-        assert "grandfathered" in out
-        # --no-baseline ignores it again
-        rc, _ = run_cli([str(bad), "--no-baseline"], tmp_path)
-        assert rc == 1
-
-    def test_new_finding_fails_despite_baseline(self, tmp_path):
-        bad = FIXTURES / "det_bad.py"
-        run_cli([str(bad), "--write-baseline"], tmp_path)
-        extra = tmp_path / "extra.py"
-        extra.write_text("import time\nt = time.time()\n")
-        rc, out = run_cli([str(bad), str(extra)], tmp_path)
-        assert rc == 1
-        assert "extra.py" in out
-
 
 class TestJsonOutput:
     def test_json_schema(self, tmp_path):
@@ -83,7 +52,6 @@ class TestJsonOutput:
         payload = json.loads(out)
         assert payload["schema"] == 1
         assert payload["files_scanned"] == 1
-        assert payload["grandfathered"] == []
         assert payload["counts"]["DET001"] == 5
         entry = payload["new"][0]
         assert set(entry) == {"path", "line", "col", "code", "message", "content"}
@@ -123,11 +91,6 @@ class TestRepoTree:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 new finding(s)" in proc.stdout
-
-    def test_committed_baseline_is_empty(self):
-        """We fixed or justified everything; the baseline grandfathers nothing."""
-        payload = json.loads((REPO_ROOT / "analysis-baseline.json").read_text())
-        assert payload == {"schema": 1, "findings": []}
 
 
 @pytest.mark.parametrize("flag", ["--help"])

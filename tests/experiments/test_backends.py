@@ -1,9 +1,8 @@
-"""Tests for pluggable execution backends: the pool, sharding, merging,
-replicas.
+"""Tests for sweep execution: the pool, sharding, merging.
 
 The acceptance bar pinned here is the CI fan-in invariant: a figure
 sweep split over 2 shards, after ``merge_shards()``, is bit-identical
-to the serial backend's results.
+to the serial results.
 """
 
 import pickle
@@ -15,31 +14,22 @@ import pytest
 
 from repro.experiments import fig12
 from repro.experiments.backends import (
-    NUM_SHARDS_ENV,
-    SHARD_ENV,
-    SHARD_SKIPPED,
     ProcessPoolBackend,
-    SerialBackend,
-    ShardedBackend,
     ShardMergeError,
     _cost,
-    is_shard_skipped,
-    is_sharded_env,
-    make_backend,
     merge_shards,
-    partition,
-    resolve_backend,
-    shard_of,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import workload_pages
 from repro.experiments.sweep import (
+    NUM_SHARDS_ENV,
+    SHARD_ENV,
+    SHARD_SKIPPED,
     JobSpec,
     SweepError,
     SweepExecutor,
     job_key,
-    replicate,
-    run_replicated,
+    shard_of,
 )
 from repro.experiments.sweep_cli import results_digest
 
@@ -75,20 +65,31 @@ def sized_job(seed, **overrides):
     )
 
 
+def owned_seeds(shard, num_shards):
+    """The seeds of the CHEAP jobs a shard owns (seeds identify CHEAP)."""
+    return {spec.seed for spec in CHEAP if shard_of(spec, num_shards) == shard}
+
+
+@pytest.fixture()
+def on_shard(monkeypatch):
+    """Name a shard in this host's environment: ``on_shard(shard, num_shards)``."""
+
+    def name_shard(shard, num_shards):
+        monkeypatch.setenv(SHARD_ENV, str(shard))
+        monkeypatch.setenv(NUM_SHARDS_ENV, str(num_shards))
+
+    return name_shard
+
+
 class TestPartitioning:
-    def test_disjoint_and_exhaustive(self):
-        shards = [partition(CHEAP, s, 3) for s in range(3)]
-        assert sum(len(s) for s in shards) == len(CHEAP)
-        seen = set()
-        for shard in shards:
-            for spec in shard:
-                assert spec.seed not in seen  # seeds uniquely identify CHEAP
-                seen.add(spec.seed)
-        assert seen == {spec.seed for spec in CHEAP}
-        # input order is preserved within each shard
-        for shard in shards:
-            positions = [CHEAP.index(spec) for spec in shard]
-            assert positions == sorted(positions)
+    def test_disjoint_and_exhaustive(self, on_shard):
+        executed = []
+        for shard in range(3):
+            on_shard(shard, 3)
+            results = SweepExecutor().run(CHEAP, allow_partial=True)
+            executed.append({r for r in results if r is not SHARD_SKIPPED})
+        assert sum(len(seeds) for seeds in executed) == len(CHEAP)
+        assert set().union(*executed) == {float(spec.seed) for spec in CHEAP}
 
     def test_stable_under_reordering(self):
         """Shard membership is a function of job identity, not position."""
@@ -98,18 +99,13 @@ class TestPartitioning:
         for spec in shuffled:
             assert shard_of(spec, 4) == assignment[spec.seed]
 
-    def test_single_shard_owns_everything(self):
-        assert partition(CHEAP, 0, 1) == list(CHEAP)
+    def test_single_shard_owns_everything(self, on_shard):
+        on_shard(0, 1)
+        assert SweepExecutor().run(CHEAP) == [float(spec.seed) for spec in CHEAP]
 
     def test_validation(self):
         with pytest.raises(SweepError):
             shard_of(CHEAP[0], 0)
-        with pytest.raises(SweepError):
-            partition(CHEAP, 2, 2)
-        with pytest.raises(SweepError):
-            partition(CHEAP, -1, 2)
-        with pytest.raises(SweepError):
-            ShardedBackend(0, 2, inner=ShardedBackend(0, 2))
 
     def test_tag_does_not_move_a_job(self):
         import dataclasses
@@ -118,89 +114,61 @@ class TestPartitioning:
         tagged = dataclasses.replace(spec, tag="elsewhere")
         assert shard_of(spec, 5) == shard_of(tagged, 5)
 
-    def test_partition_matches_shard_of(self):
-        for num_shards in (2, 3):
-            for s in range(num_shards):
-                owned = partition(CHEAP, s, num_shards)
-                assert all(shard_of(spec, num_shards) == s for spec in owned)
 
-
-class TestShardedBackend:
-    def test_out_of_shard_jobs_are_marked(self):
-        executor = SweepExecutor(backend=ShardedBackend(0, 2))
+class TestShardedExecutor:
+    def test_out_of_shard_jobs_are_marked(self, on_shard):
+        on_shard(0, 2)
+        executor = SweepExecutor()
         results = executor.run(CHEAP, allow_partial=True)
-        mine = partition(CHEAP, 0, 2)
+        mine = owned_seeds(0, 2)
         assert executor.stats.executed == len(mine)
         assert executor.stats.shard_skipped == len(CHEAP) - len(mine)
-        owned_seeds = {spec.seed for spec in mine}
         for spec, result in zip(CHEAP, results):
-            if spec.seed in owned_seeds:
+            if spec.seed in mine:
                 assert result == float(spec.seed)
             else:
-                assert is_shard_skipped(result)
+                assert result is SHARD_SKIPPED
 
-    def test_skip_marker_is_never_cached(self, tmp_path):
-        executor = SweepExecutor(backend=ShardedBackend(1, 2), cache_dir=tmp_path)
+    def test_only_owned_jobs_reach_the_backend(self, on_shard):
+        on_shard(1, 2)
+        executor = SweepExecutor()
         executor.run(CHEAP, allow_partial=True)
-        mine = partition(CHEAP, 1, 2)
-        assert len(list(tmp_path.glob("*.pkl"))) == len(mine)
+        assert len(executor.backend.last_job_wall_ns) == len(owned_seeds(1, 2))
+
+    def test_skip_marker_is_never_cached(self, on_shard, tmp_path):
+        on_shard(1, 2)
+        SweepExecutor(cache_dir=tmp_path).run(CHEAP, allow_partial=True)
+        assert len(list(tmp_path.glob("*.pkl"))) == len(owned_seeds(1, 2))
 
     def test_marker_survives_pickling_as_marker(self):
-        assert is_shard_skipped(pickle.loads(pickle.dumps(SHARD_SKIPPED)))
+        assert pickle.loads(pickle.dumps(SHARD_SKIPPED)) is SHARD_SKIPPED
 
-    def test_shards_compose_with_pool_inner(self):
-        backend = ShardedBackend(0, 2, inner=ProcessPoolBackend(2))
-        results = SweepExecutor(backend=backend).run(CHEAP, allow_partial=True)
-        assert [r for r in results if not is_shard_skipped(r)] == [
-            float(s.seed) for s in partition(CHEAP, 0, 2)
+    def test_shards_compose_with_a_pool(self, on_shard):
+        on_shard(0, 2)
+        with SweepExecutor(workers=2) as executor:
+            results = executor.run(CHEAP, allow_partial=True)
+        assert [r for r in results if r is not SHARD_SKIPPED] == [
+            float(spec.seed) for spec in CHEAP if spec.seed in owned_seeds(0, 2)
         ]
 
-    def test_sharded_backend_agrees_with_partition(self):
-        """The backend and the module-level partition() split by the same
-        content hash, so tests (and hosts) can predict ownership."""
-        executor = SweepExecutor(backend=ShardedBackend(1, 3))
-        results = executor.run(CHEAP, allow_partial=True)
-        mine = {spec.seed for spec in partition(CHEAP, 1, 3)}
-        executed = {
-            spec.seed for spec, result in zip(CHEAP, results) if not is_shard_skipped(result)
-        }
-        assert executed == mine
-
-    def test_skipped_jobs_report_no_wall_clock(self):
-        backend = ShardedBackend(0, 2)
-        results = backend.execute(CHEAP)
-        walls = backend.last_job_wall_ns
-        assert len(walls) == len(CHEAP)
-        for result, wall in zip(results, walls):
-            assert (wall is None) == is_shard_skipped(result)
-
-    def test_dispatch_overhead_is_the_inner_backends(self, monkeypatch):
-        inner, _ = inline_pool_backend(monkeypatch)
-        backend = ShardedBackend(0, 2, inner=inner)
-        backend.execute(CHEAP)
-        assert backend.last_dispatch_ns == inner.last_dispatch_ns
-        assert backend.last_dispatch_ns.keys() == {"job_pickle"}
-
-    def test_precomputed_keys_decide_ownership(self):
-        """The executor hands over the keys it already hashed; the
-        backend splits by those instead of hashing the specs again."""
-        results = ShardedBackend(1, 2).execute(CHEAP[:4], keys=["1", "2", "3", "4"])
-        assert [is_shard_skipped(r) for r in results] == [False, True, False, True]
+    def test_ownership_agrees_with_shard_of(self, on_shard):
+        """The executor and shard_of() split by the same content hash,
+        so tests (and hosts) can predict ownership."""
+        on_shard(1, 3)
+        results = SweepExecutor().run(CHEAP, allow_partial=True)
+        executed = {spec.seed for spec, r in zip(CHEAP, results) if r is not SHARD_SKIPPED}
+        assert executed == owned_seeds(1, 3)
 
 
 class _InlinePool:
     """Stands in for the worker pool: records every submitted chunk's
-    specs and unpicklable mode, in submission order, and runs the chunk
-    in this process."""
+    specs, in submission order, and runs the chunk in this process."""
 
     def __init__(self):
         self.chunks = []
-        self.modes = []
 
     def submit(self, fn, blob):
-        specs, unpicklable = pickle.loads(blob)
-        self.chunks.append(specs)
-        self.modes.append(unpicklable)
+        self.chunks.append(pickle.loads(blob))
         future = Future()
         future.set_result(fn(blob))
         return future
@@ -290,25 +258,6 @@ class TestProcessPool:
         backend.execute(CHEAP[:1])  # runs inline: nothing is pickled
         assert backend.last_dispatch_ns == {}
 
-    def test_unpicklable_mode_rides_every_chunk(self, monkeypatch):
-        """Workers sanitize results under the caller's mode, so "strip"
-        must reach them inside each chunk."""
-        specs = [
-            JobSpec(
-                "gups",
-                "first-touch",
-                TINY,
-                seed=seed,
-                extractor="repro.experiments._testhooks:poison_annotations",
-            )
-            for seed in (1, 2)
-        ]
-        backend, pool = inline_pool_backend(monkeypatch)
-        reports = backend.execute(specs, unpicklable="strip")
-        assert pool.modes == ["strip", "strip"]
-        for report in reports:
-            assert report.annotations["stripped_annotations"] == ["extractor_leak"]
-
     def test_workers_must_be_positive(self):
         with pytest.raises(SweepError, match="workers must be >= 1"):
             ProcessPoolBackend(0)
@@ -373,21 +322,15 @@ class TestPoolFailures:
 
 
 class TestEnvResolution:
-    def test_shard_env_selects_sharded(self, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV, "1")
-        monkeypatch.setenv(NUM_SHARDS_ENV, "2")
-        assert is_sharded_env()
-        backend = SweepExecutor().backend
-        assert isinstance(backend, ShardedBackend)
-        assert backend.shard == 1 and backend.num_shards == 2
-        assert isinstance(backend.inner, SerialBackend)
+    def test_shard_env_selects_sharded(self, on_shard):
+        on_shard(1, 2)
+        assert SweepExecutor().shard == (1, 2)
 
-    def test_shard_env_composes_with_workers(self, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV, "0")
-        monkeypatch.setenv(NUM_SHARDS_ENV, "2")
-        backend = SweepExecutor(workers=3).backend
-        assert isinstance(backend.inner, ProcessPoolBackend)
-        assert backend.inner.workers == 3
+    def test_shard_env_composes_with_workers(self, on_shard):
+        on_shard(0, 2)
+        executor = SweepExecutor(workers=3)
+        assert executor.shard == (0, 2)
+        assert executor.backend.workers == 3
 
     def test_half_configured_sharding_is_an_error(self, monkeypatch):
         monkeypatch.setenv(SHARD_ENV, "0")
@@ -395,65 +338,79 @@ class TestEnvResolution:
             SweepExecutor()
 
     @pytest.mark.parametrize("name", [SHARD_ENV, NUM_SHARDS_ENV])
-    def test_malformed_shard_env_names_the_variable(self, monkeypatch, name):
-        monkeypatch.setenv(SHARD_ENV, "0")
-        monkeypatch.setenv(NUM_SHARDS_ENV, "2")
+    def test_malformed_shard_env_names_the_variable(self, on_shard, monkeypatch, name):
+        on_shard(0, 2)
         monkeypatch.setenv(name, "first")
         with pytest.raises(SweepError, match=f"{name} must be an integer, got 'first'"):
             SweepExecutor(workers=1)
 
+    @pytest.mark.parametrize(
+        ("shard", "num_shards", "message"),
+        [
+            (2, 2, r"shard must be in \[0, 2\), got 2"),
+            (-1, 2, r"shard must be in \[0, 2\), got -1"),
+            (0, 0, "num_shards must be >= 1, got 0"),
+        ],
+        ids=["2/2", "-1/2", "0/0"],
+    )
+    def test_out_of_range_shard_env_is_rejected(self, on_shard, shard, num_shards, message):
+        on_shard(shard, num_shards)
+        with pytest.raises(SweepError, match=message):
+            SweepExecutor()
+
     def test_blank_shard_env_is_unset(self, monkeypatch):
         monkeypatch.setenv(SHARD_ENV, " ")
         monkeypatch.setenv(NUM_SHARDS_ENV, "")
-        assert not is_sharded_env()
-        assert isinstance(SweepExecutor(workers=1).backend, SerialBackend)
+        assert SweepExecutor(workers=1).shard is None
 
-    def test_backend_env_forces_name(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
-        assert isinstance(SweepExecutor(workers=4).backend, SerialBackend)
+    def test_named_backends(self, on_shard):
+        """A named or given backend runs every job, whatever shard the
+        environment names (``sweep_cli digest`` relies on this)."""
+        on_shard(0, 2)
+        serial = SweepExecutor(workers=4, backend="serial")
+        pool = SweepExecutor(workers=4, backend="process-pool")
+        explicit = ProcessPoolBackend(2)
+        given = SweepExecutor(workers=8, backend=explicit)
+        assert serial.backend.workers == 1
+        assert pool.backend.workers == 4
+        assert given.backend is explicit
+        assert serial.shard is None and pool.shard is None and given.shard is None
+        assert serial.run(CHEAP) == [float(spec.seed) for spec in CHEAP]
 
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("backend", ["carrier-pigeon", "sharded", 2])
+    def test_unknown_name_rejected(self, backend):
         with pytest.raises(SweepError, match="unknown backend"):
-            make_backend("carrier-pigeon")
-
-    def test_default_resolution(self):
-        assert isinstance(resolve_backend(workers=1), SerialBackend)
-        assert isinstance(resolve_backend(workers=2), ProcessPoolBackend)
-        explicit = SerialBackend()
-        assert resolve_backend(explicit, workers=8) is explicit
+            SweepExecutor(backend=backend)
 
 
 class TestMergeShards:
-    def test_merge_is_union(self, tmp_path):
+    def test_merge_is_union(self, on_shard, tmp_path):
         dirs = []
         for shard in range(2):
+            on_shard(shard, 2)
             d = tmp_path / f"s{shard}"
-            SweepExecutor(backend=ShardedBackend(shard, 2), cache_dir=d).run(
-                CHEAP, allow_partial=True
-            )
+            SweepExecutor(cache_dir=d).run(CHEAP, allow_partial=True)
             dirs.append(d)
         stats = merge_shards(dirs, tmp_path / "merged")
         assert stats.shards == 2
         assert stats.merged == len(CHEAP)
         assert stats.duplicates == 0
-        merged = SweepExecutor(cache_dir=tmp_path / "merged")
+        merged = SweepExecutor(cache_dir=tmp_path / "merged", backend="serial")
         assert merged.run(CHEAP) == [float(s.seed) for s in CHEAP]
         assert merged.stats.cache_hits == len(CHEAP)
         assert merged.stats.executed == 0
 
-    def test_identical_duplicates_are_harmless(self, tmp_path):
+    def test_identical_duplicates_are_harmless(self, on_shard, tmp_path):
+        on_shard(0, 2)
         d = tmp_path / "s0"
-        SweepExecutor(backend=ShardedBackend(0, 2), cache_dir=d).run(
-            CHEAP, allow_partial=True
-        )
+        SweepExecutor(cache_dir=d).run(CHEAP, allow_partial=True)
         stats = merge_shards([d, d], tmp_path / "merged")
         assert stats.duplicates == stats.merged
 
-    def test_mismatched_payload_collision_raises(self, tmp_path):
+    def test_mismatched_payload_collision_raises(self, on_shard, tmp_path):
+        on_shard(0, 2)
         d0, d1 = tmp_path / "s0", tmp_path / "s1"
-        SweepExecutor(backend=ShardedBackend(0, 2), cache_dir=d0).run(
-            CHEAP, allow_partial=True
-        )
+        SweepExecutor(cache_dir=d0).run(CHEAP, allow_partial=True)
         d1.mkdir()
         victim = next(d0.glob("*.pkl"))
         (d1 / victim.name).write_bytes(pickle.dumps("impostor result"))
@@ -476,92 +433,49 @@ class TestMergeShards:
 
 
 class TestShardedBitIdentity:
-    def test_two_shard_merge_matches_serial_bit_for_bit(self, tmp_path):
-        """ISSUE acceptance: a 2-shard run of a figure sweep, after
-        merge_shards(), is bit-identical to the serial backend."""
+    def test_two_shard_merge_matches_serial_bit_for_bit(self, on_shard, tmp_path):
+        """A 2-shard run of a figure sweep, after merge_shards(), is
+        bit-identical to the serial results."""
         jobs = grid_jobs()
         dirs = []
         for shard in range(2):
+            on_shard(shard, 2)
             d = tmp_path / f"shard{shard}"
-            SweepExecutor(backend=ShardedBackend(shard, 2), cache_dir=d).run(
-                jobs, allow_partial=True
-            )
+            SweepExecutor(cache_dir=d).run(jobs, allow_partial=True)
             dirs.append(d)
         merged_dir = tmp_path / "merged"
         merge_shards(dirs, merged_dir)
 
-        merged_exec = SweepExecutor(workers=1, cache_dir=merged_dir)
+        merged_exec = SweepExecutor(cache_dir=merged_dir, backend="serial")
         merged = merged_exec.run(jobs)
         assert merged_exec.stats.executed == 0, "merged cache must cover the grid"
 
-        serial = SweepExecutor(workers=1).run(jobs)
+        serial = SweepExecutor(cache_dir="", backend="serial").run(jobs)
         for a, b in zip(merged, serial):
             assert pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
                 b, protocol=pickle.HIGHEST_PROTOCOL
             )
 
 
-class TestReplicate:
-    def test_expansion_layout(self):
-        jobs = grid_jobs()
-        out = replicate(jobs, 3)
-        assert len(out) == 3 * len(jobs)
-        for i, spec in enumerate(jobs):
-            block = out[i * 3 : (i + 1) * 3]
-            base = spec.config.seed
-            assert [r.seed for r in block] == [base, base + 1, base + 2]
-            assert all(r.workload == spec.workload for r in block)
-
-    def test_explicit_seed_is_the_base(self):
-        spec = JobSpec("gups", "neomem", TINY, seed=100)
-        assert [r.seed for r in replicate([spec], 2)] == [100, 101]
-
-    def test_n_seeds_validation(self):
-        with pytest.raises(SweepError):
-            replicate(CHEAP, 0)
-
-    def test_run_replicated_aggregates(self):
-        """End-to-end: the per-point stats are exactly computable for
-        the seed_runner, whose result IS the seed."""
-        spec = JobSpec(
-            "gups",
-            "none",
-            TINY,
-            seed=10,
-            runner="repro.experiments._testhooks:seed_runner",
-        )
-        stats, = run_replicated([spec], 4, metric=float)
-        # replicas return 10, 11, 12, 13
-        assert stats.n == 4
-        assert stats.mean == pytest.approx(11.5)
-        assert stats.stddev == pytest.approx(1.2909944, rel=1e-6)
-        # t(df=3) = 3.182
-        assert stats.ci95 == pytest.approx(3.182 * 1.2909944 / 2.0, rel=1e-4)
-
-    def test_replicas_shard_like_any_job(self):
-        replicas = replicate(grid_jobs(), 2)
-        shards = [partition(replicas, s, 2) for s in range(2)]
-        assert sum(len(s) for s in shards) == len(replicas)
-
-
 class TestShardedAggregationGuard:
-    def test_run_refuses_partial_results_by_default(self):
+    def test_run_refuses_partial_results_by_default(self, on_shard):
         """Every aggregating harness calls run() without allow_partial,
         so a sharded env fails fast with the merge_shards remedy
         instead of leaking skip markers into slowdown math."""
-        executor = SweepExecutor(backend=ShardedBackend(0, len(CHEAP)))
+        on_shard(0, len(CHEAP))
         with pytest.raises(SweepError, match="merge_shards"):
-            executor.run(CHEAP)
+            SweepExecutor().run(CHEAP)
 
-    def test_fully_cached_sharded_run_is_not_partial(self, tmp_path):
-        """With a merged cache covering the set, even a sharded
-        executor returns complete results — no false positives."""
+    def test_fully_cached_sharded_run_is_not_partial(self, on_shard, tmp_path):
+        """With a cache covering the set, even an executor on a shard
+        returns complete results — no false positives."""
         for shard in range(2):
-            SweepExecutor(backend=ShardedBackend(shard, 2), cache_dir=tmp_path).run(
-                CHEAP, allow_partial=True
-            )
-        executor = SweepExecutor(backend=ShardedBackend(0, 2), cache_dir=tmp_path)
+            on_shard(shard, 2)
+            SweepExecutor(cache_dir=tmp_path).run(CHEAP, allow_partial=True)
+        on_shard(0, 2)
+        executor = SweepExecutor(cache_dir=tmp_path)
         assert executor.run(CHEAP) == [float(s.seed) for s in CHEAP]
+        assert executor.stats.shard_skipped == 0
 
 
 class TestSoloBaselineDedup:
@@ -572,14 +486,10 @@ class TestSoloBaselineDedup:
 
         specs = make_tenant_specs(2, TINY)
         executor = SweepExecutor(cache_dir=tmp_path)
-        first = run_colocation(
-            specs, "pebs", TINY, scheduler="round-robin", executor=executor
-        )
+        first = run_colocation(specs, "pebs", TINY, scheduler="round-robin", executor=executor)
         baseline_runs = executor.stats.executed  # 1 coloc + 2 solos
         assert baseline_runs == 3
-        second = run_colocation(
-            specs, "pebs", TINY, scheduler="weighted-share", executor=executor
-        )
+        second = run_colocation(specs, "pebs", TINY, scheduler="weighted-share", executor=executor)
         # only the co-located run is new; both solos came from the cache
         assert executor.stats.executed == baseline_runs + 1
         assert executor.stats.cache_hits == 2
@@ -595,9 +505,6 @@ class TestSoloBaselineDedup:
         specs = make_tenant_specs(5, TINY)  # cycles the 4-workload mix
         assert specs[0].workload == specs[4].workload
         topology_pages = sum(spec.num_pages for spec in specs)
-        keys = [
-            job_key(solo_baseline_job(spec, "pebs", TINY, topology_pages))
-            for spec in specs
-        ]
+        keys = [job_key(solo_baseline_job(spec, "pebs", TINY, topology_pages)) for spec in specs]
         assert keys[0] == keys[4]
         assert len(set(keys)) == 4

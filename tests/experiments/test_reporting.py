@@ -6,13 +6,10 @@ import pytest
 
 from repro.experiments.reporting import (
     ReplicaStats,
-    format_error_bars,
     format_series,
     format_table,
-    normalize_to,
     replica_stats,
     sparkline,
-    summarize_replicas,
     t_critical_95,
 )
 
@@ -49,18 +46,6 @@ class TestFormatSeries:
 
     def test_empty(self):
         assert format_series("s", [], []).endswith(": ")
-
-
-class TestNormalizeTo:
-    def test_higher_is_better(self):
-        norm = normalize_to("base", {"base": 10.0, "fast": 5.0, "slow": 20.0})
-        assert norm["base"] == 1.0
-        assert norm["fast"] == 2.0
-        assert norm["slow"] == 0.5
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_to("a", {"a": 0.0})
 
 
 class TestReplicaStats:
@@ -113,24 +98,6 @@ class TestReplicaStats:
     def test_str_has_mean_and_interval(self):
         text = str(replica_stats([1.0, 2.0, 3.0]))
         assert "±" in text and "n=3" in text
-
-
-class TestSummarizeReplicas:
-    def test_chunks_in_replicate_order(self):
-        stats = summarize_replicas([1.0, 3.0, 10.0, 30.0], n_seeds=2)
-        assert [s.mean for s in stats] == [2.0, 20.0]
-        assert all(s.n == 2 for s in stats)
-
-    def test_rejects_ragged_input(self):
-        with pytest.raises(ValueError):
-            summarize_replicas([1.0, 2.0, 3.0], n_seeds=2)
-        with pytest.raises(ValueError):
-            summarize_replicas([1.0], n_seeds=0)
-
-    def test_format_error_bars_renders_stats_cells(self):
-        stats = replica_stats([1.0, 2.0, 3.0])
-        out = format_error_bars(["point", "time"], [["gups", stats]])
-        assert "±" in out and "gups" in out
 
 
 class TestSparkline:

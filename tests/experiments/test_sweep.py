@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.sweep as sweep_module
-from repro.experiments.backends import SerialBackend
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import (
     JobSpec,
@@ -37,9 +36,7 @@ def tiny_jobs():
 
 class TestJobKey:
     def test_stable_for_equal_specs(self):
-        assert job_key(JobSpec("gups", "neomem", TINY)) == job_key(
-            JobSpec("gups", "neomem", TINY)
-        )
+        assert job_key(JobSpec("gups", "neomem", TINY)) == job_key(JobSpec("gups", "neomem", TINY))
 
     def test_tag_is_not_identity(self):
         assert job_key(JobSpec("gups", "neomem", TINY, tag="a")) == job_key(
@@ -48,14 +45,12 @@ class TestJobKey:
 
     def test_seed_identity_is_resolved(self):
         """seed=None and an explicit seed equal to config.seed run the
-        identical simulation, so they share one cache identity (replica
-        0 of a replicated sweep reuses the plain run's entry)."""
+        identical simulation, so they share one job key and one cache
+        entry."""
         implicit = JobSpec("gups", "neomem", TINY)
         explicit = JobSpec("gups", "neomem", TINY, seed=TINY.seed)
         assert job_key(implicit) == job_key(explicit)
-        assert job_key(implicit) != job_key(
-            JobSpec("gups", "neomem", TINY, seed=TINY.seed + 1)
-        )
+        assert job_key(implicit) != job_key(JobSpec("gups", "neomem", TINY, seed=TINY.seed + 1))
 
     def test_every_axis_changes_the_key(self):
         base = JobSpec("gups", "neomem", TINY)
@@ -67,7 +62,12 @@ class TestJobKey:
             JobSpec("gups", "neomem", TINY, workload_overrides={"total_batches": 2}),
             JobSpec("gups", "neomem", TINY, policy_kwargs={"sample_interval": 10}),
             JobSpec("gups", "neomem", TINY, prefill=False),
-            JobSpec("gups", "neomem", TINY, extractor="m:f"),  # repro: noqa PKL001 — deliberately-unresolvable hook path, proving it changes the cache key
+            JobSpec(
+                "gups",
+                "neomem",
+                TINY,
+                extractor="m:f",  # repro: noqa PKL001 — deliberately-unresolvable hook path, proving it changes the cache key
+            ),
         ]
         keys = {job_key(v) for v in variants}
         assert job_key(base) not in keys
@@ -75,14 +75,16 @@ class TestJobKey:
 
     def test_nested_config_dataclasses_hash(self):
         a = JobSpec(
-            "pagerank", "neomem", TINY,
+            "pagerank",
+            "neomem",
+            TINY,
             policy_kwargs={"neomem_config": TINY.neomem_config()},
         )
         b = JobSpec(
-            "pagerank", "neomem", TINY,
-            policy_kwargs={
-                "neomem_config": TINY.neomem_config(migration_interval_s=1.0)
-            },
+            "pagerank",
+            "neomem",
+            TINY,
+            policy_kwargs={"neomem_config": TINY.neomem_config(migration_interval_s=1.0)},
         )
         assert job_key(a) != job_key(b)
 
@@ -197,8 +199,6 @@ class TestExecutor:
     def test_workers_validation(self):
         with pytest.raises(SweepError):
             SweepExecutor(workers=0)
-        with pytest.raises(SweepError):
-            SweepExecutor(unpicklable="maybe")
 
     def test_malformed_workers_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "two")
@@ -219,9 +219,7 @@ class TestExecutor:
 
     def test_blank_workers_env_means_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "  ")
-        executor = SweepExecutor()
-        assert executor.workers == 1
-        assert isinstance(executor.backend, SerialBackend)
+        assert SweepExecutor().backend.workers == 1
 
     def test_pool_dispatch_stats_hold_only_job_pickle(self):
         """The pool's one dispatch phase is pickling its chunks, and the
@@ -244,13 +242,14 @@ class TestExecutor:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "c"))
         executor = SweepExecutor()
-        assert executor.workers == 3
+        assert executor.backend.workers == 3
         assert executor.cache_dir == tmp_path / "c"
 
-    def test_resolve_executor_passthrough(self):
+    def test_resolve_executor_passthrough(self, monkeypatch):
         executor = SweepExecutor(workers=2)
         assert resolve_executor(executor) is executor
-        assert resolve_executor(None, workers=2).workers == 2
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+        assert resolve_executor(None).backend.workers == 2
 
 
 class TestCache:
@@ -279,7 +278,9 @@ class TestCache:
 
     def test_none_result_still_caches(self, tmp_path):
         job = JobSpec(
-            "gups", "none", TINY,
+            "gups",
+            "none",
+            TINY,
             runner="repro.experiments._testhooks:none_runner",
         )
         executor = SweepExecutor(cache_dir=tmp_path)
@@ -311,18 +312,10 @@ class TestSanitization:
         report.annotations["fine"] = {"counters": [1, 2, 3]}
         return report
 
-    def test_error_mode_names_the_offenders(self):
+    def test_error_names_the_offenders(self):
         report = self._poisoned_report()
         with pytest.raises(SweepSerializationError, match=r"\['engine'\]"):
-            _sanitize_result(report, JobSpec("gups", "neomem", TINY), "error")
-
-    def test_strip_mode_drops_and_records(self):
-        report = self._poisoned_report()
-        out = _sanitize_result(report, JobSpec("gups", "neomem", TINY), "strip")
-        assert "engine" not in out.annotations
-        assert out.annotations["stripped_annotations"] == ["engine"]
-        assert out.annotations["fine"] == {"counters": [1, 2, 3]}
-        pickle.dumps(out)
+            _sanitize_result(report, JobSpec("gups", "neomem", TINY))
 
     def test_executor_surfaces_clear_error_not_picklingerror(self):
         """ISSUE satellite: an engine stashed in annotations must fail

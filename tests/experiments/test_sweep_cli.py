@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.backends import NUM_SHARDS_ENV, SHARD_ENV
+from repro.experiments.sweep import NUM_SHARDS_ENV, SHARD_ENV
 from repro.experiments.sweep_cli import main
 from repro.telemetry import configure
 
@@ -23,9 +23,7 @@ def test_shard_merge_digest_flow(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(NUM_SHARDS_ENV, "2")
     for shard in ("0", "1"):
         monkeypatch.setenv(SHARD_ENV, shard)
-        assert main(
-            ["run", "fig12", *TINY_FLAGS, "--cache-dir", str(tmp_path / f"s{shard}")]
-        ) == 0
+        assert main(["run", "fig12", *TINY_FLAGS, "--cache-dir", str(tmp_path / f"s{shard}")]) == 0
     monkeypatch.delenv(SHARD_ENV)
     monkeypatch.delenv(NUM_SHARDS_ENV)
 
@@ -33,16 +31,24 @@ def test_shard_merge_digest_flow(tmp_path, monkeypatch, capsys):
     assert main(["merge", str(merged), str(tmp_path / "s0"), str(tmp_path / "s1")]) == 0
 
     cached_out = tmp_path / "merged.digest"
-    assert main(
-        ["digest", "fig12", *TINY_FLAGS, "--cache-dir", str(merged),
-         "--require-cached", "--out", str(cached_out)]
-    ) == 0
+    digest = ["digest", "fig12", *TINY_FLAGS]
+    require_merged = ["--cache-dir", str(merged), "--require-cached"]
+    assert main([*digest, *require_merged, "--out", str(cached_out)]) == 0
     fresh_out = tmp_path / "serial.digest"
-    assert main(["digest", "fig12", *TINY_FLAGS, "--out", str(fresh_out)]) == 0
+    assert main([*digest, "--out", str(fresh_out)]) == 0
 
     assert cached_out.read_text() == fresh_out.read_text()
     out = capsys.readouterr().out
-    assert "sharded[0/2" in out and "sharded[1/2" in out
+    assert "shard 0/2 ->" in out and "shard 1/2 ->" in out
+
+
+def test_digest_on_a_shard_host_covers_every_job(monkeypatch, capsys):
+    """`digest` ignores the shard the host's environment names: it is
+    the whole-set ground truth the shards are checked against."""
+    monkeypatch.setenv(SHARD_ENV, "0")
+    monkeypatch.setenv(NUM_SHARDS_ENV, "2")
+    assert main(["digest", "fig12", *TINY_FLAGS]) == 0
+    assert "(executed=4 cache_hits=0)" in capsys.readouterr().out
 
 
 def test_sharded_run_without_cache_dir_is_refused(monkeypatch, capsys):
@@ -55,10 +61,7 @@ def test_sharded_run_without_cache_dir_is_refused(monkeypatch, capsys):
 
 def test_require_cached_fails_on_cold_cache(tmp_path, capsys):
     cache = tmp_path / "empty"
-    code = main(
-        ["digest", "fig12", *TINY_FLAGS,
-         "--cache-dir", str(cache), "--require-cached"]
-    )
+    code = main(["digest", "fig12", *TINY_FLAGS, "--cache-dir", str(cache), "--require-cached"])
     assert code == 2
     assert "does not cover" in capsys.readouterr().err
     # fail-fast: no job executed, nothing written into the cache under
@@ -81,9 +84,7 @@ def test_trace_subcommand_writes_perfetto_trace(tmp_path, capsys):
     JSON with the engine's phase spans and migration audit events."""
     out = tmp_path / "trace.json"
     try:
-        assert main(
-            ["trace", "fig12", *TINY_FLAGS, "--limit", "2", "--out", str(out)]
-        ) == 0
+        assert main(["trace", "fig12", *TINY_FLAGS, "--limit", "2", "--out", str(out)]) == 0
     finally:
         configure("off")
     document = json.loads(out.read_text())
@@ -104,12 +105,10 @@ def test_run_subcommand_exports_trace_when_telemetry_on(tmp_path, capsys):
     """REPRO_TELEMETRY=trace + `run` produces the Perfetto artifact
     (the CI sweep-parallel job's trace step)."""
     out = tmp_path / "sweep-trace.json"
+    run = ["run", "fig12", *TINY_FLAGS, "--workloads", "gups"]
     configure("trace")
     try:
-        assert main(
-            ["run", "fig12", *TINY_FLAGS, "--workloads", "gups",
-             "--cache-dir", str(tmp_path / "cache"), "--trace-out", str(out)]
-        ) == 0
+        assert main([*run, "--cache-dir", str(tmp_path / "cache"), "--trace-out", str(out)]) == 0
     finally:
         configure("off")
     document = json.loads(out.read_text())

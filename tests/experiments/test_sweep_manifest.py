@@ -50,3 +50,16 @@ def test_merge_shards_concatenates_manifests(tmp_path):
     merge_shards([a, b], merged)
     records = read_manifest(merged)
     assert {r["key"] for r in records} == {job_key(s) for s in jobs}
+
+
+def test_merging_again_adds_no_duplicate_records(tmp_path):
+    """A merged directory is safe to merge again: only the entries a
+    merge copies bring their manifest records along."""
+    a, b, merged = tmp_path / "a", tmp_path / "b", tmp_path / "m"
+    jobs = tiny_jobs() + [JobSpec("silo", spec.policy, TINY) for spec in tiny_jobs()]
+    SweepExecutor(workers=1, cache_dir=a).run(jobs[:2])
+    SweepExecutor(workers=1, cache_dir=b).run(jobs[2:])
+    merge_shards([a, b], merged)
+    merge_shards([a, b, a], merged)
+    keys = [r["key"] for r in read_manifest(merged)]
+    assert sorted(keys) == sorted(job_key(s) for s in jobs)
