@@ -44,6 +44,22 @@ class TestExitCodes:
         assert rc == 1
         assert "DET001" in out
 
+    def test_a_leftover_baseline_file_keeps_no_finding(self, tmp_path):
+        """Only an inline ``# repro: noqa`` keeps a finding: an
+        ``analysis-baseline.json`` listing it in the working directory
+        is not read."""
+        bad = FIXTURES / "det_bad.py"
+        _, out = run_cli([str(bad), "--json"], tmp_path)
+        findings = [
+            {"path": f["path"], "code": f["code"], "content": f["content"]}
+            for f in json.loads(out)["new"]
+        ]
+        baseline = {"schema": 1, "findings": findings}
+        (tmp_path / "analysis-baseline.json").write_text(json.dumps(baseline))
+        rc, out = run_cli([str(bad)], tmp_path)
+        assert rc == 1
+        assert "DET001" in out
+
 
 class TestJsonOutput:
     def test_json_schema(self, tmp_path):

@@ -12,6 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.experiments.sweep as sweep_module
 from repro.experiments import fig12
 from repro.experiments.backends import (
     ProcessPoolBackend,
@@ -22,16 +23,20 @@ from repro.experiments.backends import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import workload_pages
 from repro.experiments.sweep import (
+    CACHE_ENV,
     NUM_SHARDS_ENV,
     SHARD_ENV,
     SHARD_SKIPPED,
+    WORKERS_ENV,
     JobSpec,
     SweepError,
     SweepExecutor,
+    SweepSerializationError,
     job_key,
     shard_of,
 )
 from repro.experiments.sweep_cli import results_digest
+from repro.telemetry import read_manifest
 
 TINY = ExperimentConfig(num_pages=2048, batches=4, batch_size=2048)
 
@@ -159,6 +164,62 @@ class TestShardedExecutor:
         executed = {spec.seed for spec, r in zip(CHEAP, results) if r is not SHARD_SKIPPED}
         assert executed == owned_seeds(1, 3)
 
+    def test_the_job_key_decides_ownership(self, on_shard, monkeypatch):
+        """A job belongs to its key modulo the shard count: the key the
+        executor hashed once, and names the cache entry by."""
+        monkeypatch.setattr(sweep_module, "job_key", lambda spec: str(spec.seed + 1))
+        on_shard(1, 2)
+        results = SweepExecutor(cache_dir="").run(CHEAP[:4], allow_partial=True)
+        assert results == [0.0, SHARD_SKIPPED, 2.0, SHARD_SKIPPED]
+
+    def test_skipped_jobs_report_no_wall_clock(self, on_shard, tmp_path):
+        """Only owned jobs run, so only they leave a manifest record,
+        each with its measured wall clock."""
+        on_shard(0, 2)
+        SweepExecutor(cache_dir=tmp_path).run(CHEAP, allow_partial=True)
+        records = read_manifest(tmp_path)
+        assert sorted(record["seed"] for record in records) == sorted(owned_seeds(0, 2))
+        assert all(record["wall_s"] > 0 for record in records)
+
+    def test_only_owned_jobs_are_pickled(self, on_shard, monkeypatch):
+        """A sharded pool run ships only the owned jobs, and the
+        executor's dispatch overhead is the backend's."""
+        on_shard(0, 2)
+        executor = SweepExecutor(workers=2, cache_dir="")
+        pool = _InlinePool()
+        monkeypatch.setattr(executor.backend, "_ensure_pool", lambda: pool)
+        executor.run(CHEAP, allow_partial=True)
+        shipped = [spec.seed for chunk in pool.chunks for spec in chunk]
+        assert sorted(shipped) == sorted(owned_seeds(0, 2))
+        assert executor.stats.dispatch_ns == executor.backend.last_dispatch_ns
+        assert executor.stats.dispatch_ns.keys() == {"job_pickle"}
+
+    def test_a_partly_cached_set_serves_every_hit(self, on_shard, tmp_path):
+        """Cached results come back on any shard; only the uncached
+        rest splits by ownership."""
+        SweepExecutor(cache_dir=tmp_path, backend="serial").run(CHEAP[:8])
+        on_shard(0, 2)
+        executor = SweepExecutor(cache_dir=tmp_path)
+        results = executor.run(CHEAP, allow_partial=True)
+        served = set(range(8)) | owned_seeds(0, 2)
+        for spec, result in zip(CHEAP, results):
+            if spec.seed in served:
+                assert result == float(spec.seed)
+            else:
+                assert result is SHARD_SKIPPED
+        assert executor.stats.cache_hits == 8
+        assert executor.stats.executed == len(served) - 8
+
+    @pytest.mark.parametrize("backend", ["serial", "process-pool", "given"])
+    def test_a_named_or_given_backend_runs_every_job(self, on_shard, backend):
+        """An explicit backend beats the shard the environment names."""
+        on_shard(0, 2)
+        if backend == "given":
+            backend = ProcessPoolBackend(1)
+        with SweepExecutor(workers=2, cache_dir="", backend=backend) as executor:
+            assert executor.run(CHEAP) == [float(spec.seed) for spec in CHEAP]
+        assert executor.stats.shard_skipped == 0
+
 
 class _InlinePool:
     """Stands in for the worker pool: records every submitted chunk's
@@ -262,6 +323,14 @@ class TestProcessPool:
         with pytest.raises(SweepError, match="workers must be >= 1"):
             ProcessPoolBackend(0)
 
+    def test_a_fresh_backend_has_run_nothing(self):
+        """The per-batch fields exist before the first execute: perfbench
+        reads them off an executor's backend."""
+        backend = ProcessPoolBackend(2)
+        assert backend.last_job_wall_ns == []
+        assert backend.last_dispatch_ns == {}
+        assert backend._pool is None
+
     def test_close_is_idempotent_and_a_closed_backend_reopens(self):
         backend = ProcessPoolBackend(2)
         try:
@@ -320,6 +389,23 @@ class TestPoolFailures:
             # a broken pool is disposed; the next batch starts a fresh one
             assert len(pool.run(grid_jobs()[:2])) == 2
 
+    def test_an_unpicklable_result_fails_by_name_on_the_pool(self):
+        """Workers sanitize what they return, so a leaked engine fails
+        with the error naming its annotation, not a PicklingError."""
+        jobs = [
+            JobSpec(
+                "gups",
+                "first-touch",
+                TINY,
+                seed=seed,
+                extractor="repro.experiments._testhooks:poison_annotations",
+            )
+            for seed in (1, 2)
+        ]
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            with pytest.raises(SweepSerializationError, match="extractor_leak"):
+                pool.run(jobs)
+
 
 class TestEnvResolution:
     def test_shard_env_selects_sharded(self, on_shard):
@@ -336,6 +422,31 @@ class TestEnvResolution:
         monkeypatch.setenv(SHARD_ENV, "0")
         with pytest.raises(SweepError, match="NUM_SHARDS"):
             SweepExecutor()
+
+    def test_a_shard_count_without_a_shard_is_an_error(self, monkeypatch):
+        monkeypatch.delenv(SHARD_ENV, raising=False)
+        monkeypatch.setenv(NUM_SHARDS_ENV, "2")
+        with pytest.raises(SweepError, match=f"needs both {SHARD_ENV} and {NUM_SHARDS_ENV}"):
+            SweepExecutor()
+
+    def test_the_shard_is_read_once_at_construction(self, on_shard):
+        on_shard(1, 2)
+        executor = SweepExecutor()
+        on_shard(0, 3)
+        assert executor.shard == (1, 2)
+        results = executor.run(CHEAP, allow_partial=True)
+        executed = {spec.seed for spec, r in zip(CHEAP, results) if r is not SHARD_SKIPPED}
+        assert executed == owned_seeds(1, 2)
+
+    def test_default_resolution(self, monkeypatch):
+        """With no knob set, an executor runs every job inline, uncached."""
+        for name in (WORKERS_ENV, CACHE_ENV, SHARD_ENV, NUM_SHARDS_ENV):
+            monkeypatch.delenv(name, raising=False)
+        executor = SweepExecutor()
+        assert executor.backend.workers == 1
+        assert executor.shard is None
+        assert executor.cache_dir is None
+        assert executor.run(CHEAP) == [float(spec.seed) for spec in CHEAP]
 
     @pytest.mark.parametrize("name", [SHARD_ENV, NUM_SHARDS_ENV])
     def test_malformed_shard_env_names_the_variable(self, on_shard, monkeypatch, name):
@@ -417,6 +528,16 @@ class TestMergeShards:
         with pytest.raises(ShardMergeError, match=victim.stem):
             merge_shards([d0, d1], tmp_path / "merged")
 
+    def test_merging_a_directory_into_itself_copies_nothing(self, on_shard, tmp_path):
+        on_shard(0, 2)
+        d = tmp_path / "s0"
+        SweepExecutor(cache_dir=d).run(CHEAP, allow_partial=True)
+        before = read_manifest(d)
+        stats = merge_shards([d], d)
+        assert stats.merged == 0
+        assert stats.duplicates == len(owned_seeds(0, 2))
+        assert read_manifest(d) == before
+
     def test_missing_shard_dir_raises(self, tmp_path):
         with pytest.raises(ShardMergeError, match="not found"):
             merge_shards([tmp_path / "nope"], tmp_path / "merged")
@@ -465,6 +586,14 @@ class TestShardedAggregationGuard:
         on_shard(0, len(CHEAP))
         with pytest.raises(SweepError, match="merge_shards"):
             SweepExecutor().run(CHEAP)
+
+    def test_a_harness_on_a_shard_host_refuses_partial_results(self, on_shard):
+        """A harness given no executor builds one from the environment,
+        shard included, so it fails fast instead of aggregating a slice.
+        Shard 0 of 1024 is all but certain to miss some of the four jobs."""
+        on_shard(0, 1024)
+        with pytest.raises(SweepError, match="merge_shards"):
+            fig12.run_fig12(TINY, workloads=("gups", "silo"), ratios=((1, 2),))
 
     def test_fully_cached_sharded_run_is_not_partial(self, on_shard, tmp_path):
         """With a cache covering the set, even an executor on a shard

@@ -1,5 +1,7 @@
 """Tests for the declarative sweep subsystem (JobSpec/SweepExecutor)."""
 
+import importlib
+import inspect
 import pickle
 import shutil
 from pathlib import Path
@@ -250,6 +252,42 @@ class TestExecutor:
         assert resolve_executor(executor) is executor
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
         assert resolve_executor(None).backend.workers == 2
+
+
+#: every module holding ``run_*`` harnesses that run on a SweepExecutor
+HARNESS_MODULES = (
+    "ablation",
+    "colocation",
+    "fig03",
+    "fig04",
+    "fig11",
+    "fig12",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "kvcache",
+    "overhead",
+    "table01",
+    "table06",
+)
+
+
+class TestHarnessSignatures:
+    @pytest.mark.parametrize("module_name", HARNESS_MODULES)
+    def test_harnesses_take_only_an_executor(self, module_name):
+        """How a harness's jobs run is the executor's business alone:
+        no ``run_*`` function takes ``workers=`` or ``backend=``, and
+        each module has at least one that takes ``executor=``."""
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        harnesses = {
+            name: inspect.signature(fn).parameters
+            for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if name.startswith("run_") and fn.__module__ == module.__name__
+        }
+        assert any("executor" in params for params in harnesses.values())
+        for name, params in harnesses.items():
+            assert not {"workers", "backend"} & params.keys(), name
 
 
 class TestCache:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.sweep import NUM_SHARDS_ENV, SHARD_ENV
+from repro.experiments.sweep import NUM_SHARDS_ENV, SHARD_ENV, WORKERS_ENV
 from repro.experiments.sweep_cli import main
 from repro.telemetry import configure
 
@@ -49,6 +49,37 @@ def test_digest_on_a_shard_host_covers_every_job(monkeypatch, capsys):
     monkeypatch.setenv(NUM_SHARDS_ENV, "2")
     assert main(["digest", "fig12", *TINY_FLAGS]) == 0
     assert "(executed=4 cache_hits=0)" in capsys.readouterr().out
+
+
+def test_sharded_run_records_its_shard(tmp_path, monkeypatch):
+    """`run` names its shard in SHARD.json, next to the cache slice."""
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setenv(SHARD_ENV, "1")
+    monkeypatch.setenv(NUM_SHARDS_ENV, "2")
+    cache = tmp_path / "s1"
+    assert main(["run", "fig12", *TINY_FLAGS, "--cache-dir", str(cache)]) == 0
+    manifest = json.loads((cache / "SHARD.json").read_text())
+    assert manifest["backend"] == "process-pool[1] shard 1/2"
+    assert manifest["jobs"] == 4
+    assert manifest["executed"] + manifest["shard_skipped"] == 4
+    assert len(list(cache.glob("*.pkl"))) == manifest["executed"]
+
+
+def test_trace_on_a_shard_host_covers_every_job(tmp_path, monkeypatch, capsys):
+    """`trace` profiles the whole job set, like `digest`, whatever shard
+    the host's environment names (with 8 shards, one host owning both
+    traced jobs is unlikely)."""
+    monkeypatch.setenv(SHARD_ENV, "0")
+    monkeypatch.setenv(NUM_SHARDS_ENV, "8")
+    out = tmp_path / "trace.json"
+    try:
+        assert main(["trace", "fig12", *TINY_FLAGS, "--limit", "2", "--out", str(out)]) == 0
+    finally:
+        configure("off")
+    assert "traced 2 jobs" in capsys.readouterr().out
+    events = json.loads(out.read_text())["traceEvents"]
+    lanes = {e["args"]["name"] for e in events if e["ph"] == "M"}
+    assert "sweep" in lanes and len(lanes) >= 3
 
 
 def test_sharded_run_without_cache_dir_is_refused(monkeypatch, capsys):
