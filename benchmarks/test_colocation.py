@@ -23,23 +23,7 @@ def test_colocation_sweep(benchmark, bench_config, sweep):
         executor=sweep,
     )
     print()
-    print(
-        format_table(
-            ["tenants", "scheduler", "policy", "fairness", "mean slowdown", "worst slowdown"],
-            [
-                (
-                    row["tenants"],
-                    row["scheduler"],
-                    row["policy"],
-                    row["fairness"],
-                    row["mean_slowdown"],
-                    row["worst_slowdown"],
-                )
-                for row in rows
-            ],
-            title="Co-location: slowdown vs solo and Jain fairness, 2-8 tenants",
-        )
-    )
+    print(colocation.format_colocation(rows))
     print(
         format_table(
             ["tenants", "scheduler", "per-tenant slowdown"],

@@ -1,7 +1,5 @@
 """Figure 11: end-to-end performance, 8 workloads x 6 systems."""
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.experiments import fig11
 from repro.experiments.reporting import format_table

@@ -72,17 +72,6 @@ class CountMinSketch:
         self.total_updates = 0
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_error_bounds(cls, epsilon: float, delta: float, **kwargs) -> "CountMinSketch":
-        """Size the sketch from the (eps, delta) guarantee of Sec. IV-B."""
-        if not 0 < epsilon < 1 or not 0 < delta < 1:
-            raise ValueError("epsilon and delta must be in (0, 1)")
-        width = int(np.ceil(2.0 / epsilon))
-        width = 1 << (width - 1).bit_length()  # round up to power of two
-        depth = max(1, int(np.ceil(np.log2(1.0 / delta))))
-        return cls(width=width, depth=depth, **kwargs)
-
-    # ------------------------------------------------------------------
     def entries(self, pages: np.ndarray) -> np.ndarray:
         """Flat ``lane * width + col`` entry indices ``(depth, n)`` of ``pages``.
 

@@ -75,6 +75,17 @@ def make_tenant_specs(
     return specs
 
 
+def _tenant_workload(spec: TenantSpec, config: ExperimentConfig):
+    """The trace generator of one tenant, sized by its spec."""
+    return make_workload(
+        spec.workload,
+        num_pages=spec.num_pages,
+        total_batches=config.batches,
+        batch_size=config.batch_size,
+        **spec.workload_overrides,
+    )
+
+
 def build_colocation(
     specs: list[TenantSpec],
     policy_name: str = "neomem",
@@ -89,19 +100,9 @@ def build_colocation(
     scope the QoS config selects, every instance indexes shared page
     ids, so its profiling arrays must span all tenants.
     """
-    tenants = []
-    for spec in specs:
-        workload = make_workload(
-            spec.workload,
-            num_pages=spec.num_pages,
-            total_batches=config.batches,
-            batch_size=config.batch_size,
-            **spec.workload_overrides,
-        )
-        tenants.append((spec, workload))
     total_pages = sum(spec.num_pages for spec in specs)
     return ColocationEngine(
-        tenants,
+        [(spec, _tenant_workload(spec, config)) for spec in specs],
         topology_for(total_pages, config),
         policy_factory=partial(build_policy, policy_name, total_pages, config),
         config=config.engine_config(**(engine_overrides or {})),
@@ -190,15 +191,8 @@ def _run_solo_job(job: JobSpec) -> float:
     """Custom JobSpec runner: one tenant alone; returns its runtime (s)."""
     spec: TenantSpec = job.runner_kwargs["spec"]
     config = job.resolved_config()
-    workload = make_workload(
-        spec.workload,
-        num_pages=spec.num_pages,
-        total_batches=config.batches,
-        batch_size=config.batch_size,
-        **spec.workload_overrides,
-    )
     solo_engine = ColocationEngine(
-        [(spec, workload)],
+        [(spec, _tenant_workload(spec, config))],
         topology_for(job.runner_kwargs["topology_pages"], config),
         policy_factory=partial(build_policy, job.policy, spec.num_pages, config),
         config=config.engine_config(),

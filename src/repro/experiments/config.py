@@ -16,7 +16,7 @@ minutes.  The simulator scales *capacities and run lengths* down by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.daemon import NeoMemConfig
 from repro.core.neoprof.device import NeoProfConfig
@@ -77,22 +77,6 @@ class ExperimentConfig:
     #: tier residency semantics ("exclusive" or "inclusive"); see
     #: :class:`repro.memsim.migration.MigrationConfig`
     tier_mode: str = "exclusive"
-
-    # ------------------------------------------------------------------
-    @property
-    def fast_pages(self) -> int:
-        """Fast-tier capacity: RSS split by the fast:slow ratio."""
-        f, s = self.ratio
-        return max(1, int(self.num_pages * f / (f + s)))
-
-    @property
-    def slow_pages(self) -> int:
-        f, s = self.ratio
-        exact = int(self.num_pages * s / (f + s))
-        return int(exact + self.num_pages * self.slow_slack)
-
-    def topology_spec(self) -> list[tuple[TierSpec, int]]:
-        return [(self.fast_spec, self.fast_pages), (self.slow_spec, self.slow_pages)]
 
     # ------------------------------------------------------------------
     def engine_config(self, **overrides) -> EngineConfig:

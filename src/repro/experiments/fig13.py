@@ -10,7 +10,6 @@ Derived from the Fig. 11 grid: for every workload and system,
 
 from __future__ import annotations
 
-from repro.experiments.fig11 import SYSTEMS, run_fig11
 from repro.memsim.metrics import SimulationReport
 
 

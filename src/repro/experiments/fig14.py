@@ -40,22 +40,26 @@ class PageRankProfile:
     histogram_strips: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
+def iteration_seconds(report: SimulationReport, workload) -> list[float]:
+    """Per-iteration wall time of a Page-Rank run, in seconds.
+
+    Sums epoch durations over each iteration's batch range: the
+    workload's batch index is the engine's epoch.
+    """
+    durations = report.series("duration_ns")
+    return [
+        sum(durations[b] for b in workload.batches_of_iteration(i) if b < len(durations)) * 1e-9
+        for i in range(workload.iterations)
+    ]
+
+
 def extract_pagerank_timelines(report: SimulationReport, engine) -> None:
     """Worker-side extractor: reduce the live engine to picklable data.
 
-    Stores per-iteration wall times (summing epoch durations over each
-    iteration's batch range — the workload's batch index == the
-    engine's epoch) and, for NeoMem daemons, the threshold, bandwidth
-    and histogram timelines as plain lists/arrays.
+    Stores per-iteration wall times and, for NeoMem daemons, the
+    threshold, bandwidth and histogram timelines as plain lists/arrays.
     """
-    workload = engine.workload
-    durations = report.series("duration_ns")
-    iteration_times = []
-    for iteration in range(workload.iterations):
-        batches = workload.batches_of_iteration(iteration)
-        time_ns = sum(durations[b] for b in batches if b < len(durations))
-        iteration_times.append(time_ns * 1e-9)
-    report.annotations["iteration_times_s"] = iteration_times
+    report.annotations["iteration_times_s"] = iteration_seconds(report, engine.workload)
     daemon = engine.policy
     if hasattr(daemon, "threshold_timeline"):
         report.annotations["threshold_timeline"] = list(daemon.threshold_timeline)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.experiments.fig14 import PAGERANK_KWARGS
+from repro.experiments.fig14 import PAGERANK_KWARGS, iteration_seconds
 from repro.experiments.sweep import JobSpec, SweepExecutor, resolve_executor
 from repro.memsim.address import PAGE_SIZE, PAGES_PER_HUGE_PAGE
 from repro.memsim.metrics import SimulationReport
@@ -37,10 +37,7 @@ def _phase_times(report: SimulationReport, workload) -> tuple[float, float, floa
     half = workload.build_batches // 2
     generate = sum(durations[:half]) * 1e-9
     build = sum(durations[half : workload.build_batches]) * 1e-9
-    trail_times = []
-    for iteration in range(workload.iterations):
-        batches = workload.batches_of_iteration(iteration)
-        trail_times.append(sum(durations[b] for b in batches if b < len(durations)) * 1e-9)
+    trail_times = iteration_seconds(report, workload)
     avg_trail = sum(trail_times) / len(trail_times) if trail_times else 0.0
     return generate, build, avg_trail
 

@@ -15,10 +15,6 @@ from repro.memsim.address import (
     HUGE_PAGE_SHIFT,
     HUGE_PAGE_SIZE,
     CACHE_LINE_SIZE,
-    pages_to_bytes,
-    bytes_to_pages,
-    page_of_address,
-    huge_page_of_page,
 )
 from repro.memsim.tiers import (
     CXL_DRAM_IDEAL,
@@ -44,10 +40,6 @@ __all__ = [
     "HUGE_PAGE_SHIFT",
     "HUGE_PAGE_SIZE",
     "CACHE_LINE_SIZE",
-    "pages_to_bytes",
-    "bytes_to_pages",
-    "page_of_address",
-    "huge_page_of_page",
     "MemoryTier",
     "TierSpec",
     "DDR5_LOCAL",

@@ -1,15 +1,13 @@
-"""Address-space constants and conversion helpers.
+"""Address-space constants.
 
 The simulator works almost entirely at page granularity: workloads emit
 streams of *page numbers* rather than byte addresses, because every
 decision the NeoMem paper studies (hot-page detection, promotion,
-demotion) is made per 4 KB page.  Byte-level helpers exist for the few
+demotion) is made per 4 KB page.  The byte sizes below serve the few
 places that need them (cache indexing, bandwidth accounting).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 #: Base page size used throughout the paper (4 KB pages).
 PAGE_SHIFT = 12
@@ -24,45 +22,3 @@ PAGES_PER_HUGE_PAGE = HUGE_PAGE_SIZE // PAGE_SIZE
 
 #: Cache-line size of the modelled Sapphire Rapids host.
 CACHE_LINE_SIZE = 64
-
-#: Sentinel physical page number meaning "not mapped".
-INVALID_PPN = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-
-def pages_to_bytes(num_pages: int) -> int:
-    """Return the size in bytes of ``num_pages`` base pages."""
-    return int(num_pages) << PAGE_SHIFT
-
-
-def bytes_to_pages(num_bytes: int) -> int:
-    """Return the number of base pages covering ``num_bytes`` (round up)."""
-    return (int(num_bytes) + PAGE_SIZE - 1) >> PAGE_SHIFT
-
-
-def page_of_address(addr: int) -> int:
-    """Return the base-page number containing byte address ``addr``."""
-    return int(addr) >> PAGE_SHIFT
-
-
-def huge_page_of_page(page: int) -> int:
-    """Return the 2 MB huge-page number containing base page ``page``."""
-    return int(page) >> (HUGE_PAGE_SHIFT - PAGE_SHIFT)
-
-
-def pages_of_huge_page(huge_page: int) -> range:
-    """Return the range of base-page numbers inside ``huge_page``."""
-    start = int(huge_page) << (HUGE_PAGE_SHIFT - PAGE_SHIFT)
-    return range(start, start + PAGES_PER_HUGE_PAGE)
-
-
-def cache_line_of_address(addr: int) -> int:
-    """Return the cache-line index of byte address ``addr``."""
-    return int(addr) // CACHE_LINE_SIZE
-
-
-def as_page_array(pages) -> np.ndarray:
-    """Coerce ``pages`` into the canonical int64 page-number array."""
-    arr = np.asarray(pages, dtype=np.int64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    return arr

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memsim.address import PAGE_SIZE
-
 
 class PageCacheFilter:
     """Approximate LLC filter operating on page-number batches.
@@ -70,10 +68,6 @@ class PageCacheFilter:
     def residency_of(self, page: int) -> float:
         """Residency credit of one page, in lines (0 means uncached)."""
         return float(self._credit[page])
-
-    def flush(self) -> None:
-        """Drop all residency (models a cache flush between runs)."""
-        self._credit.fill(0.0)
 
     # ------------------------------------------------------------------
     def filter_batch(
@@ -160,8 +154,3 @@ class PageCacheFilter:
             f"PageCacheFilter(capacity={self.capacity_pages} pages, "
             f"resident={self.resident_lines / self.lines_per_page:.0f} pages)"
         )
-
-
-def llc_pages(llc_bytes: int) -> int:
-    """Convenience: LLC capacity in 4 KB pages."""
-    return max(1, int(llc_bytes) // PAGE_SIZE)

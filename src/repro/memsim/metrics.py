@@ -206,10 +206,6 @@ class SimulationReport:
         # derived properties (slow_traffic_bytes, throughput_aps, ...)
         return [getattr(e, attr) for e in self.epochs]
 
-    def time_axis_s(self) -> list[float]:
-        """Epoch start times in seconds (for timeline figures)."""
-        return [t * 1e-9 for t in self.column("sim_time_ns").tolist()]
-
     def summary(self) -> dict[str, float]:
         """Compact dictionary used by the experiment tables.
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memsim.address import PAGES_PER_HUGE_PAGE
-
 
 class PageFlags:
     """Bit positions inside the per-page flags byte."""
@@ -27,7 +25,6 @@ class PageFlags:
     ACCESSED = np.uint8(1 << 0)
     POISONED = np.uint8(1 << 1)
     DEMOTED = np.uint8(1 << 2)  # the paper's PG_demoted flag
-    HUGE_HEAD = np.uint8(1 << 3)  # first base page of a mapped 2 MB page
 
 
 class PageTable:
@@ -45,8 +42,6 @@ class PageTable:
         #: NUMA node id backing each page; -1 means not yet allocated.
         self.node_of_page = np.full(self.num_pages, -1, dtype=np.int16)
         self.flags = np.zeros(self.num_pages, dtype=np.uint8)
-        #: registered sub-ranges (multi-tenant namespaces): label -> (base, end)
-        self.namespaces: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # placement
@@ -68,56 +63,10 @@ class PageTable:
         pages = np.asarray(pages, dtype=np.int64)
         return pages[self.node_of_page[pages] == -1]
 
-    # ------------------------------------------------------------------
-    # namespaces (multi-tenant co-location substrate)
-    # ------------------------------------------------------------------
-    def register_namespace(self, label: str, base: int, num_pages: int) -> None:
-        """Claim ``[base, base + num_pages)`` as one tenant's address space.
-
-        Namespaces must be disjoint: a shared machine never lets two
-        tenants alias the same physical-page slot, so overlapping
-        registrations are rejected up front.
-        """
-        base = int(base)
-        end = base + int(num_pages)
-        if num_pages <= 0:
-            raise ValueError("namespace must contain at least one page")
-        if base < 0 or end > self.num_pages:
-            raise ValueError(
-                f"namespace {label!r} [{base}, {end}) outside the "
-                f"{self.num_pages}-page table"
-            )
-        if label in self.namespaces:
-            raise ValueError(f"namespace {label!r} already registered")
-        for other, (lo, hi) in self.namespaces.items():
-            if base < hi and lo < end:
-                raise ValueError(
-                    f"namespace {label!r} [{base}, {end}) overlaps "
-                    f"{other!r} [{lo}, {hi})"
-                )
-        self.namespaces[label] = (base, end)
-
-    def namespace_bounds(self, label: str) -> tuple[int, int]:
-        """The ``(base, end)`` half-open range registered for ``label``."""
-        return self.namespaces[label]
-
-    def namespace_mask(self, label: str) -> np.ndarray:
-        """Boolean mask over the whole table: True inside ``label``."""
-        lo, hi = self.namespaces[label]
-        mask = np.zeros(self.num_pages, dtype=bool)
-        mask[lo:hi] = True
-        return mask
-
-    def namespace_occupancy(self, label: str) -> dict[int, int]:
-        """Pages per node id inside ``label`` (excluding unmapped)."""
-        lo, hi = self.namespaces[label]
-        nodes, counts = np.unique(self.node_of_page[lo:hi], return_counts=True)
+    def occupancy(self) -> dict[int, int]:
+        """Pages per node id (excluding unmapped)."""
+        nodes, counts = np.unique(self.node_of_page, return_counts=True)
         return {int(n): int(c) for n, c in zip(nodes, counts) if n >= 0}
-
-    def pages_on_node_in_namespace(self, node_id: int, label: str) -> np.ndarray:
-        """Pages of ``label`` currently backed by ``node_id``."""
-        lo, hi = self.namespaces[label]
-        return lo + np.nonzero(self.node_of_page[lo:hi] == np.int16(node_id))[0]
 
     # ------------------------------------------------------------------
     # accessed bits (PTE-scan substrate)
@@ -169,19 +118,3 @@ class PageTable:
     def clear_demoted(self, pages: np.ndarray) -> None:
         idx = np.asarray(pages, dtype=np.int64)
         self.flags[idx] &= ~PageFlags.DEMOTED
-
-    # ------------------------------------------------------------------
-    # huge pages (Table VI substrate)
-    # ------------------------------------------------------------------
-    def mark_huge_heads(self) -> None:
-        """Mark every 2 MB-aligned page as the head of a huge page."""
-        heads = np.arange(0, self.num_pages, PAGES_PER_HUGE_PAGE)
-        self.flags[heads] |= PageFlags.HUGE_HEAD
-
-    def huge_page_of(self, page: int) -> int:
-        return int(page) // PAGES_PER_HUGE_PAGE
-
-    def occupancy(self) -> dict[int, int]:
-        """Pages per node id (excluding unmapped)."""
-        nodes, counts = np.unique(self.node_of_page, return_counts=True)
-        return {int(n): int(c) for n, c in zip(nodes, counts) if n >= 0}

@@ -15,7 +15,7 @@ the bandwidth-utilization term of Algorithm 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -110,10 +110,6 @@ class TenantPolicyArbiter:
         """Tell the arbiter which tenant's batch the next epoch runs."""
         self.current = tenant
 
-    def quota_pages_for(self, tenant: str) -> int | None:
-        """Enforced fast-tier allowance in pages, or None if unlimited."""
-        return self._quota_pages.get(tenant)
-
     def _distinct_policies(self):
         seen: list[object] = []
         for policy in self.policies.values():

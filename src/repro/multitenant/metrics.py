@@ -73,9 +73,6 @@ class ColocationReport:
     annotations: dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def tenant(self, name: str) -> TenantReport:
-        return self.tenants[name]
-
     @property
     def slowdowns(self) -> dict[str, float]:
         """Per-tenant slowdown vs. solo (only tenants with baselines)."""

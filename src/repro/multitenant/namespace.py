@@ -47,24 +47,10 @@ class TenantNamespace:
             )
         return pages + self.base
 
-    def to_local(self, global_pages: np.ndarray) -> np.ndarray:
-        """Translate shared page ids the tenant owns back to local ids."""
-        global_pages = np.asarray(global_pages, dtype=np.int64)
-        if global_pages.size and not self.owns(global_pages).all():
-            raise ValueError(
-                f"tenant {self.tenant!r}: page id outside "
-                f"[{self.base}, {self.end})"
-            )
-        return global_pages - self.base
-
     def owns(self, global_pages: np.ndarray) -> np.ndarray:
         """Boolean mask over ``global_pages``: True where inside the window."""
         global_pages = np.asarray(global_pages, dtype=np.int64)
         return (global_pages >= self.base) & (global_pages < self.end)
-
-    def global_slice(self) -> slice:
-        """The tenant's window as a slice into flat per-page arrays."""
-        return slice(self.base, self.end)
 
 
 class AddressSpaceLayout:
@@ -87,8 +73,6 @@ class AddressSpaceLayout:
             self._namespaces[spec.name] = TenantNamespace(spec.name, base, spec.num_pages)
             base += spec.num_pages
         self.total_pages = base
-        #: window lower bounds in layout order, for owner lookups
-        self._bases = np.array([ns.base for ns in self._namespaces.values()], dtype=np.int64)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -99,17 +83,3 @@ class AddressSpaceLayout:
 
     def namespace(self, tenant: str) -> TenantNamespace:
         return self._namespaces[tenant]
-
-    def owner_index_of(self, global_pages: np.ndarray) -> np.ndarray:
-        """Index into ``specs`` of the tenant owning each shared page id."""
-        global_pages = np.asarray(global_pages, dtype=np.int64)
-        if global_pages.size and (
-            global_pages.min() < 0 or global_pages.max() >= self.total_pages
-        ):
-            raise ValueError("page id outside the shared address space")
-        return np.searchsorted(self._bases, global_pages, side="right") - 1
-
-    def register_with(self, page_table) -> None:
-        """Register every namespace window with the shared page table."""
-        for ns in self:
-            page_table.register_namespace(ns.tenant, ns.base, ns.num_pages)

@@ -18,8 +18,8 @@ class TenantSpec:
     """One tenant of a co-located machine.
 
     Args:
-        name: Unique tenant label (doubles as the page-table namespace
-            label).
+        name: Unique tenant label; the tenant's window in the shared
+            page-id space is looked up by it.
         workload: Registered workload name (see
             :func:`repro.workloads.make_workload`).
         num_pages: The tenant's RSS share, in base pages.

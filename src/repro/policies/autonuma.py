@@ -45,9 +45,6 @@ class AutoNumaPolicy(BaseTieringPolicy):
         )
         self._rng = np.random.default_rng(seed)
 
-    def _profile(self, view) -> float:
-        return self.profiler.observe(view)
-
     def _select_promotions(self, view) -> np.ndarray:
         counts = self.profiler.fault_count
         candidates = np.nonzero(counts >= self.hot_threshold)[0].astype(np.int64)

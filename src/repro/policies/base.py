@@ -3,7 +3,7 @@
 A policy is the engine-facing object that reacts to each epoch: it runs
 its profiler, selects promotion candidates on its migration cadence, and
 keeps the fast tier's free watermark by demoting cold pages.  Concrete
-baselines override :meth:`_profile` and :meth:`_select_promotions`;
+baselines set :attr:`profiler` and override :meth:`_select_promotions`;
 the NeoMem daemon (:mod:`repro.core.daemon`) swaps in the NeoProf
 device as its profiler, so every system promotes, coalesces huge pages
 and demotes through the same code here.
@@ -36,6 +36,9 @@ class BaseTieringPolicy:
     THP_HOT_REPORTS = 2
     #: telemetry counter of the candidates each migration round selects.
     candidates_counter = "policy.promote_candidates"
+    #: the :class:`~repro.profilers.base.Profiler` run every epoch;
+    #: ``None`` profiles nothing.
+    profiler = None
 
     def __init__(
         self,
@@ -121,8 +124,10 @@ class BaseTieringPolicy:
     # subclass hooks
     # ------------------------------------------------------------------
     def _profile(self, view) -> float:
-        """Digest the epoch's access information; return overhead ns."""
-        return 0.0
+        """Run the profiler over the epoch; return its overhead in ns."""
+        if self.profiler is None:
+            return 0.0
+        return self.profiler.observe(view)
 
     def _select_promotions(self, view) -> np.ndarray:
         """Pages to promote this migration interval."""

@@ -8,8 +8,6 @@ overhead reference point for Fig. 16's "Baseline" curve.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.policies.base import BaseTieringPolicy
 
 

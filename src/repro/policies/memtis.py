@@ -40,9 +40,6 @@ class MemtisPolicy(BaseTieringPolicy):
             decay_interval_s=cooling_interval_s,
         )
 
-    def _profile(self, view) -> float:
-        return self.profiler.observe(view)
-
     def _select_promotions(self, view) -> np.ndarray:
         counts = self.profiler.sample_count
         sampled = np.nonzero(counts >= self.min_samples)[0]

@@ -37,9 +37,6 @@ class PebsPolicy(BaseTieringPolicy):
         )
         self.current_threshold = self.min_samples * sample_interval
 
-    def _profile(self, view) -> float:
-        return self.profiler.observe(view)
-
     def _select_promotions(self, view) -> np.ndarray:
         candidates = self.profiler.hot_candidates(self.min_samples)
         if candidates.size == 0:

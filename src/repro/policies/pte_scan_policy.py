@@ -42,9 +42,6 @@ class PteScanPolicy(BaseTieringPolicy):
         )
         self._rng = np.random.default_rng(seed)
 
-    def _profile(self, view) -> float:
-        return self.profiler.observe(view)
-
     def _select_promotions(self, view) -> np.ndarray:
         candidates = self.profiler.hot_candidates()
         if candidates.size == 0:

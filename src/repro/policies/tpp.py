@@ -54,9 +54,6 @@ class TppPolicy(BaseTieringPolicy):
         )
         self._rng = np.random.default_rng(seed)
 
-    def _profile(self, view) -> float:
-        return self.profiler.observe(view)
-
     def _select_promotions(self, view) -> np.ndarray:
         candidates = self.profiler.consecutive_fault_pages(self.refault_epoch_gap)
         if candidates.size == 0:

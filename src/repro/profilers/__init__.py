@@ -1,11 +1,11 @@
 """Memory-access profiling techniques (Table I).
 
-Four substrates behind one interface: PTE-scan, DAMON-style region
+Five substrates behind one interface: PTE-scan, DAMON-style region
 sampling, hint-fault monitoring, PEBS sampling, and the NeoProf device
 adapter.  Policies in :mod:`repro.policies` are built on these.
 """
 
-from repro.profilers.base import Profiler, ProfilerCosts
+from repro.profilers.base import Profiler
 from repro.profilers.pte_scan import PteScanProfiler
 from repro.profilers.damon import DamonProfiler
 from repro.profilers.hint_fault import HintFaultProfiler
@@ -14,7 +14,6 @@ from repro.profilers.neoprof_adapter import NeoProfProfiler
 
 __all__ = [
     "Profiler",
-    "ProfilerCosts",
     "PteScanProfiler",
     "DamonProfiler",
     "HintFaultProfiler",

@@ -1,4 +1,4 @@
-"""Profiler interface and shared overhead accounting.
+"""Profiler interface: the two calls a tiering policy makes.
 
 A *profiler* is the substrate a tiering policy reads page-hotness
 information from.  The paper compares four (Table I): PTE-scan,
@@ -14,22 +14,8 @@ Costs are charged in nanoseconds of host CPU time returned from
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class ProfilerCosts:
-    """Cumulative cost ledger, for Table I / Fig. 4 readouts."""
-
-    total_ns: float = 0.0
-    events: int = 0  # faults taken, samples processed, PTEs scanned...
-
-    def charge(self, ns: float, events: int = 0) -> float:
-        self.total_ns += ns
-        self.events += events
-        return ns
 
 
 class Profiler(abc.ABC):
@@ -38,9 +24,6 @@ class Profiler(abc.ABC):
     #: human-readable name used in reports
     name: str = "profiler"
 
-    def __init__(self) -> None:
-        self.costs = ProfilerCosts()
-
     @abc.abstractmethod
     def observe(self, view) -> float:
         """Digest one epoch; return host CPU overhead in nanoseconds."""
@@ -48,6 +31,3 @@ class Profiler(abc.ABC):
     @abc.abstractmethod
     def hot_candidates(self) -> np.ndarray:
         """Pages currently believed hot, ready for promotion."""
-
-    def reset(self) -> None:
-        """Clear accumulated hotness state (not the cost ledger)."""

@@ -32,15 +32,10 @@ class DamonProfiler(Profiler):
         ns_per_check: Cost of checking + clearing one sampled PTE.
         hot_rate: Minimum access rate (fraction of checks with the bit
             set) for a region to be considered hot.
+        seed: Seed of the representative-page generator.
     """
 
     name = "damon"
-
-    #: Catch-up checks per epoch.  The simulator's accesses happen in
-    #: epoch batches, so back-to-back checks within one epoch would read
-    #: freshly cleared bits and dilute access rates; one check per epoch
-    #: is the finest meaningful granularity.
-    MAX_CHECKS_PER_EPOCH = 1
 
     def __init__(
         self,
@@ -52,7 +47,6 @@ class DamonProfiler(Profiler):
         hot_rate: float = 0.7,
         seed: int = 99,
     ) -> None:
-        super().__init__()
         if num_pages <= 0 or num_regions <= 0:
             raise ValueError("sizes must be positive")
         if num_regions > num_pages:
@@ -85,43 +79,27 @@ class DamonProfiler(Profiler):
         now_ns = view.sim_time_ns + view.duration_ns
         if now_ns < self._next_check_ns:
             return 0.0
-        # Catch up on the checks that elapsed this epoch, computed
-        # arithmetically and capped: a real kdamond cannot run more than
-        # a handful of checks inside one epoch's wall time.
-        interval_ns = self.sample_interval_s * 1e9
-        elapsed = now_ns - self._next_check_ns
-        checks = min(int(elapsed / interval_ns) + 1, self.MAX_CHECKS_PER_EPOCH)
-        self._next_check_ns = now_ns + interval_ns
+        # One check per epoch, however many sample intervals elapsed: the
+        # simulator's accesses arrive in epoch batches, so a second check
+        # within one epoch would read freshly cleared bits and dilute the
+        # access rates.
+        self._next_check_ns = now_ns + self.sample_interval_s * 1e9
         page_table = view.page_table
-        overhead = 0.0
-        for _ in range(checks):
-            accessed_mask = (page_table.flags[self._sample_pages] & 1) != 0
-            self._check_hits += accessed_mask
-            page_table.clear_accessed(self._sample_pages)
-            self._checks_done += 1
-            overhead += self.num_regions * self.ns_per_check
-            if self._checks_done >= self.aggregation_checks:
-                self._published_rates = self._check_hits / self._checks_done
-                self._check_hits = np.zeros(self.num_regions, dtype=np.int64)
-                self._checks_done = 0
-                self._sample_pages = self._resample()
-        return self.costs.charge(overhead, events=checks * self.num_regions)
+        accessed_mask = (page_table.flags[self._sample_pages] & 1) != 0
+        self._check_hits += accessed_mask
+        page_table.clear_accessed(self._sample_pages)
+        self._checks_done += 1
+        if self._checks_done >= self.aggregation_checks:
+            self._published_rates = self._check_hits / self._checks_done
+            self._check_hits = np.zeros(self.num_regions, dtype=np.int64)
+            self._checks_done = 0
+            self._sample_pages = self._resample()
+        return self.num_regions * self.ns_per_check
 
     def hot_candidates(self) -> np.ndarray:
         """All pages of regions whose access rate crossed ``hot_rate``."""
         hot_regions = np.nonzero(self._published_rates >= self.hot_rate)[0]
         if hot_regions.size == 0:
             return np.zeros(0, dtype=np.int64)
-        pieces = [
-            np.arange(self._starts[r], self._ends[r], dtype=np.int64) for r in hot_regions
-        ]
+        pieces = [np.arange(self._starts[r], self._ends[r], dtype=np.int64) for r in hot_regions]
         return np.concatenate(pieces)
-
-    def region_rates(self) -> np.ndarray:
-        """Published per-region access rates (for the Fig. 4-(a) sweep)."""
-        return self._published_rates.copy()
-
-    def reset(self) -> None:
-        self._check_hits.fill(0)
-        self._checks_done = 0
-        self._published_rates = np.zeros(self.num_regions)

@@ -35,8 +35,6 @@ class HintFaultProfiler(Profiler):
             shootdown + bookkeeping).
         slow_only: Poison only slow-tier pages (promotion-oriented
             balancing, as TPP configures it).
-        fault_window: Remember the last N fault timestamps per page for
-            two-consecutive-fault policies.
     """
 
     name = "hint-fault"
@@ -48,9 +46,7 @@ class HintFaultProfiler(Profiler):
         scan_interval_s: float = 1.0,
         fault_cost_ns: float = 5_000.0,
         slow_only: bool = True,
-        seed: int = 17,
     ) -> None:
-        super().__init__()
         if num_pages <= 0 or scan_window_pages <= 0:
             raise ValueError("sizes must be positive")
         if scan_interval_s <= 0:
@@ -62,7 +58,6 @@ class HintFaultProfiler(Profiler):
         #: PTE write + deferred shootdown per poisoned page
         self.poison_cost_ns = 120.0
         self.slow_only = bool(slow_only)
-        self._rng = np.random.default_rng(seed)
         self._scan_cursor = 0
         # first poisoning pass happens one interval in, like kernel scans
         self._next_scan_ns = self.scan_interval_s * 1e9
@@ -93,7 +88,7 @@ class HintFaultProfiler(Profiler):
             self._next_scan_ns = now_ns + self.scan_interval_s * 1e9
             overhead += self._poison_window(page_table)
 
-        return self.costs.charge(overhead, events=int(faulted.size))
+        return overhead
 
     def _poison_window(self, page_table) -> float:
         if self.slow_only:
@@ -123,8 +118,3 @@ class HintFaultProfiler(Profiler):
         has_two = self.prev_fault_epoch >= 0
         close = (self.last_fault_epoch - self.prev_fault_epoch) <= max_epoch_gap
         return np.nonzero(has_two & close)[0].astype(np.int64)
-
-    def reset(self) -> None:
-        self.fault_count.fill(0)
-        self.last_fault_epoch.fill(-1)
-        self.prev_fault_epoch.fill(-1)

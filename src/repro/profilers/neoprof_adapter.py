@@ -21,7 +21,6 @@ class NeoProfProfiler(Profiler):
     name = "neoprof"
 
     def __init__(self, device_config: NeoProfConfig | None = None) -> None:
-        super().__init__()
         self.device = NeoProfDevice(device_config)
         self.driver = NeoProfDriver(self.device)
         self._unbilled_ns = 0.0
@@ -33,17 +32,10 @@ class NeoProfProfiler(Profiler):
         # candidate drains since the previous epoch.
         overhead = self._unbilled_ns + self.driver.drain_cpu_overhead_ns()
         self._unbilled_ns = 0.0
-        return self.costs.charge(overhead)
+        return overhead
 
     def hot_candidates(self) -> np.ndarray:
         """Drain the device FIFO; MMIO time is billed at the next epoch."""
         pages = self.driver.read_hot_pages()
         self._unbilled_ns += self.driver.drain_cpu_overhead_ns()
-        self.costs.events += int(pages.size)
         return pages
-
-    def set_threshold(self, threshold: int) -> None:
-        self.driver.set_threshold(threshold)
-
-    def reset(self) -> None:
-        self.driver.reset()

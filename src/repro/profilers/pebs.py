@@ -46,7 +46,6 @@ class PebsProfiler(Profiler):
         interrupt_ns: float = 4_000.0,
         decay_interval_s: float = 2.0,
     ) -> None:
-        super().__init__()
         if num_pages <= 0:
             raise ValueError("num_pages must be positive")
         if sample_interval <= 0:
@@ -85,15 +84,8 @@ class PebsProfiler(Profiler):
             self._next_decay_ns = now_ns + self.decay_interval_s * 1e9
             self.sample_count *= 0.5
 
-        return self.costs.charge(overhead, events=int(sampled.size))
+        return overhead
 
     def hot_candidates(self, min_samples: float = 2.0) -> np.ndarray:
         """Pages with at least ``min_samples`` (possibly decayed) samples."""
         return np.nonzero(self.sample_count >= min_samples)[0].astype(np.int64)
-
-    def counts_of(self, pages: np.ndarray) -> np.ndarray:
-        return self.sample_count[np.asarray(pages, dtype=np.int64)]
-
-    def reset(self) -> None:
-        self.sample_count.fill(0.0)
-        self._phase = 0

@@ -47,7 +47,6 @@ class PteScanProfiler(Profiler):
         hot_epochs: int = 2,
         window_epochs: int = 4,
     ) -> None:
-        super().__init__()
         if num_pages <= 0:
             raise ValueError("num_pages must be positive")
         if scan_interval_s <= 0:
@@ -59,7 +58,6 @@ class PteScanProfiler(Profiler):
         self.ns_per_pte = float(ns_per_pte)
         self.hot_epochs = int(hot_epochs)
         self.window_epochs = int(window_epochs)
-        self._epoch_hits = np.zeros(self.num_pages, dtype=np.int8)
         self._history: list[np.ndarray] = []
         self._next_scan_ns = scan_interval_s * 1e9
         self.scans_completed = 0
@@ -80,14 +78,10 @@ class PteScanProfiler(Profiler):
         page_table.clear_accessed_all()
         self.scans_completed += 1
         # Full PTE walk twice (read pass + clear pass share the walk here)
-        return self.costs.charge(self.num_pages * self.ns_per_pte, events=self.num_pages)
+        return self.num_pages * self.ns_per_pte
 
     def hot_candidates(self) -> np.ndarray:
         if not self._history:
             return np.zeros(0, dtype=np.int64)
         window = np.sum(self._history, axis=0)
         return np.nonzero(window >= self.hot_epochs)[0].astype(np.int64)
-
-    def reset(self) -> None:
-        self._history.clear()
-        self._epoch_hits.fill(0)

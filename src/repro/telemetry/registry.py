@@ -89,13 +89,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    @staticmethod
-    def bucket_bounds(bucket: int) -> tuple[int, int]:
-        """Half-open ``[lo, hi)`` value range of one bucket."""
-        if bucket <= 0:
-            return (0, 1)
-        return (1 << (bucket - 1), 1 << bucket)
-
 
 class MetricsRegistry:
     """Create-or-get store of named metrics, snapshot-able to plain data.
@@ -152,16 +145,3 @@ class MetricsRegistry:
                 for n, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` dict into this registry (fan-in)."""
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, data in snap.get("histograms", {}).items():
-            hist = self.histogram(name)
-            for bucket, n in enumerate(data["counts"]):
-                hist.counts[bucket] += int(n)
-            hist.total += int(data["total"])
-            hist.count += int(data["count"])

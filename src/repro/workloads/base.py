@@ -106,14 +106,6 @@ class TraceWorkload(abc.ABC):
         cls = type(self)
         return (cls.__module__, cls.__qualname__, self._trace_args, int(seed))
 
-    def reset(self) -> None:
-        """Rewind the workload for a fresh run."""
-        self.emitted = 0
-
-    @property
-    def progress(self) -> float:
-        return self.emitted / self.total_batches
-
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def generate(self, batch_index: int, rng: np.random.Generator) -> np.ndarray:

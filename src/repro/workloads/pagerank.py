@@ -57,12 +57,6 @@ class PageRankWorkload(TraceWorkload):
     def phase_of(self, batch_index: int) -> str:
         return "build" if batch_index < self.build_batches else "process"
 
-    def iteration_of(self, batch_index: int) -> int | None:
-        """Which processing iteration a batch belongs to (None in build)."""
-        if batch_index < self.build_batches:
-            return None
-        return (batch_index - self.build_batches) // self.batches_per_iteration
-
     def batches_of_iteration(self, iteration: int) -> range:
         start = self.build_batches + iteration * self.batches_per_iteration
         return range(start, start + self.batches_per_iteration)

@@ -1,7 +1,6 @@
 """Integration tests: NeoMem daemon driving the simulation engine."""
 
 import numpy as np
-import pytest
 
 from repro.core.daemon import NeoMemConfig, NeoMemDaemon
 from repro.core.neoprof.device import NeoProfConfig

@@ -27,18 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CountMinSketch(counter_bits=0)
 
-    def test_from_error_bounds(self):
-        s = CountMinSketch.from_error_bounds(epsilon=0.001, delta=0.25)
-        assert s.width >= 2000
-        assert s.width & (s.width - 1) == 0
-        assert s.depth == 2
-
-    def test_from_error_bounds_validation(self):
-        with pytest.raises(ValueError):
-            CountMinSketch.from_error_bounds(0, 0.5)
-        with pytest.raises(ValueError):
-            CountMinSketch.from_error_bounds(0.5, 2)
-
     def test_sram_bits(self):
         s = small_sketch(width=1024, depth=2, counter_bits=16)
         assert s.sram_bits == 2 * 1024 * 18

@@ -14,6 +14,7 @@ from repro.experiments.runner import (
     build_workload,
     geomean,
     run_one,
+    topology_for,
     warm_first_touch,
     workload_pages,
 )
@@ -23,8 +24,10 @@ from repro.workloads import BENCHMARKS
 class TestConfig:
     def test_ratio_splits_capacity(self):
         cfg = ExperimentConfig(num_pages=3000, ratio=(1, 2))
-        assert cfg.fast_pages == 1000
-        assert cfg.slow_pages > 2000  # slack included
+        (fast_spec, fast_pages), (slow_spec, slow_pages) = topology_for(3000, cfg)
+        assert (fast_spec, slow_spec) == (cfg.fast_spec, cfg.slow_spec)
+        assert fast_pages == 1000
+        assert slow_pages > 2000  # slack included
 
     def test_with_ratio(self):
         cfg = DEFAULT_CONFIG.with_ratio(1, 8)

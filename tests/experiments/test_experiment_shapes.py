@@ -5,8 +5,6 @@ benchmarks/ harnesses run the real scaled configuration and assert the
 quantitative shapes.
 """
 
-import pytest
-
 from repro.experiments import fig03, fig04, fig14, fig16, fig17, overhead, table01
 from repro.experiments.config import SMOKE_CONFIG
 

@@ -6,7 +6,6 @@ duplicated, tier accounting matches the page table, time only moves
 forward, and reports are internally consistent.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import SMOKE_CONFIG

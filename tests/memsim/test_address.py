@@ -1,8 +1,4 @@
-"""Unit tests for address-space helpers."""
-
-import numpy as np
-import pytest
-from hypothesis import given, strategies as st
+"""Unit tests for the address-space constants."""
 
 from repro.memsim import address
 
@@ -11,59 +7,3 @@ def test_page_size_constants():
     assert address.PAGE_SIZE == 4096
     assert address.HUGE_PAGE_SIZE == 2 * 1024 * 1024
     assert address.PAGES_PER_HUGE_PAGE == 512
-
-
-def test_pages_to_bytes_roundtrip():
-    assert address.pages_to_bytes(1) == 4096
-    assert address.bytes_to_pages(4096) == 1
-    assert address.bytes_to_pages(4097) == 2
-    assert address.bytes_to_pages(0) == 0
-
-
-def test_page_of_address():
-    assert address.page_of_address(0) == 0
-    assert address.page_of_address(4095) == 0
-    assert address.page_of_address(4096) == 1
-
-
-def test_huge_page_of_page():
-    assert address.huge_page_of_page(0) == 0
-    assert address.huge_page_of_page(511) == 0
-    assert address.huge_page_of_page(512) == 1
-
-
-def test_pages_of_huge_page_span():
-    span = address.pages_of_huge_page(2)
-    assert span.start == 1024
-    assert span.stop == 1536
-    assert len(span) == address.PAGES_PER_HUGE_PAGE
-
-
-def test_cache_line_of_address():
-    assert address.cache_line_of_address(0) == 0
-    assert address.cache_line_of_address(63) == 0
-    assert address.cache_line_of_address(64) == 1
-
-
-def test_as_page_array_coerces():
-    arr = address.as_page_array([1, 2, 3])
-    assert arr.dtype == np.int64
-    assert arr.tolist() == [1, 2, 3]
-
-
-def test_as_page_array_flattens():
-    arr = address.as_page_array(np.array([[1, 2], [3, 4]]))
-    assert arr.shape == (4,)
-
-
-@given(st.integers(min_value=0, max_value=2**40))
-def test_bytes_pages_inverse(num_bytes):
-    pages = address.bytes_to_pages(num_bytes)
-    assert address.pages_to_bytes(pages) >= num_bytes
-    assert address.pages_to_bytes(pages) - num_bytes < address.PAGE_SIZE
-
-
-@given(st.integers(min_value=0, max_value=2**30))
-def test_huge_page_contains_page(page):
-    huge = address.huge_page_of_page(page)
-    assert page in address.pages_of_huge_page(huge)

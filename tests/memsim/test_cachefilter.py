@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memsim.cachefilter import PageCacheFilter, llc_pages
+from repro.memsim.cachefilter import PageCacheFilter
 
 
 class TestBasics:
@@ -35,13 +35,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             f.filter_batch(np.array([-1]))
 
-    def test_flush_forgets_residency(self):
-        f = PageCacheFilter(16, 100)
-        batch = np.zeros(256, dtype=np.int64)
-        f.filter_batch(batch)
-        f.flush()
-        assert f.filter_batch(batch).sum() > 0
-
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             PageCacheFilter(0, 10)
@@ -51,10 +44,6 @@ class TestBasics:
         for lines in (0, -4):
             with pytest.raises(ValueError):
                 PageCacheFilter(4, 100, lines_per_page=lines)
-
-    def test_llc_pages_helper(self):
-        assert llc_pages(60 * 1024 * 1024) == 15360
-        assert llc_pages(1) == 1
 
 
 class TestCapacityPressure:

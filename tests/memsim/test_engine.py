@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.memsim.engine import EngineConfig, EpochView, SimulationEngine
+from repro.memsim.engine import EngineConfig, SimulationEngine
 from repro.memsim.tiers import CXL_DRAM_PROTO, CXL_PCM, DDR5_LOCAL
 
 

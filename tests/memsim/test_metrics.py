@@ -55,13 +55,11 @@ class TestSimulationReport:
         report.append(make_epoch(1, duration_ns=5e8, accesses=100))
         assert report.throughput_aps == pytest.approx(200.0)
 
-    def test_series_and_time_axis(self):
+    def test_series(self):
         report = SimulationReport()
         for i in range(4):
             report.append(make_epoch(i, promoted_pages=i))
         assert report.series("promoted_pages") == [0, 1, 2, 3]
-        axis = report.time_axis_s()
-        assert axis == sorted(axis)
 
     def test_summary_keys(self):
         report = SimulationReport(workload="gups", policy="neomem")

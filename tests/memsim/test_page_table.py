@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memsim.address import PAGES_PER_HUGE_PAGE
-from repro.memsim.page_table import PageFlags, PageTable
+from repro.memsim.page_table import PageTable
 
 
 class TestPlacement:
@@ -78,19 +77,6 @@ class TestDemotedFlag:
         assert pt.demoted_mask(np.array([3])).tolist() == [True]
         pt.clear_demoted(np.array([3]))
         assert pt.demoted_mask(np.array([3])).tolist() == [False]
-
-
-class TestHugePages:
-    def test_mark_huge_heads(self):
-        pt = PageTable(PAGES_PER_HUGE_PAGE * 2)
-        pt.mark_huge_heads()
-        heads = np.nonzero(pt.flags & PageFlags.HUGE_HEAD)[0]
-        assert heads.tolist() == [0, PAGES_PER_HUGE_PAGE]
-
-    def test_huge_page_of(self):
-        pt = PageTable(PAGES_PER_HUGE_PAGE * 2)
-        assert pt.huge_page_of(0) == 0
-        assert pt.huge_page_of(PAGES_PER_HUGE_PAGE) == 1
 
 
 class TestProperties:

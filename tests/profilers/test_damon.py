@@ -1,6 +1,5 @@
 """Tests for the DAMON-style region profiler."""
 
-import numpy as np
 import pytest
 
 from repro.profilers.damon import DamonProfiler
@@ -39,6 +38,17 @@ class TestSampling:
         policy, engine = run_engine(batches=10, profilers=[slow, fast])
         assert policy.overhead_of(fast) > policy.overhead_of(slow)
 
+    def test_one_check_per_epoch(self, run_engine):
+        """Many sample intervals elapse per epoch, yet each epoch runs one
+        check: a second would read bits the first just cleared."""
+        prof = DamonProfiler(
+            NUM_PAGES, num_regions=50, sample_interval_s=1e-12, aggregation_checks=100
+        )
+        policy, engine = run_engine(batches=6, profilers=[prof])
+        assert policy.overheads[id(prof)] == [50 * prof.ns_per_check] * 6
+        # the aggregation window outlasts the run, so no rates publish
+        assert prof.hot_candidates().size == 0
+
     def test_hot_region_detected(self, run_engine):
         # 50 regions over 2000 pages -> 40 pages/region: region 0 is hot
         prof = DamonProfiler(
@@ -67,19 +77,3 @@ class TestSampling:
         if hot.size:
             # the flagged region drags in hundreds of cold pages
             assert hot.size >= 500
-
-    def test_region_rates_shape(self):
-        prof = DamonProfiler(NUM_PAGES, num_regions=16)
-        assert prof.region_rates().shape == (16,)
-
-    def test_reset(self, run_engine):
-        prof = DamonProfiler(
-            NUM_PAGES,
-            num_regions=50,
-            sample_interval_s=1e-12,
-            aggregation_checks=2,
-            hot_rate=0.1,
-        )
-        run_engine(batches=10, profilers=[prof])
-        prof.reset()
-        assert prof.hot_candidates().size == 0

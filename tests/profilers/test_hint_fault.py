@@ -83,10 +83,3 @@ class TestConsecutiveFaults:
         assert pairs.size > 0
         singles = prof.hot_candidates()
         assert pairs.size <= singles.size
-
-    def test_reset(self, run_engine):
-        prof = make()
-        run_engine(batches=5, profilers=[prof])
-        prof.reset()
-        assert prof.hot_candidates().size == 0
-        assert prof.consecutive_fault_pages(100).size == 0

@@ -1,8 +1,5 @@
 """Tests for the NeoProf profiler adapter."""
 
-import numpy as np
-import pytest
-
 from repro.core.neoprof.device import NeoProfConfig
 from repro.profilers.neoprof_adapter import NeoProfProfiler
 
@@ -44,8 +41,8 @@ class TestAdapter:
 
     def test_threshold_and_reset(self, run_engine):
         prof = make_profiler(threshold=10)
-        prof.set_threshold(10**9)  # impossible threshold
+        prof.driver.set_threshold(10**9)  # impossible threshold
         run_engine(batches=10, hot=40, profilers=[prof])
         assert prof.hot_candidates().size == 0
-        prof.reset()
+        prof.driver.reset()
         assert prof.device.detector.pending == 0

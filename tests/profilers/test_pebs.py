@@ -96,14 +96,3 @@ class TestCandidates:
         few = prof.hot_candidates(min_samples=10)
         many = prof.hot_candidates(min_samples=1)
         assert few.size <= many.size
-
-    def test_counts_of(self, run_engine):
-        prof = PebsProfiler(NUM_PAGES, sample_interval=10)
-        run_engine(batches=5, profilers=[prof])
-        assert prof.counts_of(np.arange(10)).shape == (10,)
-
-    def test_reset(self, run_engine):
-        prof = PebsProfiler(NUM_PAGES, sample_interval=10)
-        run_engine(batches=5, profilers=[prof])
-        prof.reset()
-        assert prof.sample_count.sum() == 0

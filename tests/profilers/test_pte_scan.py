@@ -1,6 +1,5 @@
 """Tests for the PTE-scan profiler."""
 
-import numpy as np
 import pytest
 
 from repro.profilers.pte_scan import PteScanProfiler
@@ -67,12 +66,6 @@ class TestHotDetection:
         # epoch, many cold pages qualify.
         cold_flagged = [p for p in hot if p >= 40]
         assert len(cold_flagged) > 50
-
-    def test_reset(self, run_engine):
-        prof = PteScanProfiler(NUM_PAGES, scan_interval_s=1e-12)
-        policy, engine = run_engine(batches=5, profilers=[prof])
-        prof.reset()
-        assert prof.hot_candidates().size == 0
 
     def test_empty_history_no_candidates(self):
         prof = PteScanProfiler(100)

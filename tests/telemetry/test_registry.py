@@ -56,15 +56,6 @@ class TestHistogram:
         assert h.count == 9
         assert h.total == sum((0, 1, 2, 3, 4, 7, 8, 1023, 1024))
 
-    def test_bucket_bounds_cover_observations(self):
-        h = Histogram()
-        for v in (1, 5, 100, 65536):
-            h.observe(v)
-            bucket = next(i for i, c in enumerate(h.counts) if c)
-            lo, hi = Histogram.bucket_bounds(bucket)
-            assert lo <= v < hi
-            h.counts[bucket] = 0
-
     def test_huge_values_clamp_to_top_bucket(self):
         h = Histogram()
         h.observe(1 << 200)
@@ -108,19 +99,6 @@ class TestPartitioning:
 
 
 class TestSnapshot:
-    def test_snapshot_round_trips_through_merge(self):
-        src = MetricsRegistry()
-        src.counter("c").inc(7)
-        src.gauge("g").set(2.5)
-        src.histogram("h").observe(9)
-        dst = MetricsRegistry()
-        dst.counter("c").inc(1)
-        dst.merge_snapshot(src.snapshot())
-        assert dst.counter("c").value == 8
-        assert dst.gauge("g").value == 2.5
-        assert dst.histogram("h").count == 1
-        assert dst.histogram("h").total == 9
-
     def test_snapshot_is_plain_data(self):
         import json
 

@@ -158,12 +158,10 @@ class TestWorkload:
         marked = set(pages[is_write].tolist())
         assert marked == write_set
 
-    def test_runs_to_completion_and_resets(self):
+    def test_runs_to_completion(self):
         wl = KVCacheWorkload(**SMALL)
         rng = np.random.default_rng(0)
         n = 0
         while wl.next_batch(rng) is not None:
             n += 1
         assert n == wl.total_batches
-        wl.reset()
-        assert wl.next_batch(rng) is not None

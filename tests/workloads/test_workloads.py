@@ -62,12 +62,10 @@ class TestRegistry:
             assert np.array_equal(wa, wb)
 
     @pytest.mark.parametrize("name", workload_names())
-    def test_reset_rewinds(self, name):
+    def test_drained_workload_is_finished(self, name):
         wl = make_workload(name, **SMALL)
         drain(wl)
         assert wl.next_batch(np.random.default_rng(0)) is None
-        wl.reset()
-        assert wl.next_batch(np.random.default_rng(0)) is not None
 
 
 class TestBaseValidation:
@@ -93,12 +91,6 @@ class TestBaseValidation:
         wl = Broken(10, 1)
         with pytest.raises(RuntimeError):
             wl.next_batch(np.random.default_rng(0))
-
-    def test_progress(self):
-        wl = GupsWorkload(num_pages=1024, total_batches=4, batch_size=128)
-        assert wl.progress == 0.0
-        wl.next_batch(np.random.default_rng(0))
-        assert wl.progress == 0.25
 
 
 class TestGups:
@@ -136,10 +128,6 @@ class TestPageRank:
         assert wl.phase_of(0) == "build"
         assert wl.phase_of(2) == "build"
         assert wl.phase_of(3) == "process"
-        assert wl.iteration_of(0) is None
-        assert wl.iteration_of(3) == 0
-        assert wl.iteration_of(4) == 0
-        assert wl.iteration_of(5) == 1
 
     def test_batches_of_iteration(self):
         wl = PageRankWorkload(
