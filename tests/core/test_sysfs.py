@@ -46,6 +46,14 @@ class TestWrite:
         sysfs.write("migration_interval_ms", "25")
         assert sysfs._daemon.migration_interval_s == pytest.approx(0.025)
 
+    def test_write_intervals(self, sysfs):
+        sysfs.write("clear_interval_s", "0.5")
+        sysfs.write("thr_update_interval_s", "0.25")
+        cfg = sysfs._daemon.config
+        assert cfg.clear_interval_s == 0.5
+        assert cfg.thr_update_interval_s == 0.25
+        assert sysfs.read("thr_update_interval_s") == "0.25"
+
     def test_write_hyper_parameters(self, sysfs):
         sysfs.write("alpha", "2.5")
         sysfs.write("beta", "0.5")

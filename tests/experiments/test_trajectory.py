@@ -52,6 +52,12 @@ class TestLoadAndAppend:
         with pytest.raises(ValueError):
             load_trajectory(path)
 
+    def test_records_must_be_a_list(self, tmp_path):
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps({"schema": TRAJECTORY_SCHEMA, "records": {"serial_s": 1.0}}))
+        with pytest.raises(ValueError, match="must be a list"):
+            load_trajectory(path)
+
 
 class TestGate:
     def test_empty_and_single_record_are_advisory(self):

@@ -56,6 +56,10 @@ class TestMakeTenantSpecs:
         assert specs[0].fast_quota_fraction == 0.5
         assert specs[1].fast_quota_fraction is None
 
+    def test_needs_a_tenant(self):
+        with pytest.raises(ValueError):
+            make_tenant_specs(0, TINY)
+
 
 class TestRunColocation:
     def test_reports_slowdown_and_fairness(self):

@@ -61,3 +61,41 @@ class TestAddressSpaceLayout:
         bad = [specs[0], TenantSpec(name="t0", workload="gups", num_pages=5)]
         with pytest.raises(ValueError):
             AddressSpaceLayout(bad)
+
+    def test_empty_layout_rejected(self):
+        with pytest.raises(ValueError):
+            AddressSpaceLayout([])
+
+    def test_namespace_looked_up_by_tenant_name(self):
+        layout = AddressSpaceLayout(specs_of([100, 200, 50]))
+        assert len(layout) == 3
+        ns = layout.namespace("t1")
+        assert (ns.tenant, ns.base, ns.end) == ("t1", 100, 300)
+        assert [ns.tenant for ns in layout] == ["t0", "t1", "t2"]
+        with pytest.raises(KeyError):
+            layout.namespace("t3")
+
+
+class TestTenantSpec:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"name": ""},
+            {"num_pages": 0},
+            {"weight": 0.0},
+            {"fast_quota_fraction": -0.1},
+            {"fast_quota_fraction": 1.5},
+        ],
+        ids=["empty-name", "no-pages", "zero-weight", "negative-quota", "quota-above-one"],
+    )
+    def test_invalid_spec_rejected(self, overrides):
+        fields = {"name": "t0", "workload": "gups", "num_pages": 10, **overrides}
+        with pytest.raises(ValueError):
+            TenantSpec(**fields)
+
+    def test_quota_bounds_are_inclusive(self):
+        for fraction in (None, 0.0, 1.0):
+            spec = TenantSpec(
+                name="t0", workload="gups", num_pages=10, fast_quota_fraction=fraction
+            )
+            assert spec.fast_quota_fraction == fraction

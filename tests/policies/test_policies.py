@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.memsim.engine import EngineConfig, SimulationEngine
+from repro.memsim.address import PAGES_PER_HUGE_PAGE
+from repro.memsim.engine import EngineConfig, EpochView, SimulationEngine
 from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
 from repro.policies import POLICY_NAMES, make_policy
 from repro.policies.autonuma import AutoNumaPolicy
@@ -162,6 +163,67 @@ class TestBasePolicy:
         )
         report, engine = run_policy(policy)
         assert report.total_demoted_pages > 0
+
+
+class AddressSpace:
+    """A workload that only sizes the page table; it emits no batches."""
+
+    name = "space"
+
+    def __init__(self, num_pages):
+        self.num_pages = num_pages
+
+    def next_batch(self, rng):
+        return None
+
+
+def promote_thp(candidates, num_pages=4 * PAGES_PER_HUGE_PAGE):
+    """Promote ``candidates`` once through a THP policy; all pages start slow."""
+    policy = TppPolicy(num_pages, thp=True)
+    engine = SimulationEngine(
+        AddressSpace(num_pages),
+        [(DDR5_LOCAL, num_pages), (CXL_DRAM_PROTO, num_pages)],
+        policy,
+        EngineConfig(),
+    )
+    engine.topology.first_touch_allocate(engine.page_table, np.arange(num_pages), start_node=1)
+    engine.migration.grant_quota(10.0)
+    empty = np.zeros(0, dtype=np.int64)
+    view = EpochView(
+        epoch=0, sim_time_ns=0.0, duration_ns=1e6, pages=empty,
+        is_write=empty.astype(bool), miss_mask=empty.astype(bool),
+        miss_pages=empty, miss_is_write=empty.astype(bool),
+        miss_nodes=empty, touched_pages=empty, engine=engine,
+    )
+    policy._promote(view, np.asarray(candidates, dtype=np.int64))
+    return engine
+
+
+class TestThpCoalescing:
+    """Sec. VII: enough hot reports in one 2 MB frame move the whole frame."""
+
+    def test_reported_frame_migrates_whole(self):
+        frame = 2 * PAGES_PER_HUGE_PAGE
+        engine = promote_thp([frame + 3, frame + 400])
+        fast = np.nonzero(engine.page_table.node_of_page == 0)[0]
+        assert fast.tolist() == list(range(frame, frame + PAGES_PER_HUGE_PAGE))
+        assert engine.migration.stats.promoted_huge_pages == 1
+
+    def test_lone_report_moves_as_base_page(self):
+        frame = 2 * PAGES_PER_HUGE_PAGE
+        assert TppPolicy.THP_HOT_REPORTS > 1
+        engine = promote_thp([frame + 3])
+        fast = np.nonzero(engine.page_table.node_of_page == 0)[0]
+        assert fast.tolist() == [frame + 3]
+        assert engine.migration.stats.promoted_huge_pages == 0
+
+    def test_trailing_frame_stops_at_the_table_end(self):
+        frame = 2 * PAGES_PER_HUGE_PAGE
+        num_pages = frame + 100
+        engine = promote_thp([frame + 1, frame + 50], num_pages=num_pages)
+        fast = np.nonzero(engine.page_table.node_of_page == 0)[0]
+        assert fast.tolist() == list(range(frame, num_pages))
+        assert engine.migration.stats.promoted_huge_pages == 1
 
 
 class TestRegistry:

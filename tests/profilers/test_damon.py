@@ -13,8 +13,8 @@ class TestConstruction:
             DamonProfiler(0)
         with pytest.raises(ValueError):
             DamonProfiler(10, num_regions=20)
-        with pytest.raises(ValueError):
-            DamonProfiler(100, sample_interval_s=0)
+        with pytest.raises(ValueError, match="sample interval"):
+            DamonProfiler(100, num_regions=10, sample_interval_s=0)
 
     def test_regions_partition_address_space(self):
         prof = DamonProfiler(1000, num_regions=7)

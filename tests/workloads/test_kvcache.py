@@ -110,6 +110,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             geometry(skip_level=-1)
 
+    def test_rejects_empty_shapes(self):
+        for overrides in ({"num_layers": 0}, {"num_seqs": 0}, {"recent_window": 0}):
+            with pytest.raises(ValueError):
+                geometry(**overrides)
+
 
 class TestWorkload:
     def test_registered(self):

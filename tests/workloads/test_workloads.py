@@ -6,6 +6,7 @@ import pytest
 from repro.workloads import (
     BENCHMARKS,
     BtreeWorkload,
+    BwavesWorkload,
     DeathStarBenchWorkload,
     GupsWorkload,
     PageRankWorkload,
@@ -91,6 +92,36 @@ class TestBaseValidation:
         wl = Broken(10, 1)
         with pytest.raises(RuntimeError):
             wl.next_batch(np.random.default_rng(0))
+
+    def test_empty_batch_caught(self):
+        class Silent(TraceWorkload):
+            name = "silent"
+
+            def generate(self, batch_index, rng):
+                return np.zeros(0, dtype=np.int64)
+
+        with pytest.raises(RuntimeError):
+            Silent(10, 1).next_batch(np.random.default_rng(0))
+
+    def test_batch_fitted_to_epoch_size(self):
+        """Generators emit whole lookups; the epoch is truncated or cycled."""
+
+        class Fixed(TraceWorkload):
+            name = "fixed"
+
+            def __init__(self, emit, batch_size):
+                super().__init__(100, 1, batch_size)
+                self.emit = emit
+
+            def generate(self, batch_index, rng):
+                return np.arange(self.emit)
+
+        rng = np.random.default_rng(0)
+        pages, is_write = Fixed(emit=10, batch_size=4).next_batch(rng)
+        assert pages.tolist() == [0, 1, 2, 3]
+        assert is_write.shape == (4,)
+        pages, _ = Fixed(emit=3, batch_size=7).next_batch(rng)
+        assert pages.tolist() == [0, 1, 2, 0, 1, 2, 0]
 
 
 class TestGups:
@@ -185,6 +216,12 @@ class TestDeathStarBench:
     def test_validation(self):
         with pytest.raises(ValueError):
             DeathStarBenchWorkload(cache_fraction=0.9, session_fraction=0.2)
+
+
+class TestBwaves:
+    def test_needs_an_array(self):
+        with pytest.raises(ValueError):
+            BwavesWorkload(num_arrays=0)
 
 
 class TestRedis:
