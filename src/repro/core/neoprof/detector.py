@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.neoprof.sketch import CountMinSketch
+from repro.memsim.pageset import distinct_counts
 
 
 class HotPageDetector:
@@ -74,7 +75,7 @@ class HotPageDetector:
         # One pass of the H3 units feeds the whole pipeline: hash the
         # distinct pages once, fold their multiplicities into the update,
         # and reuse the entries for the estimate and both hot-bit ops.
-        unique, counts = self._unique_counts(pages)
+        unique, counts = distinct_counts(pages)
         flat = self.sketch.entries(unique)
         estimates = self.sketch.update_estimate_batch(unique, counts=counts, flat=flat)
         hot_sel = estimates > self.threshold
@@ -100,21 +101,6 @@ class HotPageDetector:
             self._pending += queued
         self.detected_total += queued
         return queued
-
-    @staticmethod
-    def _unique_counts(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct pages and their multiplicities.
-
-        Dense batches (page ids small relative to the batch) count with
-        one O(n + max) bincount pass instead of the O(n log n) sort in
-        ``np.unique``; both produce identical sorted output.
-        """
-        hi = int(pages.max()) + 1
-        if hi <= 4 * pages.size:
-            full = np.bincount(pages.astype(np.int64), minlength=hi)
-            unique = np.nonzero(full)[0]
-            return unique.astype(np.uint64), full[unique]
-        return np.unique(pages, return_counts=True)
 
     # ------------------------------------------------------------------
     @property

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.neoprof.h3 import H3HashFamily
+from repro.memsim.pageset import first_occurrence
 
 
 class CountMinSketch:
@@ -66,9 +67,6 @@ class CountMinSketch:
         # measurably faster on the narrower type
         self._flat_dtype = np.int32 if depth * width <= np.iinfo(np.int32).max else np.int64
         self._lane_offsets = (np.arange(depth, dtype=self._flat_dtype) * width)[:, None]
-        # entry-space scratch for the O(n) scatter-dedup in _add
-        # (allocated on first use; np.unique's sort dominated otherwise)
-        self._dedupe_scratch: np.ndarray | None = None
         self.total_updates = 0
 
     # ------------------------------------------------------------------
@@ -92,24 +90,15 @@ class CountMinSketch:
         """
         if flat is None:
             flat = self.entries(pages)
-        # Deduplicate the hashed entries with an O(n) scatter over a
-        # persistent entry-space scratch instead of the sort inside
-        # np.unique: a reversed position scatter leaves each entry's
-        # first-occurrence index behind, and a second scatter relabels
-        # entries with their dense rank for the segment sum below.  The
-        # final counters don't depend on entry order, so the unsorted
-        # unique set is equivalent.
+        # The distinct entries in first-occurrence order, each relabelled
+        # with its dense rank for the segment sum below (``rank`` is read
+        # only where ``touched`` wrote it).  The final counters don't
+        # depend on entry order, so the unsorted distinct set is equivalent.
         flat_all = np.ascontiguousarray(flat).reshape(-1)
-        scratch = self._dedupe_scratch
-        if scratch is None:
-            # int32 positions: batch sizes stay far below 2**31, and the
-            # narrower scratch halves the traffic of the random scatters
-            scratch = self._dedupe_scratch = np.zeros(self.depth * self.width, dtype=np.int32)
-        pos = np.arange(flat_all.size, dtype=np.int32)
-        scratch[flat_all[::-1]] = pos[::-1]
-        touched = flat_all[scratch[flat_all] == pos]
-        scratch[touched] = np.arange(touched.size, dtype=np.int32)
-        rep = scratch[flat_all]
+        touched = first_occurrence(flat_all, self.depth * self.width)
+        rank = np.empty(self.depth * self.width, dtype=np.int32)
+        rank[touched] = np.arange(touched.size, dtype=np.int32)
+        rep = rank[flat_all]
         if counts is None:
             increments = np.bincount(rep, minlength=touched.size)
             self.total_updates += flat_all.size // self.depth

@@ -12,6 +12,7 @@ the reference.  The ``access_batch`` methods replay a whole address array
 with array operations and leave statistics, tags, timestamps and clocks
 exactly as a loop of ``access`` calls would, so the two can be mixed.
 """
+
 # repro: hot-path — the batched replay drives Fig. 4-(b); per-access python loops are regressions
 
 from __future__ import annotations

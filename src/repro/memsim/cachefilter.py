@@ -71,27 +71,22 @@ class PageCacheFilter:
 
     # ------------------------------------------------------------------
     def filter_batch(
-        self,
-        pages: np.ndarray,
-        distinct: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
+        self, pages: np.ndarray, distinct: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
         """Process one epoch batch; return a boolean LLC-miss mask.
 
-        Pages are processed as an unordered epoch: per-page access counts
-        are computed, hits are granted against existing residency credit,
-        and residency is refreshed for the pages touched this epoch.
+        Pages are processed as an unordered epoch: hits are granted
+        against existing residency credit by per-page access count, and
+        residency is refreshed for the pages touched this epoch.
         Pressure beyond capacity decays every page's credit
         proportionally, evicting the long-idle pages first in expectation.
 
-        ``distinct`` and ``counts`` optionally pass the batch's sorted
-        distinct pages and their access counts when the caller already
-        has them (the engine reuses them as its touched set); otherwise
-        they come from ``np.unique``.
+        ``distinct`` and ``counts`` are the batch's sorted distinct pages
+        and their access counts, as
+        :func:`~repro.memsim.pageset.distinct_counts` returns them (the
+        engine reuses them as its touched set).
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if distinct is None:
-            distinct, counts = np.unique(pages, return_counts=True)
         if distinct.size == 0:
             return np.zeros(0, dtype=bool)
         if distinct[0] < 0 or distinct[-1] >= self.max_page_id:

@@ -32,6 +32,7 @@ from repro.memsim.metrics import EpochMetrics, SimulationReport
 from repro.memsim.migration import MigrationConfig, MigrationEngine
 from repro.memsim.numa import NumaTopology
 from repro.memsim.page_table import PageTable
+from repro.memsim.pageset import distinct_counts
 from repro.memsim.tiers import TierSpec
 from repro.telemetry import Telemetry, engine_telemetry
 
@@ -243,7 +244,7 @@ class SimulationEngine:
             else:
                 # the batch's distinct pages feed the LLC filter and are
                 # the touched set the OS-visible state updates below use
-                touched, counts = self._distinct_pages(pages)
+                touched, counts = distinct_counts(pages)
                 _read_only(touched)
                 miss_mask = _read_only(self.cache.filter_batch(pages, touched, counts))
                 miss = np.flatnonzero(miss_mask)
@@ -271,7 +272,7 @@ class SimulationEngine:
             self.page_table.set_accessed(touched)
             fast_id = self.topology.fast_node.node_id
             on_fast = self.page_table.nodes_of(touched) == fast_id
-            self.lru.touch(touched[on_fast], self.epoch, assume_unique=True)
+            self.lru.touch(touched[on_fast], self.epoch)
             if self.epoch % 8 == 0:
                 self.lru.age(self.epoch, member_mask=self.page_table.node_of_page == fast_id)
 
@@ -323,20 +324,6 @@ class SimulationEngine:
         return metrics
 
     # ------------------------------------------------------------------
-    def _distinct_pages(self, pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct pages of the batch and their access counts.
-
-        For dense batches a page-space bincount beats the O(n log n) sort
-        inside ``np.unique``; sparse batches (page space much larger than
-        the batch) keep the sort.  Both produce the same arrays.
-        """
-        num_pages = self.page_table.num_pages
-        if num_pages > 4 * pages.size:
-            return np.unique(pages, return_counts=True)
-        page_counts = np.bincount(pages, minlength=num_pages)
-        distinct = np.flatnonzero(page_counts)
-        return distinct, page_counts[distinct]
-
     def _epoch_time_ns(
         self,
         num_accesses: int,

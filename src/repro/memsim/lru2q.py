@@ -49,21 +49,19 @@ class Lru2Q:
         self._stamp = np.full(self.num_pages, -1, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def touch(self, pages: np.ndarray, epoch: int, assume_unique: bool = False) -> None:
+    def touch(self, pages: np.ndarray, epoch: int) -> None:
         """Record that ``pages`` were accessed during ``epoch``.
 
         Pages seen for the first time enter the inactive list; pages
         already inactive and re-touched in a *later* epoch are promoted
-        to active (the 2Q second-chance rule).  Callers that already hold
-        a duplicate-free page set (the engine's touched set, the
-        migration engine's deduplicated move lists) pass
-        ``assume_unique=True`` to skip the internal sort — every update
-        below is an elementwise gather/scatter, so ordering is
-        irrelevant once indices are distinct.
+        to active (the 2Q second-chance rule).  Repeats need no dedupe:
+        every copy of a page gathers the same state and stamp and scatters
+        the same new values back.  Only the ``lru2q.inserted_pages`` and
+        ``lru2q.activated_pages`` counters would count a repeat twice, and
+        both callers pass distinct pages (the engine its touched set, the
+        migration engine its deduplicated move lists).
         """
         idx = np.asarray(pages, dtype=np.int64)
-        if not assume_unique:
-            idx = np.unique(idx)
         state = self._state[idx]
         # pages on either list always carry a stamp >= 0 (touch stamps on
         # insert, forget clears state and stamp together), so the

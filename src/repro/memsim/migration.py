@@ -28,6 +28,7 @@ from repro.memsim.address import PAGE_SIZE, PAGES_PER_HUGE_PAGE
 from repro.memsim.lru2q import Lru2Q
 from repro.memsim.numa import NumaTopology
 from repro.memsim.page_table import PageTable
+from repro.memsim.pageset import distinct_counts, first_occurrence
 from repro.telemetry import DISABLED, Telemetry
 
 
@@ -74,28 +75,6 @@ class MigrationConfig:
             )
 
 
-def _dedup_keep_order(pages: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Drop duplicate page numbers, keeping first-occurrence order.
-
-    Duplicate requests would otherwise double-book tier capacity (one
-    physical move, two reservations).  Duplicates are found by a
-    reverse-order position scatter into the page-space ``scratch`` array
-    — after writing positions back-to-front, each page's slot holds its
-    first-occurrence index — instead of the sort inside ``np.unique``.
-    Stale scratch entries are never read: only slots of pages present in
-    the current call are compared.  A page past the page space raises
-    ``IndexError``.
-    """
-    if pages.size <= 1:
-        return pages
-    positions = np.arange(pages.size, dtype=np.int32)
-    scratch[pages[::-1]] = positions[::-1]
-    keep = scratch[pages] == positions
-    if keep.all():
-        return pages
-    return pages[keep]
-
-
 class MigrationEngine:
     """Executes promotions/demotions against the topology and page table."""
 
@@ -115,7 +94,6 @@ class MigrationEngine:
         self.stats = MigrationStats()
         self._window_budget_bytes = 0.0
         self._window_drained = False
-        self._dedup_scratch = np.zeros(page_table.num_pages, dtype=np.int32)
         self._member_scratch = np.zeros(page_table.num_pages, dtype=bool)
         self._inclusive = self.config.tier_mode == "inclusive"
         # inclusive mode: which slow node still holds each fast-resident
@@ -169,9 +147,8 @@ class MigrationEngine:
         number of pages actually promoted after quota and capacity.
         """
         with self.telemetry.span("migrate"):
-            pages = _dedup_keep_order(
-                np.asarray(pages, dtype=np.int64), self._dedup_scratch
-            )
+            # a repeated request would book two reservations for one move
+            pages = first_occurrence(np.asarray(pages, dtype=np.int64), self.page_table.num_pages)
             if pages.size == 0:
                 return 0
             nodes = self.page_table.nodes_of(pages)
@@ -216,7 +193,7 @@ class MigrationEngine:
         migration functions do.
         """
         with self.telemetry.span("migrate"):
-            huge_pages = np.unique(np.asarray(huge_pages, dtype=np.int64))
+            huge_pages = distinct_counts(np.asarray(huge_pages, dtype=np.int64))[0]
             if huge_pages.size == 0:
                 return 0
             granted = self._charge_quota(huge_pages.size, PAGE_SIZE * PAGES_PER_HUGE_PAGE)
@@ -295,7 +272,7 @@ class MigrationEngine:
         self.page_table.clear_demoted(pages)
 
         # promoted pages enter the fast node's lists as recently used
-        self.lru.touch(pages, epoch, assume_unique=True)
+        self.lru.touch(pages, epoch)
         self.stats.promoted_pages += int(pages.size)
         return ping_pong
 
@@ -311,9 +288,7 @@ class MigrationEngine:
         ``charge_quota=False``.
         """
         with self.telemetry.span("migrate"):
-            pages = _dedup_keep_order(
-                np.asarray(pages, dtype=np.int64), self._dedup_scratch
-            )
+            pages = first_occurrence(np.asarray(pages, dtype=np.int64), self.page_table.num_pages)
             if pages.size == 0:
                 return 0
             nodes = self.page_table.nodes_of(pages)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.memsim.page_table import PageTable
+from repro.memsim.pageset import first_occurrence
 from repro.memsim.tiers import MemoryTier, TierSpec
 
 
@@ -90,10 +91,9 @@ class NumaTopology:
         unmapped = page_table.unmapped_pages(pages)
         if unmapped.size == 0:
             return 0
-        # Deduplicate while preserving *touch order* — np.unique sorts,
-        # which would turn first-touch into lowest-page-number-first.
-        _, first_idx = np.unique(unmapped, return_index=True)
-        todo = unmapped[np.sort(first_idx)]
+        # Deduplicate while preserving *touch order* — a sorted dedupe
+        # would turn first-touch into lowest-page-number-first.
+        todo = first_occurrence(unmapped, page_table.num_pages)
         mapped = 0
         cursor = 0
         for node in self.nodes[start_node:]:

@@ -122,21 +122,6 @@ class ColocationEngine:
         )
 
     # ------------------------------------------------------------------
-    # convenience accessors
-    # ------------------------------------------------------------------
-    @property
-    def page_table(self):
-        return self.inner.page_table
-
-    @property
-    def topology(self):
-        return self.inner.topology
-
-    @property
-    def config(self) -> EngineConfig:
-        return self.inner.config
-
-    # ------------------------------------------------------------------
     def prefill(self) -> None:
         """Warm-up first-touch for the whole tenant mix.
 

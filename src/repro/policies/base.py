@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsim.address import PAGES_PER_HUGE_PAGE
+from repro.memsim.pageset import distinct_counts
 
 
 class BaseTieringPolicy:
@@ -96,7 +97,7 @@ class BaseTieringPolicy:
             promoted = view.migration.promote(candidates, view.epoch)
             return promoted * self.syscall_ns_per_page
         huge_ids = candidates // PAGES_PER_HUGE_PAGE
-        unique, counts = np.unique(huge_ids, return_counts=True)
+        unique, counts = distinct_counts(huge_ids)
         qualifying = unique[counts >= self.THP_HOT_REPORTS]
         if qualifying.size and self.promotion_filter is not None:
             # a huge page migrates whole, so QoS arbitration must approve
@@ -108,8 +109,7 @@ class BaseTieringPolicy:
             ).ravel()
             spans = spans[spans < view.page_table.num_pages]
             vetoed = np.setdiff1d(spans, self.promotion_filter(spans))
-            bad = np.unique(vetoed // PAGES_PER_HUGE_PAGE)
-            qualifying = qualifying[~np.isin(qualifying, bad)]
+            qualifying = qualifying[~np.isin(qualifying, vetoed // PAGES_PER_HUGE_PAGE)]
         overhead = 0.0
         if qualifying.size:
             moved = view.migration.promote_huge(qualifying, view.epoch)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.pageset import first_occurrence
 from repro.policies.base import BaseTieringPolicy
 from repro.workloads.kvcache import KVGeometry
 
@@ -59,7 +60,6 @@ class LookAheadPolicy(BaseTieringPolicy):
             num_pages, num_layers, num_seqs, prompt_fraction, recent_window, skip_level
         )
         self.lookahead_steps = int(lookahead_steps)
-        self._dedup_scratch = np.full(num_pages, -1, dtype=np.int64)
 
     def _select_promotions(self, view) -> np.ndarray:
         """Slow-resident blocks of the next ``lookahead_steps`` read sets,
@@ -68,15 +68,8 @@ class LookAheadPolicy(BaseTieringPolicy):
             self.geometry.read_pages(view.epoch + ahead)
             for ahead in range(1, self.lookahead_steps + 1)
         ]
-        wanted = np.concatenate(horizon)
-        # first-occurrence dedup via an epoch-stamped scatter (the same
-        # trick as migration's _dedup_keep_order, stamped to avoid a
-        # clear pass): nearest-step copy of each block wins
-        stamp = self._dedup_scratch
-        positions = np.arange(wanted.size, dtype=np.int64)
-        stamp[wanted[::-1]] = positions[::-1]
-        wanted = wanted[stamp[wanted] == positions]
-        stamp[wanted] = -1
+        # the nearest-step copy of each block wins
+        wanted = first_occurrence(np.concatenate(horizon), view.page_table.num_pages)
         # only blocks currently on slow nodes need staging
         on_slow = view.page_table.nodes_of(wanted) > 0
         return wanted[on_slow]

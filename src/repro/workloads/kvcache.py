@@ -33,6 +33,7 @@ and write sets.  The workload generates its trace from it, and
 the *next* step's read set exactly — the "known autoregressive future"
 that makes look-ahead placement possible at all.
 """
+
 # repro: hot-path — trace generation feeds every kvcache job; stay vectorized
 
 from __future__ import annotations

@@ -7,33 +7,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memsim.cachefilter import PageCacheFilter
+from repro.memsim.pageset import distinct_counts
+
+
+def filter_batch(f, batch):
+    """One epoch through ``f``, with the distinct pages the engine passes."""
+    return f.filter_batch(batch, *distinct_counts(batch))
 
 
 class TestBasics:
     def test_cold_pages_miss(self):
         f = PageCacheFilter(16, 100)
-        misses = f.filter_batch(np.arange(10))
+        misses = filter_batch(f, np.arange(10))
         assert misses.all()
 
     def test_hot_page_stops_missing(self):
         f = PageCacheFilter(16, 100)
         batch = np.zeros(256, dtype=np.int64)  # page 0 hammered
-        first = f.filter_batch(batch)
-        second = f.filter_batch(batch)
+        first = filter_batch(f, batch)
+        second = filter_batch(f, batch)
         # First epoch: at most lines_per_page misses.  Second: none.
         assert first.sum() <= 64
         assert second.sum() == 0
 
     def test_empty_batch(self):
         f = PageCacheFilter(16, 100)
-        assert f.filter_batch(np.array([], dtype=np.int64)).size == 0
+        assert filter_batch(f, np.array([], dtype=np.int64)).size == 0
 
     def test_out_of_range_page_rejected(self):
         f = PageCacheFilter(16, 100)
-        with pytest.raises(ValueError):
-            f.filter_batch(np.array([100]))
-        with pytest.raises(ValueError):
-            f.filter_batch(np.array([-1]))
+        for page in (100, -1):
+            batch = np.array([page])
+            with pytest.raises(ValueError, match="out of range"):
+                f.filter_batch(batch, *np.unique(batch, return_counts=True))
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -54,7 +60,7 @@ class TestCapacityPressure:
         miss_rates = []
         for _ in range(10):
             batch = rng.integers(0, 3200, size=4096)
-            misses = f.filter_batch(batch)
+            misses = filter_batch(f, batch)
             miss_rates.append(misses.mean())
         # steady state: the vast majority of accesses miss
         assert np.mean(miss_rates[3:]) > 0.7
@@ -64,25 +70,25 @@ class TestCapacityPressure:
         f = PageCacheFilter(capacity_pages=64, max_page_id=4096)
         rng = np.random.default_rng(0)
         hot = rng.integers(0, 32, size=8192)  # 32 hot pages, dense reuse
-        f.filter_batch(hot)
-        steady = f.filter_batch(rng.integers(0, 32, size=8192))
+        filter_batch(f, hot)
+        steady = filter_batch(f, rng.integers(0, 32, size=8192))
         assert steady.mean() < 0.05
 
     def test_residency_bounded_by_capacity(self):
         f = PageCacheFilter(capacity_pages=16, max_page_id=10_000)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            f.filter_batch(rng.integers(0, 10_000, size=8192))
+            filter_batch(f, rng.integers(0, 10_000, size=8192))
         assert f.resident_lines <= 16 * 64 * 1.0001
 
     def test_eviction_prefers_idle_pages(self):
         f = PageCacheFilter(capacity_pages=8, max_page_id=1000)
         hot = np.repeat(np.arange(4), 64)
-        f.filter_batch(hot)
+        filter_batch(f, hot)
         # Flood with one-shot pages to create pressure.
-        f.filter_batch(np.arange(100, 612))
-        f.filter_batch(hot)  # re-touch the hot pages
-        f.filter_batch(np.arange(612, 1000))
+        filter_batch(f, np.arange(100, 612))
+        filter_batch(f, hot)  # re-touch the hot pages
+        filter_batch(f, np.arange(612, 1000))
         # Hot pages should retain more residency than one-shot ones.
         hot_credit = np.mean([f.residency_of(p) for p in range(4)])
         cold_credit = np.mean([f.residency_of(p) for p in range(100, 140)])
@@ -95,7 +101,7 @@ class TestProperties:
     def test_miss_mask_shape_matches_batch(self, pages):
         f = PageCacheFilter(16, 500)
         batch = np.array(pages, dtype=np.int64)
-        mask = f.filter_batch(batch)
+        mask = filter_batch(f, batch)
         assert mask.shape == batch.shape
         assert mask.dtype == bool
 
@@ -104,7 +110,7 @@ class TestProperties:
     def test_misses_never_exceed_accesses(self, pages):
         f = PageCacheFilter(4, 100)
         batch = np.array(pages, dtype=np.int64)
-        assert f.filter_batch(batch).sum() <= batch.size
+        assert filter_batch(f, batch).sum() <= batch.size
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=20, deadline=None)
@@ -112,9 +118,9 @@ class TestProperties:
         """Re-running the identical small batch can't miss more over time."""
         f = PageCacheFilter(64, 100)
         batch = np.repeat(np.arange(8), reps)
-        prev = f.filter_batch(batch).sum()
+        prev = filter_batch(f, batch).sum()
         for _ in range(3):
-            cur = f.filter_batch(batch).sum()
+            cur = filter_batch(f, batch).sum()
             assert cur <= prev
             prev = cur
 
@@ -122,7 +128,7 @@ class TestProperties:
         rng = np.random.default_rng(7)
         batch = rng.integers(0, 1000, size=2048)
         f1, f2 = PageCacheFilter(32, 1000), PageCacheFilter(32, 1000)
-        assert np.array_equal(f1.filter_batch(batch), f2.filter_batch(batch))
+        assert np.array_equal(filter_batch(f1, batch), filter_batch(f2, batch))
 
 
 def reference_epoch(credit, batch, capacity_pages, lines):
@@ -179,22 +185,18 @@ def filter_runs(draw):
 
 
 class TestAgainstReference:
-    @given(filter_runs(), st.booleans())
+    @given(filter_runs())
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_page_reference(self, run, caller_counts):
+    def test_matches_per_page_reference(self, run):
         """Miss masks and credit match the scalar rule bit for bit, epoch
-        after epoch, whether the filter counts the batch itself or takes
-        the engine's page-space bincount."""
+        after epoch, given a page-space bincount's distinct pages."""
         max_page_id, lines, capacity, batches = run
         f = PageCacheFilter(capacity, max_page_id, lines_per_page=lines)
         credit = np.zeros(max_page_id, dtype=np.float32)
         for batch in batches:
-            if caller_counts:
-                page_counts = np.bincount(batch, minlength=max_page_id)
-                distinct = np.flatnonzero(page_counts)
-                mask = f.filter_batch(batch, distinct, page_counts[distinct])
-            else:
-                mask = f.filter_batch(batch)
+            page_counts = np.bincount(batch, minlength=max_page_id)
+            distinct = np.flatnonzero(page_counts)
+            mask = f.filter_batch(batch, distinct, page_counts[distinct])
             if batch.size == 0:
                 assert mask.size == 0
                 continue
@@ -207,5 +209,5 @@ class TestAgainstReference:
         ceil(3 * 0.25) = 1 time: on its first occurrence."""
         f = PageCacheFilter(16, 8, lines_per_page=4)
         f._credit[5] = 3.0
-        mask = f.filter_batch(np.array([5, 1, 5, 5]))
+        mask = filter_batch(f, np.array([5, 1, 5, 5]))
         np.testing.assert_array_equal(mask, [True, True, False, False])

@@ -135,3 +135,17 @@ class TestProperties:
             lru.touch(np.array([page]), epoch)
         picks = lru.coldest(10)
         assert set(picks.tolist()) <= set(pages)
+
+    @given(st.lists(st.lists(st.integers(0, 29), max_size=40), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_pages_touch_like_distinct(self, epochs):
+        """A touch with every page repeated, in reverse, leaves the lists
+        as a touch of the distinct pages does."""
+        distinct, repeated = Lru2Q(30), Lru2Q(30)
+        for epoch, pages in enumerate(epochs):
+            batch = np.array(pages, dtype=np.int64)
+            distinct.touch(np.unique(batch), epoch)
+            repeated.touch(np.concatenate([batch, batch])[::-1], epoch)
+        for page in range(30):
+            assert repeated.state_of(page) == distinct.state_of(page)
+        np.testing.assert_array_equal(repeated.coldest(30), distinct.coldest(30))

@@ -28,21 +28,21 @@ def run_mix(policy, config=TINY, num_tenants=2, scheduler="round-robin",
 def fast_resident(engine, tenant):
     """Pages of ``tenant``'s window resident on the fast node (node 0)."""
     ns = engine.layout.namespace(tenant)
-    return int((engine.page_table.node_of_page[ns.base : ns.end] == 0).sum())
+    return int((engine.inner.page_table.node_of_page[ns.base : ns.end] == 0).sum())
 
 
 def fast_quota(engine, fraction):
     """The fast-tier allowance a quota fraction grants, in pages."""
-    return int(fraction * engine.topology.fast_node.tier.capacity_pages)
+    return int(fraction * engine.inner.topology.fast_node.tier.capacity_pages)
 
 
 def check_machine_invariants(engine):
     """The shared machine must satisfy the single-tenant invariants."""
-    page_table = engine.page_table
+    page_table = engine.inner.page_table
     nodes = page_table.node_of_page
     assert (nodes >= 0).all(), "unmapped pages after a full run"
     occupancy = page_table.occupancy()
-    for node in engine.topology.nodes:
+    for node in engine.inner.topology.nodes:
         assert occupancy.get(node.node_id, 0) == node.tier.used_pages, node.name
         assert 0 <= node.tier.used_pages <= node.tier.capacity_pages
 
@@ -88,10 +88,10 @@ def test_tenant_pages_stay_inside_their_namespace():
     """No migration or allocation ever maps a page outside [0, total)."""
     engine, _ = run_mix("neomem")
     total = engine.layout.total_pages
-    assert engine.page_table.num_pages == total
+    assert engine.inner.page_table.num_pages == total
     for ns in engine.layout:
         # each namespace's pages are fully mapped
-        assert (engine.page_table.node_of_page[ns.base : ns.end] >= 0).all()
+        assert (engine.inner.page_table.node_of_page[ns.base : ns.end] >= 0).all()
 
 
 def test_contention_slows_tenants_down():
@@ -151,7 +151,7 @@ class TestFastTierQuota:
         ns0 = engine.layout.namespace(specs[0].name)
         ns1 = engine.layout.namespace(specs[1].name)
         # tenant 0 is at quota after the run; its slow pages get vetoed
-        nodes = engine.page_table.node_of_page
+        nodes = engine.inner.page_table.node_of_page
         slow0 = ns0.base + np.nonzero(nodes[ns0.base : ns0.end] == 1)[0]
         slow1 = ns1.base + np.nonzero(nodes[ns1.base : ns1.end] == 1)[0]
         candidates = np.concatenate([slow0[:8], slow1[:8]])
