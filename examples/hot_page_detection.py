@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.driver import NeoProfDriver
 from repro.core.neoprof import NeoProfConfig, NeoProfDevice, tight_error_bound
+from repro.memsim.pageset import distinct_counts
 
 
 def main() -> None:
@@ -31,7 +32,10 @@ def main() -> None:
         pages = np.concatenate([hot, cold])
         rng.shuffle(pages)
         is_write = rng.random(pages.size) < 0.3
-        device.snoop(pages, is_write, elapsed_ns=100_000)
+        # the device takes an epoch's requests per distinct page
+        distinct, requests = distinct_counts(pages)
+        writes = np.bincount(pages[is_write], minlength=8192)[distinct]
+        device.snoop(distinct, requests, writes, elapsed_ns=100_000)
 
     driver.set_threshold(100)
     detected = driver.read_hot_pages()

@@ -124,8 +124,7 @@ class NeoMemDaemon(BaseTieringPolicy):
 
         # 1. the device snoops the CXL channel (hardware, no CPU cost)
         with view.engine.telemetry.span("profile"):
-            slow_pages, slow_writes = view.slow_miss_stream()
-            self.device.snoop(slow_pages, slow_writes, view.duration_ns)
+            self.device.snoop(*view.slow_miss_stream(), view.duration_ns)
 
         # 2. hot-page promotion at migration_interval, then 3. watermark
         # demotion keeps promotion headroom available

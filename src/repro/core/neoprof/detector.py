@@ -1,9 +1,9 @@
 """Hot-page detector: sketch + hot-page filter + hot-page buffer (Fig. 7/8).
 
-The detector streams page addresses into the Count-Min sketch, flags
-pages whose estimated count exceeds the threshold ``theta`` (Eq. 4),
-suppresses duplicate reports through the hot bits, and queues new hot
-pages in a bounded FIFO the host drains with ``GetHotPage`` commands.
+The detector adds per-page request counts to the Count-Min sketch,
+flags pages whose estimated count exceeds the threshold ``theta``
+(Eq. 4), suppresses duplicate reports through the hot bits, and queues
+new hot pages in a bounded FIFO the host drains with ``GetHotPage``.
 A full buffer drops reports (and counts the drops), exactly like the
 16K-entry hardware FIFO.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.neoprof.sketch import CountMinSketch
-from repro.memsim.pageset import distinct_counts
 
 
 class HotPageDetector:
@@ -61,27 +60,25 @@ class HotPageDetector:
         self.threshold = int(threshold)
 
     # ------------------------------------------------------------------
-    def observe(self, pages: np.ndarray) -> int:
-        """Stream one batch of page addresses through the pipeline.
-
-        Returns the number of *new* hot pages queued this batch.  The
-        hardware evaluates Eq. 4 per request; at epoch granularity the
-        equivalent is: update the sketch with the whole batch, then test
-        each distinct page seen in the batch.
+    def observe(self, pages: np.ndarray, counts: np.ndarray) -> int:
+        """Stream one batch, ``counts[i]`` requests to each distinct
+        ``pages[i]``, through the pipeline; return how many *new* hot
+        pages it queued.  The hardware evaluates Eq. 4 per request; the
+        counters only add, so at epoch granularity the equivalent is to
+        add each page's count, then test each page of the batch.
         """
         pages = np.asarray(pages, dtype=np.uint64)
         if pages.size == 0:
             return 0
         # One pass of the H3 units feeds the whole pipeline: hash the
-        # distinct pages once, fold their multiplicities into the update,
-        # and reuse the entries for the estimate and both hot-bit ops.
-        unique, counts = distinct_counts(pages)
-        flat = self.sketch.entries(unique)
-        estimates = self.sketch.update_estimate_batch(unique, counts=counts, flat=flat)
+        # pages once, fold their counts into the update, and reuse the
+        # entries for the estimate and both hot-bit ops.
+        flat = self.sketch.entries(pages)
+        estimates = self.sketch.update_estimate_batch(pages, counts=counts, flat=flat)
         hot_sel = estimates > self.threshold
         if not hot_sel.any():
             return 0
-        hot = unique[hot_sel]
+        hot = pages[hot_sel]
         hot_flat = flat[:, hot_sel]
         # Hot-page filter: drop pages whose hot bits are all already set.
         if self.dedup_filter:

@@ -4,8 +4,8 @@
 State Monitor (bandwidth counters), NeoProf Core (sketch-based hot-page
 detector + histogram unit) and the MMIO register file.  The simulation
 engine calls :meth:`snoop` with the slow-tier miss stream each epoch —
-the requests that would arrive on the CXL channel — and the driver
-talks to :meth:`mmio_read` / :meth:`mmio_write`.
+the requests that would arrive on the CXL channel, per distinct page —
+and the driver talks to :meth:`mmio_read` / :meth:`mmio_write`.
 """
 
 from __future__ import annotations
@@ -70,24 +70,27 @@ class NeoProfDevice:
     # ------------------------------------------------------------------
     # data-path port
     # ------------------------------------------------------------------
-    def snoop(self, pages: np.ndarray, is_write: np.ndarray, elapsed_ns: float) -> None:
-        """Observe one epoch of CXL.mem requests.
+    def snoop(
+        self, pages: np.ndarray, requests: np.ndarray, writes: np.ndarray, elapsed_ns: float
+    ) -> None:
+        """Observe one epoch of CXL.mem requests, per distinct page.
+
+        Sketch counters and state-monitor bytes only add up, so at epoch
+        granularity a page's request count stands for its requests.
 
         Args:
-            pages: Device-side page addresses of the requests.
-            is_write: Write flag per request.
+            pages: Distinct device-side page addresses.
+            requests: Requests per page this epoch.
+            writes: Write requests per page this epoch.
             elapsed_ns: Wall time the epoch spanned (for the sampling
                 window of the state monitor).
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
-        if pages.shape != is_write.shape:
-            raise ValueError("pages and is_write must match")
-        self.snooped_requests += int(pages.size)
-        writes = int(is_write.sum())
-        reads = int(pages.size) - writes
-        self.state_monitor.record(reads * 64, writes * 64, elapsed_ns)
-        self.detector.observe(pages)
+        if not pages.shape == requests.shape == writes.shape:
+            raise ValueError("pages, requests and writes must match")
+        total, written = int(requests.sum()), int(writes.sum())
+        self.snooped_requests += total
+        self.state_monitor.record((total - written) * 64, written * 64, elapsed_ns)
+        self.detector.observe(pages, requests)
 
     # ------------------------------------------------------------------
     # control port

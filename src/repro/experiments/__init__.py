@@ -1,9 +1,9 @@
 """Experiment harnesses: one module per paper table/figure.
 
-See DESIGN.md section 5 for the experiment index.  Each module exposes
-``run_*`` functions returning structured results and a ``format_*``
-helper that renders the same rows/series the paper reports; the
-``benchmarks/`` harnesses call both.
+A module is named for what it reproduces (``fig11``, ``table01``).  Each
+exposes ``run_*`` functions returning structured results and a
+``format_*`` helper that renders the same rows/series the paper
+reports; the ``benchmarks/`` harnesses call both.
 """
 
 from repro.experiments.backends import ProcessPoolBackend, ShardMergeError, merge_shards

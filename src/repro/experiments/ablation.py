@@ -1,4 +1,4 @@
-"""Ablations of NeoProf/NeoMem design choices (DESIGN.md call-outs).
+"""Ablations of NeoProf/NeoMem design choices.
 
 Three mechanisms the paper motivates but does not ablate end-to-end:
 
@@ -25,6 +25,7 @@ from repro.core.neoprof.sketch import CountMinSketch
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import build_workload
 from repro.experiments.sweep import JobSpec, SweepExecutor, resolve_executor
+from repro.memsim.pageset import distinct_counts
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def _filter_ablation(config: ExperimentConfig, epochs: int) -> FilterAblationRes
         batch = workload.next_batch(rng)
         if batch is None:
             break
-        batches.append(batch[0].astype(np.uint64))
+        batches.append(distinct_counts(batch[0].astype(np.uint64)))
 
     results = {}
     for dedup in (True, False):
@@ -76,8 +77,8 @@ def _filter_ablation(config: ExperimentConfig, epochs: int) -> FilterAblationRes
             buffer_entries=4096,
             dedup_filter=dedup,
         )
-        for pages in batches:
-            detector.observe(pages)
+        for pages, counts in batches:
+            detector.observe(pages, counts)
         results[dedup] = (detector.detected_total, detector.dropped_reports)
     return FilterAblationResult(
         queued_with_filter=results[True][0],

@@ -36,10 +36,10 @@ class TraceStore:
     :meth:`~repro.workloads.base.TraceWorkload.trace_key`, and replaying
     it is bit-identical to generating it live.  Each entry also holds,
     per LLC-filter geometry, the per-epoch account products
-    ``(miss_mask, miss_pages, miss_is_write, touched)``: the filter sees
-    only the access stream (placement, policy and tier ratio never feed
-    back into it), so jobs sharing a trace and a geometry skip the whole
-    filter pipeline.
+    ``(miss_pages, touched, misses, write_misses)``, the last two int32
+    counts per touched page.  The filter sees only the access stream
+    (placement, policy and tier ratio never feed back into it), so jobs
+    sharing a trace and a geometry skip the whole filter pipeline.
 
     Every stored array is read-only, so replays hand out views of them
     rather than copies, and a write through one raises.
@@ -146,9 +146,9 @@ class _TraceReplay:
             return None
         return tuple(a.view() for a in self._served[epoch])
 
-    def put(self, epoch: int, miss_mask, miss_pages, miss_is_write, touched) -> None:
+    def put(self, epoch: int, miss_pages, touched, misses, write_misses) -> None:
         if self._recorded is not None and epoch == len(self._recorded):
-            products = (miss_mask, miss_pages, miss_is_write, touched)
+            products = (miss_pages, touched, misses, write_misses)
             self._recorded.append(tuple(_frozen(array) for array in products))
 
     def commit(self) -> None:

@@ -72,8 +72,8 @@ class PageCacheFilter:
     # ------------------------------------------------------------------
     def filter_batch(
         self, pages: np.ndarray, distinct: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Process one epoch batch; return a boolean LLC-miss mask.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Process one epoch; return its LLC-miss mask and each distinct page's misses.
 
         Pages are processed as an unordered epoch: hits are granted
         against existing residency credit by per-page access count, and
@@ -88,7 +88,7 @@ class PageCacheFilter:
         """
         pages = np.asarray(pages, dtype=np.int64)
         if distinct.size == 0:
-            return np.zeros(0, dtype=bool)
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         if distinct[0] < 0 or distinct[-1] >= self.max_page_id:
             raise ValueError("page number out of range for the cache filter")
 
@@ -142,7 +142,7 @@ class PageCacheFilter:
             # Sub-line residue behaves as evicted.
             self._credit[self._credit < 0.5] = 0.0
 
-        return miss_mask
+        return miss_mask, np.minimum(budget, counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

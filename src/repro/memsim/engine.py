@@ -5,9 +5,9 @@ The engine advances the modelled machine in epochs.  Each epoch it
 1. pulls a batch of page accesses from the workload,
 2. first-touch-allocates any new pages (Fig. 1-(b) NUMA placement),
 3. filters the batch through the LLC model to get true memory accesses,
-4. routes misses to their backing tier and accumulates the epoch's time
-   from core work, LLC hits, and tier latencies (overlapped by an MLP
-   factor) plus bandwidth-queueing inflation,
+4. books each touched page's misses on its backing tier and accumulates
+   the epoch's time from core work, LLC hits, and tier latencies
+   (overlapped by an MLP factor) plus bandwidth-queueing inflation,
 5. maintains OS-visible state: PTE Accessed bits and the fast-node
    LRU-2Q lists,
 6. invokes the active tiering policy, which may profile, re-threshold,
@@ -16,7 +16,7 @@ The engine advances the modelled machine in epochs.  Each epoch it
 7. records an :class:`~repro.memsim.metrics.EpochMetrics` row.
 
 Absolute times are not calibrated to the paper's testbed; ratios between
-policies are the reproduction target (see DESIGN.md section 4).
+policies on one machine model are the reproduction target.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ class EpochView:
     duration_ns: float
     pages: np.ndarray
     is_write: np.ndarray
-    miss_mask: np.ndarray
     miss_pages: np.ndarray
-    miss_is_write: np.ndarray
-    miss_nodes: np.ndarray
     touched_pages: np.ndarray
+    touched_nodes: np.ndarray
+    touched_misses: np.ndarray
+    touched_write_misses: np.ndarray
     engine: "SimulationEngine"
 
     @property
@@ -125,14 +125,14 @@ class EpochView:
     def lru(self) -> Lru2Q:
         return self.engine.lru
 
-    def slow_miss_stream(self) -> tuple[np.ndarray, np.ndarray]:
-        """The request stream a CXL-device profiler would snoop.
-
-        Returns ``(pages, is_write)`` restricted to misses served by slow
-        (CXL) nodes — i.e. exactly what arrives on the CXL channel.
+    def slow_miss_stream(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pages, requests, writes)`` a CXL-device profiler would snoop:
+        the distinct slow-node pages that missed this epoch, with their
+        misses and write misses.  A page that never missed sent nothing.
         """
-        on_slow = np.flatnonzero(self.miss_nodes != self.engine.topology.fast_node.node_id)
-        return self.miss_pages[on_slow], self.miss_is_write[on_slow]
+        fast_id = self.engine.topology.fast_node.node_id
+        sel = np.flatnonzero((self.touched_nodes != fast_id) & (self.touched_misses > 0))
+        return self.touched_pages[sel], self.touched_misses[sel], self.touched_write_misses[sel]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -179,14 +179,14 @@ class SimulationEngine:
         self.policy = policy
         self.rng = np.random.default_rng(self.config.seed)
         #: optional per-epoch memo for trace-pure account products (miss
-        #: mask, miss stream, touched set).  These depend only on the
+        #: stream, touched set, per-page misses).  These depend only on the
         #: access trace and the LLC-filter parameters — not on the policy
         #: or tier ratio — so the runner's TraceStore keeps them with
         #: each trace and replays them to every job on the same trace
         #: and filter (see repro.experiments.runner).  The object needs
-        #: ``get(epoch)`` returning ``(miss_mask, miss_pages,
-        #: miss_is_write, touched)`` or None — a replay skips the LLC
-        #: filter, so it must serve every epoch of a run or none — and
+        #: ``get(epoch)`` returning ``(miss_pages, touched, misses,
+        #: write_misses)`` or None — a replay skips the LLC filter, so
+        #: it must serve every epoch of a run or none — and
         #: ``put(epoch, ...)`` with the same fields.  Both directions
         #: pass read-only arrays, so the memo keeps and hands out views
         #: of them instead of copies.
@@ -240,39 +240,40 @@ class SimulationEngine:
             memo = self.account_memo
             cached = memo.get(self.epoch) if memo is not None else None
             if cached is not None:
-                miss_mask, miss_pages, miss_is_write, touched = cached
+                miss_pages, touched, misses, write_misses = cached
             else:
                 # the batch's distinct pages feed the LLC filter and are
-                # the touched set the OS-visible state updates below use
+                # the touched set every per-page record below runs over
                 touched, counts = distinct_counts(pages)
                 _read_only(touched)
-                miss_mask = _read_only(self.cache.filter_batch(pages, touched, counts))
-                miss = np.flatnonzero(miss_mask)
-                miss_pages = _read_only(pages[miss])
-                miss_is_write = _read_only(is_write[miss])
+                miss_mask, misses = self.cache.filter_batch(pages, touched, counts)
+                misses = _read_only(misses.astype(np.int32))
+                miss_pages = _read_only(pages[np.flatnonzero(miss_mask)])
+                write_miss_pages = pages[np.flatnonzero(miss_mask & is_write)]
+                write_misses = np.bincount(write_miss_pages, minlength=self.page_table.num_pages)
+                write_misses = _read_only(write_misses[touched].astype(np.int32))
                 if memo is not None:
-                    memo.put(self.epoch, miss_mask, miss_pages, miss_is_write, touched)
-            miss_nodes = _read_only(self.page_table.nodes_of(miss_pages))
+                    memo.put(self.epoch, miss_pages, touched, misses, write_misses)
+            touched_nodes = _read_only(self.page_table.nodes_of(touched))
 
-            # One bincount over (node, is_write) pairs books the per-node
-            # misses and writes shared by the timing model and the
-            # traffic accounting below.
+            # Weighted bincounts over the touched pages book the per-node
+            # misses and writes for the timing model and the traffic
+            # accounting (float64 sums far below 2**53: the cast is exact).
             num_nodes = len(self.topology.nodes)
-            booked = np.bincount(miss_nodes * 2 + miss_is_write, minlength=2 * num_nodes)
-            node_writes = booked[1::2]
-            node_misses = booked[0::2] + node_writes
+            node_misses = np.bincount(touched_nodes, misses, num_nodes).astype(np.int64)
+            node_writes = np.bincount(touched_nodes, write_misses, num_nodes).astype(np.int64)
+            llc_misses = int(node_misses.sum())
 
-            duration_ns = self._epoch_time_ns(pages.size, miss_pages.size, node_misses, node_writes)
+            duration_ns = self._epoch_time_ns(pages.size, llc_misses, node_misses, node_writes)
             metrics = self._account_traffic(
-                pages, miss_pages, node_misses, node_writes, duration_ns
+                pages.size, llc_misses, node_misses, node_writes, duration_ns
             )
 
         # OS-visible state updates.
         with tel.span("profile"):
             self.page_table.set_accessed(touched)
             fast_id = self.topology.fast_node.node_id
-            on_fast = self.page_table.nodes_of(touched) == fast_id
-            self.lru.touch(touched[on_fast], self.epoch)
+            self.lru.touch(touched[np.flatnonzero(touched_nodes == fast_id)], self.epoch)
             if self.epoch % 8 == 0:
                 self.lru.age(self.epoch, member_mask=self.page_table.node_of_page == fast_id)
 
@@ -284,11 +285,11 @@ class SimulationEngine:
                 duration_ns=duration_ns,
                 pages=pages,
                 is_write=is_write,
-                miss_mask=miss_mask,
                 miss_pages=miss_pages,
-                miss_is_write=miss_is_write,
-                miss_nodes=miss_nodes,
                 touched_pages=touched,
+                touched_nodes=touched_nodes,
+                touched_misses=misses,
+                touched_write_misses=write_misses,
                 engine=self,
             )
             self.migration.grant_quota(duration_ns * 1e-9)
@@ -349,8 +350,8 @@ class SimulationEngine:
 
     def _account_traffic(
         self,
-        pages: np.ndarray,
-        miss_pages: np.ndarray,
+        num_accesses: int,
+        num_misses: int,
         node_misses: np.ndarray,
         node_writes: np.ndarray,
         duration_ns: float,
@@ -359,8 +360,8 @@ class SimulationEngine:
         metrics = EpochMetrics(
             epoch=self.epoch,
             sim_time_ns=self.sim_time_ns,
-            accesses=int(pages.size),
-            llc_misses=int(miss_pages.size),
+            accesses=num_accesses,
+            llc_misses=num_misses,
         )
         seconds = duration_ns * 1e-9
         fast_id = self.topology.fast_node.node_id

@@ -26,8 +26,7 @@ class NeoProfProfiler(Profiler):
         self._unbilled_ns = 0.0
 
     def observe(self, view) -> float:
-        pages, is_write = view.slow_miss_stream()
-        self.device.snoop(pages, is_write, view.duration_ns)
+        self.device.snoop(*view.slow_miss_stream(), view.duration_ns)
         # Snooping is free for the host; bill any MMIO time accrued by
         # candidate drains since the previous epoch.
         overhead = self._unbilled_ns + self.driver.drain_cpu_overhead_ns()

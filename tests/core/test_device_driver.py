@@ -14,9 +14,15 @@ def make_device(**overrides):
     return NeoProfDevice(NeoProfConfig(**defaults))
 
 
+def snoop_reads(device, pages, requests, elapsed_ns=10_000):
+    """Snoop ``requests[i]`` reads of each distinct ``pages[i]``."""
+    requests = np.asarray(requests, dtype=np.int32)
+    writes = np.zeros_like(requests)
+    device.snoop(np.asarray(pages, dtype=np.int64), requests, writes, elapsed_ns)
+
+
 def snoop_hot(device, page=7, count=10):
-    pages = np.full(count, page, dtype=np.int64)
-    device.snoop(pages, np.zeros(count, dtype=bool), elapsed_ns=10_000)
+    snoop_reads(device, [page], [count])
 
 
 class TestMmioInterface:
@@ -57,11 +63,14 @@ class TestMmioInterface:
         assert device.mmio_read(NeoProfCommand.GET_NR_SAMPLE) == 0
 
     def test_state_counters(self):
+        """The state monitor counts requests: reads are requests minus
+        writes, summed over the pages."""
         device = make_device()
-        pages = np.arange(100, dtype=np.int64)
-        is_write = np.zeros(100, dtype=bool)
-        is_write[:25] = True
-        device.snoop(pages, is_write, elapsed_ns=1_000_000)
+        pages = np.arange(50, dtype=np.int64)
+        requests = np.full(50, 2, dtype=np.int32)
+        writes = np.zeros(50, dtype=np.int32)
+        writes[:25] = 1
+        device.snoop(pages, requests, writes, elapsed_ns=1_000_000)
         rd = device.mmio_read(NeoProfCommand.GET_RD_CNT)
         wr = device.mmio_read(NeoProfCommand.GET_WR_CNT)
         assert rd == 75
@@ -101,14 +110,21 @@ class TestMmioInterface:
 
 class TestSnoop:
     def test_snoop_counts_requests(self):
+        """Table I's events observed and sysfs ``nr_snooped`` read this
+        counter: it counts requests, not distinct pages."""
         device = make_device()
-        device.snoop(np.arange(10), np.zeros(10, dtype=bool), 1000)
-        assert device.snooped_requests == 10
+        snoop_reads(device, np.arange(10), np.arange(1, 11))
+        assert device.snooped_requests == 55
+        snoop_reads(device, [3], [4])
+        assert device.snooped_requests == 59
 
-    def test_snoop_shape_mismatch(self):
+    @pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (2, 3, 3)])
+    def test_snoop_shape_mismatch(self, sizes):
         device = make_device()
+        pages, requests, writes = (np.ones(n, dtype=np.int64) for n in sizes)
         with pytest.raises(ValueError):
-            device.snoop(np.arange(3), np.zeros(2, dtype=bool), 1000)
+            device.snoop(pages, requests, writes, 1000)
+        assert device.snooped_requests == 0
 
 
 class TestDriver:
@@ -130,7 +146,8 @@ class TestDriver:
     def test_read_state(self):
         device = make_device()
         driver = NeoProfDriver(device)
-        device.snoop(np.arange(40), np.ones(40, dtype=bool), 100_000)
+        ones = np.ones(40, dtype=np.int32)
+        device.snoop(np.arange(40), ones, ones, 100_000)
         state = driver.read_state()
         assert state.write_cycles == 40
         assert state.read_cycles == 0

@@ -2,9 +2,9 @@
 
 The store lets every job replaying the same (workload, seed) trace skip
 trace generation, and every job on the same LLC-filter geometry skip
-the filter pipeline: the per-epoch ``(miss_mask, miss_pages,
-miss_is_write, touched)`` tuple is a pure function of the trace prefix
-and the filter geometry, independent of policy and tier ratio.  These
+the filter pipeline: the per-epoch ``(miss_pages, touched, misses,
+write_misses)`` tuple is a pure function of the trace prefix and the
+filter geometry, independent of policy and tier ratio.  These
 tests pin the rules that keep that sharing sound: products commit only
 when they cover a complete trace, consumers get read-only views, only
 fresh workloads are stored, and one bound evicts a trace together with
@@ -31,10 +31,10 @@ CONFIG = ExperimentConfig(num_pages=2048, batches=6, batch_size=2048)
 
 def _entry(tag: int):
     return (
-        np.array([True, False, tag % 2 == 0]),
         np.array([tag, tag + 1]),
-        np.array([False, True]),
         np.array([tag, tag + 1, tag + 2]),
+        np.array([1, 1, tag % 2], dtype=np.int32),
+        np.array([0, 1, 0], dtype=np.int32),
     )
 
 
@@ -80,7 +80,7 @@ class TestEpochAccountMemo:
             with pytest.raises(ValueError):
                 array.flags.writeable = True
         again = _replay(store)
-        assert np.array_equal(again.get(0)[1], np.array([0, 1]))
+        assert np.array_equal(again.get(0)[0], np.array([0, 1]))
         assert np.array_equal(again.next_batch(None)[0], batch[0])
 
     def test_replay_past_the_end_returns_none(self, store):
@@ -97,13 +97,13 @@ class TestEpochAccountMemo:
         writes must not reach the store (the engine's frozen arrays are
         kept as they are)."""
         replay = _replay(store)
-        mask, pages, writes, touched = _entry(3)
-        replay.put(0, mask, pages, writes, touched)
+        pages, touched, misses, write_misses = _entry(3)
+        replay.put(0, pages, touched, misses, write_misses)
         pages[:] = -1
         for epoch in range(1, CONFIG.batches):
             replay.put(epoch, *_entry(epoch))
         replay.commit()
-        assert np.array_equal(_replay(store).get(0)[1], np.array([3, 4]))
+        assert np.array_equal(_replay(store).get(0)[0], np.array([3, 4]))
 
     def test_put_only_appends_in_sequence(self, store):
         replay = _replay(store)
@@ -112,8 +112,8 @@ class TestEpochAccountMemo:
             replay.put(epoch, *_entry(epoch))
         replay.commit()  # commits only if exactly one entry per epoch
         served = _replay(store)
-        assert np.array_equal(served.get(0)[1], _entry(0)[1])
-        assert np.array_equal(served.get(5)[1], _entry(5)[1])
+        assert np.array_equal(served.get(0)[0], _entry(0)[0])
+        assert np.array_equal(served.get(5)[0], _entry(5)[0])
 
 
 class TestMemoSharingAcrossRuns:

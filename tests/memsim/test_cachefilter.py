@@ -11,8 +11,9 @@ from repro.memsim.pageset import distinct_counts
 
 
 def filter_batch(f, batch):
-    """One epoch through ``f``, with the distinct pages the engine passes."""
-    return f.filter_batch(batch, *distinct_counts(batch))
+    """One epoch through ``f``, with the distinct pages the engine passes;
+    returns the miss mask."""
+    return f.filter_batch(batch, *distinct_counts(batch))[0]
 
 
 class TestBasics:
@@ -32,7 +33,9 @@ class TestBasics:
 
     def test_empty_batch(self):
         f = PageCacheFilter(16, 100)
-        assert filter_batch(f, np.array([], dtype=np.int64)).size == 0
+        batch = np.array([], dtype=np.int64)
+        mask, misses = f.filter_batch(batch, *distinct_counts(batch))
+        assert mask.size == 0 and misses.size == 0
 
     def test_out_of_range_page_rejected(self):
         f = PageCacheFilter(16, 100)
@@ -196,7 +199,7 @@ class TestAgainstReference:
         for batch in batches:
             page_counts = np.bincount(batch, minlength=max_page_id)
             distinct = np.flatnonzero(page_counts)
-            mask = f.filter_batch(batch, distinct, page_counts[distinct])
+            mask, _ = f.filter_batch(batch, distinct, page_counts[distinct])
             if batch.size == 0:
                 assert mask.size == 0
                 continue
@@ -204,10 +207,26 @@ class TestAgainstReference:
             np.testing.assert_array_equal(mask, expected)
             np.testing.assert_array_equal(f._credit, credit)
 
+    @given(filter_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_per_page_misses_count_the_miss_mask(self, run):
+        """Each distinct page's miss count is the number of its accesses
+        the miss mask marks, epoch after epoch, partial budgets included."""
+        max_page_id, lines, capacity, batches = run
+        f = PageCacheFilter(capacity, max_page_id, lines_per_page=lines)
+        for batch in batches:
+            distinct, counts = distinct_counts(batch)
+            mask, misses = f.filter_batch(batch, distinct, counts)
+            assert misses.shape == distinct.shape
+            expected = np.bincount(batch[mask], minlength=max_page_id)[distinct]
+            np.testing.assert_array_equal(misses, expected)
+
     def test_partial_budget_rounds_up_and_misses_first(self):
         """A page holding 3 of 4 lines, touched 3 times, misses
         ceil(3 * 0.25) = 1 time: on its first occurrence."""
         f = PageCacheFilter(16, 8, lines_per_page=4)
         f._credit[5] = 3.0
-        mask = filter_batch(f, np.array([5, 1, 5, 5]))
+        batch = np.array([5, 1, 5, 5])
+        mask, misses = f.filter_batch(batch, *distinct_counts(batch))
         np.testing.assert_array_equal(mask, [True, True, False, False])
+        np.testing.assert_array_equal(misses, [1, 1])  # pages 1 and 5

@@ -56,8 +56,8 @@ class PromoteAllPolicy:
         self.engine = engine
 
     def on_epoch(self, view):
-        slow_pages, _ = view.slow_miss_stream()
-        view.migration.promote(np.unique(slow_pages), view.epoch)
+        slow_pages, _, _ = view.slow_miss_stream()
+        view.migration.promote(slow_pages, view.epoch)
         return 1000.0  # pretend 1 us of CPU overhead
 
 
@@ -70,11 +70,8 @@ class PromoteHotPolicy:
         self.engine = engine
 
     def on_epoch(self, view):
-        slow_pages, _ = view.slow_miss_stream()
-        if slow_pages.size == 0:
-            return 0.0
-        unique, counts = np.unique(slow_pages, return_counts=True)
-        view.migration.promote(unique[counts >= 8], view.epoch)
+        slow_pages, requests, _ = view.slow_miss_stream()
+        view.migration.promote(slow_pages[requests >= 8], view.epoch)
         return 0.0
 
 
@@ -170,10 +167,33 @@ class TestTimingModel:
         assert times[0] == 0.0
 
 
+def spy_miss_masks(engine):
+    """Record each epoch's access-level LLC miss mask as the filter
+    returns it, keyed by the epoch it belongs to."""
+    masks = {}
+    filter_batch = engine.cache.filter_batch
+
+    def spy(pages, distinct, counts):
+        mask, misses = filter_batch(pages, distinct, counts)
+        masks[engine.epoch] = mask
+        return mask, misses
+
+    engine.cache.filter_batch = spy
+    return masks
+
+
+def access_level_misses(view, masks):
+    """Today's epoch misses the access-level way: ``(pages, is_write,
+    nodes)`` of every LLC-missing access, in batch order."""
+    mask = masks[view.epoch]
+    pages = view.pages[mask]
+    return pages, view.is_write[mask], view.page_table.node_of_page[pages]
+
+
 class TestTrafficAccounting:
     def test_per_node_books_on_three_tiers(self):
         """Every per-node figure matches a per-node mask computation over
-        the epoch's misses, with misses on all three nodes."""
+        the epoch's access-level misses, with misses on all three nodes."""
         workload = StubWorkload(num_pages=3000, batches=6, batch_size=8192, hot_fraction=0.5)
         config = EngineConfig(llc_capacity_pages=16, seed=11)
         expected, recorded = [], []
@@ -181,12 +201,12 @@ class TestTrafficAccounting:
         class Spy(PromoteAllPolicy):
             def on_epoch(self, view):
                 # placement as booked: this runs before any migration
-                nodes = view.page_table.node_of_page[view.miss_pages]
+                _, miss_is_write, nodes = access_level_misses(view, masks)
                 books = {}
                 for node in view.topology.nodes:
                     on_node = nodes == node.node_id
                     count = int(on_node.sum())
-                    writes = int((on_node & view.miss_is_write).sum())
+                    writes = int((on_node & miss_is_write).sum())
                     if count:
                         books[node.node_id] = (
                             count,
@@ -202,6 +222,7 @@ class TestTrafficAccounting:
             Spy(),
             config,
         )
+        masks = spy_miss_masks(engine)
 
         def record(node_id, read_bytes, write_bytes, seconds):
             recorded.append((engine.epoch, node_id, read_bytes, write_bytes))
@@ -218,6 +239,7 @@ class TestTrafficAccounting:
         ]
         for metrics, books in zip(report.epochs, expected, strict=True):
             slow = [book for node_id, book in books.items() if node_id != 0]
+            assert metrics.llc_misses == sum(book[0] for book in books.values())
             assert metrics.fast_hits == books[0][0]
             assert metrics.slow_hits == sum(book[0] for book in slow)
             assert metrics.slow_read_bytes == sum(book[1] for book in slow)
@@ -310,33 +332,38 @@ class TestEpochView:
 
         class Spy(NullPolicy):
             def on_epoch(self, view):
-                pages, is_write = view.slow_miss_stream()
-                captured["pages"] = pages
-                captured["is_write"] = is_write
-                nodes = view.page_table.nodes_of(pages)
+                captured["stream"] = view.slow_miss_stream()
+                nodes = view.page_table.nodes_of(captured["stream"][0])
                 assert (nodes > 0).all()
                 return 0.0
 
         engine.policy = Spy()
         engine.policy.bind(engine)
         engine.run()
-        assert captured["pages"].size > 0
-        assert captured["pages"].shape == captured["is_write"].shape
+        pages, requests, writes = captured["stream"]
+        assert pages.size > 0
+        assert pages.shape == requests.shape == writes.shape
 
     def test_slow_miss_stream_is_exactly_the_cxl_routed_misses(self):
-        """The stream equals the miss batch restricted to slow nodes,
-        in order and with aligned write flags."""
+        """The stream is the access-level miss batch restricted to slow
+        nodes, aggregated per distinct page: its pages, each one's misses
+        and each one's write misses."""
         engine = build_engine(fast=100, slow=4000, num_pages=3000)
+        masks = spy_miss_masks(engine)
         seen = []
 
         class Spy(NullPolicy):
             def on_epoch(self, view):
-                pages, is_write = view.slow_miss_stream()
-                on_slow = view.miss_nodes > 0
-                np.testing.assert_array_equal(pages, view.miss_pages[on_slow])
-                np.testing.assert_array_equal(is_write, view.miss_is_write[on_slow])
+                pages, requests, writes = view.slow_miss_stream()
+                miss_pages, miss_is_write, nodes = access_level_misses(view, masks)
+                on_slow = nodes > 0
+                slow_pages, slow_requests = np.unique(miss_pages[on_slow], return_counts=True)
+                np.testing.assert_array_equal(pages, slow_pages)
+                np.testing.assert_array_equal(requests, slow_requests)
+                slow_writes = np.bincount(miss_pages[on_slow & miss_is_write], minlength=3000)
+                np.testing.assert_array_equal(writes, slow_writes[slow_pages])
                 # the fast-node remainder plus the stream cover all misses
-                assert pages.size + (~on_slow).sum() == view.miss_pages.size
+                assert requests.sum() + (~on_slow).sum() == miss_pages.size
                 seen.append(pages.size)
                 return 0.0
 
@@ -344,6 +371,31 @@ class TestEpochView:
         engine.policy.bind(engine)
         engine.run()
         assert sum(seen) > 0
+
+    def test_touched_page_without_misses_is_not_snooped(self):
+        """A slow page the LLC fully serves sends no request: it is in the
+        touched set with zero misses and absent from the stream."""
+        engine = build_engine(fast=100, slow=4000, num_pages=2000)
+        engine.topology.first_touch_allocate(engine.page_table, np.arange(2000), start_node=1)
+        views = []
+
+        class Spy(NullPolicy):
+            def on_epoch(self, view):
+                views.append((view, view.slow_miss_stream()))
+                return 0.0
+
+        engine.policy = Spy()
+        engine.policy.bind(engine)
+        no_writes = np.zeros(64, dtype=bool)
+        engine.step(np.full(64, 5), no_writes)  # page 5 becomes fully resident
+        engine.step(np.array([5] * 10 + [7] * 3), no_writes[:13])
+        view, (pages, requests, writes) = views[-1]
+        np.testing.assert_array_equal(view.touched_pages, [5, 7])
+        np.testing.assert_array_equal(view.touched_nodes, [1, 1])
+        np.testing.assert_array_equal(view.touched_misses, [0, 3])
+        np.testing.assert_array_equal(pages, [7])
+        np.testing.assert_array_equal(requests, [3])
+        np.testing.assert_array_equal(writes, [0])
 
     def test_slow_miss_stream_empty_when_fast_tier_absorbs_everything(self):
         """With the whole RSS on the fast node the CXL channel sees nothing."""
@@ -359,7 +411,7 @@ class TestEpochView:
         engine.policy.bind(engine)
         engine.run()
         assert streams, "policy never ran"
-        for pages, is_write in streams:
-            assert pages.size == 0 and is_write.size == 0
+        for pages, requests, writes in streams:
+            assert pages.size == 0 and requests.size == 0 and writes.size == 0
             assert pages.dtype == np.int64
-            assert is_write.dtype == bool
+            assert requests.dtype == writes.dtype == np.int32

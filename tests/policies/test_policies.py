@@ -191,9 +191,9 @@ def promote_thp(candidates, num_pages=4 * PAGES_PER_HUGE_PAGE):
     empty = np.zeros(0, dtype=np.int64)
     view = EpochView(
         epoch=0, sim_time_ns=0.0, duration_ns=1e6, pages=empty,
-        is_write=empty.astype(bool), miss_mask=empty.astype(bool),
-        miss_pages=empty, miss_is_write=empty.astype(bool),
-        miss_nodes=empty, touched_pages=empty, engine=engine,
+        is_write=empty.astype(bool), miss_pages=empty, touched_pages=empty,
+        touched_nodes=empty.astype(np.int16), touched_misses=empty.astype(np.int32),
+        touched_write_misses=empty.astype(np.int32), engine=engine,
     )
     policy._promote(view, np.asarray(candidates, dtype=np.int64))
     return engine

@@ -27,7 +27,8 @@ class TestAdapter:
         """Table I: NeoProf profiles *each* access, not samples."""
         prof = make_profiler()
         policy, engine = run_engine(batches=10, profilers=[prof])
-        slow_total = sum(v.slow_miss_stream()[0].size for v in policy.views)
+        slow_total = sum(int(v.slow_miss_stream()[1].sum()) for v in policy.views)
+        assert slow_total > 0
         assert prof.device.snooped_requests == slow_total
 
     def test_drain_bills_mmio_next_epoch(self, run_engine):
