@@ -17,7 +17,7 @@ Usage::
 from repro import ExperimentConfig
 from repro.core.sysfs import NeoMemSysfs
 from repro.experiments.fig14 import PAGERANK_KWARGS
-from repro.experiments.runner import build_engine, build_workload, warm_first_touch
+from repro.experiments.runner import build_engine, build_workload
 
 
 class PhaseAwareController:
@@ -47,7 +47,7 @@ def main() -> None:
     config = ExperimentConfig(num_pages=12288, batches=36, batch_size=12288)
     workload = build_workload("pagerank", config, total_batches=None, **PAGERANK_KWARGS)
     engine = build_engine(workload, "neomem", config)
-    warm_first_touch(engine)
+    engine.prefill()
 
     sysfs = NeoMemSysfs(engine.policy)
     print("visible knobs:", ", ".join(sysfs.list()))

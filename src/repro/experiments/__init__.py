@@ -26,7 +26,6 @@ from repro.experiments.runner import (
     default_policy_kwargs,
     geomean,
     run_one,
-    warm_first_touch,
     workload_pages,
 )
 from repro.experiments.reporting import ReplicaStats, replica_stats
@@ -71,6 +70,5 @@ __all__ = [
     "run_one",
     "solo_baseline_job",
     "source_fingerprint",
-    "warm_first_touch",
     "workload_pages",
 ]

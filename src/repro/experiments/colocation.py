@@ -21,7 +21,7 @@ from dataclasses import replace
 from functools import partial
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.experiments.runner import build_policy, topology_for
+from repro.experiments.runner import build_policy, build_workload, topology_for
 from repro.experiments.sweep import JobSpec, SweepExecutor, resolve_executor
 from repro.multitenant import (
     SCHEDULER_NAMES,
@@ -30,7 +30,6 @@ from repro.multitenant import (
     QosConfig,
     TenantSpec,
 )
-from repro.workloads import make_workload
 
 #: service-mix rotation for auto-generated tenant sets: a pointer-chasing
 #: cache, an analytics job, an OLTP store and the paper's microservice
@@ -67,23 +66,10 @@ def make_tenant_specs(
                 num_pages=per_tenant_pages,
                 weight=weights[i] if weights else 1.0,
                 priority=priorities[i] if priorities else 0,
-                fast_quota_fraction=(
-                    fast_quota_fractions[i] if fast_quota_fractions else None
-                ),
+                fast_quota_fraction=fast_quota_fractions[i] if fast_quota_fractions else None,
             )
         )
     return specs
-
-
-def _tenant_workload(spec: TenantSpec, config: ExperimentConfig):
-    """The trace generator of one tenant, sized by its spec."""
-    return make_workload(
-        spec.workload,
-        num_pages=spec.num_pages,
-        total_batches=config.batches,
-        batch_size=config.batch_size,
-        **spec.workload_overrides,
-    )
 
 
 def build_colocation(
@@ -92,20 +78,20 @@ def build_colocation(
     config: ExperimentConfig = DEFAULT_CONFIG,
     scheduler: str = "round-robin",
     qos: QosConfig | None = None,
-    engine_overrides: dict | None = None,
 ) -> ColocationEngine:
     """Assemble a co-location engine for a tenant mix.
 
-    Policies are sized from the *combined* address space: whichever
-    scope the QoS config selects, every instance indexes shared page
-    ids, so its profiling arrays must span all tenants.
+    Each tenant's trace generator is sized by its spec.  Policies are
+    sized from the *combined* address space: whichever scope the QoS
+    config selects, every instance indexes shared page ids, so its
+    profiling arrays must span all tenants.
     """
     total_pages = sum(spec.num_pages for spec in specs)
     return ColocationEngine(
-        [(spec, _tenant_workload(spec, config)) for spec in specs],
+        [(spec, build_workload(spec.workload, config, num_pages=spec.num_pages)) for spec in specs],
         topology_for(total_pages, config),
         policy_factory=partial(build_policy, policy_name, total_pages, config),
-        config=config.engine_config(**(engine_overrides or {})),
+        config=config.engine_config(),
         scheduler=scheduler,
         qos=qos,
     )
@@ -149,13 +135,13 @@ def solo_baseline_job(
     """One tenant's solo baseline as its own JobSpec.
 
     The baseline is the tenant alone and *unconstrained* on the full-
-    mix-sized machine: QoS knobs (quota, cold start) are part of what
-    slowdown measures, and weight/priority only matter under
-    contention, so all are normalized away.  That normalization is what
-    makes the job's identity scheduler-independent — the executor runs
-    one baseline per (tenant, machine) and every scheduler's slowdown
-    row reuses it from dedup or the cache, instead of each co-located
-    run recomputing its own.
+    mix-sized machine: the fast-tier quota is part of what slowdown
+    measures, and weight/priority only matter under contention, so all
+    are normalized away.  That normalization is what makes the job's
+    identity scheduler-independent — the executor runs one baseline per
+    (tenant, machine) and every scheduler's slowdown row reuses it from
+    dedup or the cache, instead of each co-located run recomputing its
+    own.
     """
     solo_spec = replace(
         spec,
@@ -163,7 +149,6 @@ def solo_baseline_job(
         weight=1.0,
         priority=0,
         fast_quota_fraction=None,
-        cold_start=False,
     )
     return JobSpec(
         workload=spec.workload,
@@ -192,7 +177,7 @@ def _run_solo_job(job: JobSpec) -> float:
     spec: TenantSpec = job.runner_kwargs["spec"]
     config = job.resolved_config()
     solo_engine = ColocationEngine(
-        [(spec, _tenant_workload(spec, config))],
+        [(spec, build_workload(spec.workload, config, num_pages=spec.num_pages))],
         topology_for(job.runner_kwargs["topology_pages"], config),
         policy_factory=partial(build_policy, job.policy, spec.num_pages, config),
         config=config.engine_config(),
@@ -201,22 +186,12 @@ def _run_solo_job(job: JobSpec) -> float:
     return solo_engine.run().machine.total_time_s
 
 
-def _stitch_solo_times(
-    report: ColocationReport,
-    specs: list[TenantSpec],
-    solo_times: list[float],
-) -> None:
-    for spec, solo_time in zip(specs, solo_times):
-        report.tenants[spec.name].solo_time_s = solo_time
-
-
 def run_colocation(
     specs: list[TenantSpec],
     policy_name: str = "neomem",
     config: ExperimentConfig = DEFAULT_CONFIG,
     scheduler: str = "round-robin",
     qos: QosConfig | None = None,
-    solo_baselines: bool = True,
     *,
     executor: SweepExecutor | None = None,
 ) -> ColocationReport:
@@ -228,17 +203,12 @@ def run_colocation(
     Baselines are independent JobSpecs, so the one executor call fans
     them out (and dedups/caches them) alongside the co-located run.
     """
+    topology_pages = sum(spec.num_pages for spec in specs)
     jobs = [colocation_job(specs, policy_name, config, scheduler, qos)]
-    if solo_baselines:
-        topology_pages = sum(spec.num_pages for spec in specs)
-        jobs += [
-            solo_baseline_job(spec, policy_name, config, topology_pages)
-            for spec in specs
-        ]
-    results = resolve_executor(executor).run(jobs)
-    report = results[0]
-    if solo_baselines:
-        _stitch_solo_times(report, specs, results[1:])
+    jobs += [solo_baseline_job(spec, policy_name, config, topology_pages) for spec in specs]
+    report, *solo_times = resolve_executor(executor).run(jobs)
+    for spec, solo_time in zip(specs, solo_times):
+        report.tenants[spec.name].solo_time_s = solo_time
     return report
 
 
@@ -313,9 +283,7 @@ def colocation_sweep_solo_jobs(
         specs = make_tenant_specs(num_tenants, config, mix=mix)
         topology_pages = sum(spec.num_pages for spec in specs)
         for spec in specs:
-            solo_jobs.append(
-                solo_baseline_job(spec, policy_name, config, topology_pages)
-            )
+            solo_jobs.append(solo_baseline_job(spec, policy_name, config, topology_pages))
             solo_ids.append((num_tenants, spec.name))
     return solo_jobs, solo_ids
 
@@ -341,12 +309,8 @@ def run_colocation_sweep(
     the cache reuses it across sweep invocations) instead of every
     co-located run recomputing its own.
     """
-    coloc_jobs = colocation_sweep_jobs(
-        tenant_counts, schedulers, policy_name, config, qos, mix
-    )
-    solo_jobs, solo_ids = colocation_sweep_solo_jobs(
-        tenant_counts, policy_name, config, mix
-    )
+    coloc_jobs = colocation_sweep_jobs(tenant_counts, schedulers, policy_name, config, qos, mix)
+    solo_jobs, solo_ids = colocation_sweep_solo_jobs(tenant_counts, policy_name, config, mix)
     results = resolve_executor(executor).run(coloc_jobs + solo_jobs)
     reports = results[: len(coloc_jobs)]
     solo_times = dict(zip(solo_ids, results[len(coloc_jobs) :]))

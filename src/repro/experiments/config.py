@@ -79,21 +79,14 @@ class ExperimentConfig:
     tier_mode: str = "exclusive"
 
     # ------------------------------------------------------------------
-    def engine_config(self, **overrides) -> EngineConfig:
+    def engine_config(self) -> EngineConfig:
         migration = MigrationConfig(
             quota_bytes_per_s=self.quota_bytes_per_s,
             page_copy_ns=2_000.0 * self.overhead_scale,
             huge_page_copy_ns=160_000.0 * self.overhead_scale,
             tier_mode=self.tier_mode,
         )
-        defaults = dict(
-            batch_size=self.batch_size,
-            llc_capacity_pages=LLC_PAGES,
-            seed=self.seed,
-            migration=migration,
-        )
-        defaults.update(overrides)
-        return EngineConfig(**defaults)
+        return EngineConfig(llc_capacity_pages=LLC_PAGES, seed=self.seed, migration=migration)
 
     def neomem_config(self, **overrides) -> NeoMemConfig:
         # The percentile bounds of Algorithm 1 (Table V: 0.01 %-1.56 %)

@@ -119,9 +119,9 @@ class _TraceReplay:
     ``EpochView`` array raises instead of corrupting the store, and so
     does switching the flag back on.  Products are recorded when the
     entry has none for this filter geometry, and :meth:`commit` stores
-    them only if the run covered the whole trace: a
-    ``max_epochs``-truncated run never leaves a prefix that a later,
-    longer run would fall off the end of with cold filter state.
+    them only if the run covered the whole trace: a run stopped early
+    never leaves a prefix that a later, longer run would fall off the
+    end of with cold filter state.
     Everything else proxies to the inner workload.
     """
 
@@ -289,7 +289,6 @@ def build_engine(
     config: ExperimentConfig = DEFAULT_CONFIG,
     policy=None,
     policy_kwargs: dict | None = None,
-    engine_overrides: dict | None = None,
 ) -> SimulationEngine:
     """Assemble an engine for one (workload, policy) pair.
 
@@ -301,30 +300,7 @@ def build_engine(
     if policy is None:
         policy = build_policy(policy_name, workload.num_pages, config, policy_kwargs)
 
-    engine = SimulationEngine(
-        workload,
-        topology,
-        policy,
-        config.engine_config(**(engine_overrides or {})),
-    )
-    return engine
-
-
-def warm_first_touch(engine: SimulationEngine) -> None:
-    """Pre-fill memory in allocation order (the paper's warm-up).
-
-    The workload's address space is populated during initialization
-    (graph build, table load), so by measurement time the fast tier is
-    already full and most of the footprint sits on CXL.  Heap allocation
-    order is uncorrelated with *future* hotness — the allocator does not
-    know which structures will be hot — so the warm-up touches pages in
-    a deterministic pseudo-random permutation.  First-touch therefore
-    captures a fast-tier-sized random sample of the hot set, which is
-    exactly the regime the paper's Fig. 11 premises (and why promotion
-    matters at all).
-    """
-    perm = np.random.default_rng(engine.config.seed ^ 0x5EED).permutation(engine.workload.num_pages)
-    engine.topology.first_touch_allocate(engine.page_table, perm)
+    return SimulationEngine(workload, topology, policy, config.engine_config())
 
 
 def run_one(
@@ -333,12 +309,13 @@ def run_one(
     config: ExperimentConfig = DEFAULT_CONFIG,
     workload_overrides: dict | None = None,
     policy_kwargs: dict | None = None,
-    engine_overrides: dict | None = None,
-    prefill: bool = True,
     keep_engine: bool = False,
     policy_factory=None,
 ) -> SimulationReport:
     """Run one (workload, policy) experiment and return its report.
+
+    The engine runs the paper's warm-up (:meth:`SimulationEngine.prefill`)
+    first, then replays the workload's trace from :data:`TRACE_STORE`.
 
     Args:
         keep_engine: When True, stash the finished engine (and its
@@ -359,16 +336,8 @@ def run_one(
     policy = None
     if policy_factory is not None:
         policy = policy_factory(workload.num_pages, config, **(policy_kwargs or {}))
-    engine = build_engine(
-        workload,
-        policy_name,
-        config,
-        policy=policy,
-        policy_kwargs=policy_kwargs,
-        engine_overrides=engine_overrides,
-    )
-    if prefill:
-        warm_first_touch(engine)
+    engine = build_engine(workload, policy_name, config, policy=policy, policy_kwargs=policy_kwargs)
+    engine.prefill()
     replay = TRACE_STORE.replay(workload, engine)
     report = engine.run()
     replay.commit()

@@ -147,8 +147,6 @@ class JobSpec:
     seed: int | None = None
     workload_overrides: dict = field(default_factory=dict)
     policy_kwargs: dict = field(default_factory=dict)
-    engine_overrides: dict = field(default_factory=dict)
-    prefill: bool = True
     policy_factory: str | None = None
     extractor: str | None = None
     runner: str = DEFAULT_RUNNER
@@ -331,8 +329,6 @@ def run_single(spec: JobSpec):
         config,
         workload_overrides=dict(spec.workload_overrides),
         policy_kwargs=dict(spec.policy_kwargs),
-        engine_overrides=dict(spec.engine_overrides),
-        prefill=spec.prefill,
         keep_engine=spec.extractor is not None,
         policy_factory=factory,
     )

@@ -64,9 +64,8 @@ class Policy(Protocol):
 
 @dataclass
 class EngineConfig:
-    """Timing-model and loop parameters."""
+    """The machine's timing model, the run's seed and its migration rules."""
 
-    batch_size: int = 1 << 16
     #: memory-level parallelism: how many misses overlap.
     mlp: float = 6.0
     #: core-side work per access (ns); covers issue, L1/L2 hits, ALU work.
@@ -77,7 +76,6 @@ class EngineConfig:
     writeback_fraction: float = 0.3
     #: LLC capacity in 4 KB pages (60 MB / 4 KB = 15360, scaled in config).
     llc_capacity_pages: int = 15360
-    max_epochs: int | None = None
     seed: int = 1234
     migration: MigrationConfig = field(default_factory=MigrationConfig)
 
@@ -198,11 +196,25 @@ class SimulationEngine:
         policy.bind(self)
 
     # ------------------------------------------------------------------
+    def prefill(self) -> None:
+        """Pre-fill memory in allocation order (the paper's warm-up).
+
+        The workload's address space is populated during initialization
+        (graph build, table load), so by measurement time the fast tier is
+        already full and most of the footprint sits on CXL.  Heap allocation
+        order is uncorrelated with *future* hotness — the allocator does not
+        know which structures will be hot — so the warm-up touches pages in
+        a deterministic pseudo-random permutation.  First-touch therefore
+        captures a fast-tier-sized random sample of the hot set, which is
+        exactly the regime the paper's Fig. 11 premises (and why promotion
+        matters at all).
+        """
+        perm = np.random.default_rng(self.config.seed ^ 0x5EED).permutation(self.workload.num_pages)
+        self.topology.first_touch_allocate(self.page_table, perm)
+
     def run(self) -> SimulationReport:
-        """Run until the workload finishes or ``max_epochs`` is reached."""
+        """Run until the workload finishes."""
         while True:
-            if self.config.max_epochs is not None and self.epoch >= self.config.max_epochs:
-                break
             batch = self.workload.next_batch(self.rng)
             if batch is None:
                 break

@@ -7,6 +7,7 @@ bandwidth utilization, histogram strips, instantaneous GUPS (Figs. 14,
 16).  :class:`EpochMetrics` captures one epoch; :class:`SimulationReport`
 aggregates a run and exposes those readouts.
 """
+
 # repro: hot-path — PR-7 vectorized epoch path; per-element python loops are regressions
 
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,26 +55,13 @@ class EpochMetrics:
         return self.accesses / (self.duration_ns * 1e-9)
 
 
-#: structured row type mirroring EpochMetrics: int fields as int64,
-#: float fields as float64 — both lossless for every value the engine
-#: records, so buffer reads reproduce the dataclass values exactly.
-_INT_FIELDS = frozenset(
-    {
-        "epoch",
-        "accesses",
-        "llc_misses",
-        "fast_hits",
-        "slow_hits",
-        "slow_read_bytes",
-        "slow_write_bytes",
-        "promoted_pages",
-        "demoted_pages",
-        "promoted_huge_pages",
-        "ping_pong_events",
-    }
-)
+#: structured row type mirroring EpochMetrics: fields annotated ``int``
+#: as int64, the rest (``float``) as float64 — both lossless for every
+#: value the engine records, so buffer reads reproduce the dataclass
+#: values exactly.
+_HINTS = get_type_hints(EpochMetrics)
 EPOCH_DTYPE = np.dtype(
-    [(f.name, np.int64 if f.name in _INT_FIELDS else np.float64) for f in fields(EpochMetrics)]
+    [(f.name, np.int64 if _HINTS[f.name] is int else np.float64) for f in fields(EpochMetrics)]
 )
 #: one EpochMetrics as a tuple in EPOCH_DTYPE field order
 _row_of = attrgetter(*EPOCH_DTYPE.names)
@@ -199,10 +188,8 @@ class SimulationReport:
     def series(self, attr: str) -> list[float]:
         """Per-epoch timeline of one EpochMetrics attribute."""
         if attr in EPOCH_DTYPE.names:
-            values = self.column(attr).tolist()
-            if attr in _INT_FIELDS:
-                return [int(v) for v in values]
-            return values
+            # tolist() yields Python ints from int64 columns
+            return self.column(attr).tolist()
         # derived properties (slow_traffic_bytes, throughput_aps, ...)
         return [getattr(e, attr) for e in self.epochs]
 

@@ -15,6 +15,7 @@ Models the kernel migration path NeoMem invokes (Section III ``7``):
 * each migrated page costs copy time charged to the epoch as a stall
   (page copy + PTE fixup + TLB shootdown).
 """
+
 # repro: hot-path — PR-7 vectorized epoch path; per-element python loops are regressions
 
 
@@ -94,7 +95,6 @@ class MigrationEngine:
         self.stats = MigrationStats()
         self._window_budget_bytes = 0.0
         self._window_drained = False
-        self._member_scratch = np.zeros(page_table.num_pages, dtype=bool)
         self._inclusive = self.config.tier_mode == "inclusive"
         # inclusive mode: which slow node still holds each fast-resident
         # page's shadow frame (-1 = none); stays all -1 in exclusive mode
@@ -213,7 +213,9 @@ class MigrationEngine:
             )
             spans_matrix[spans_matrix >= self.page_table.num_pages] = -1
             fast_id = self.topology.fast_node.node_id
-            for row in range(grant_list.size):  # repro: noqa HOT001 — grants are sequential: each _make_room changes the free-slot state the next row sees
+            # grants are sequential: each _make_room changes the free-slot
+            # state the next row sees
+            for row in range(grant_list.size):  # repro: noqa HOT001 — sequential grants
                 span = spans_matrix[row]
                 span = span[span >= 0]
                 nodes = self.page_table.nodes_of(span)
@@ -259,9 +261,10 @@ class MigrationEngine:
             self._shadow_node[pages] = src_nodes
         else:
             # per-node release counts via one O(n) bincount; the node
-            # space is tiny, so this beats np.unique's sort
+            # space is tiny, so this beats np.unique's sort, and the loop
+            # iterates the distinct NUMA nodes (a handful), not pages
             node_counts = np.bincount(src_nodes, minlength=len(self.topology.nodes))
-            for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — iterates distinct NUMA nodes (a handful), not pages
+            for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — per NUMA node
                 self.topology[int(node_id)].tier.release(int(node_counts[node_id]))
         self.topology.fast_node.tier.reserve(pages.size)
         self.page_table.map_pages(pages, self.topology.fast_node.node_id)
@@ -346,8 +349,9 @@ class MigrationEngine:
         the page back to its shadow node — no copy stall, no quota, no
         slow-tier reservation (the frame is already held).
         """
+        # one pass per distinct NUMA node (a handful), not per page
         node_counts = np.bincount(shadows, minlength=len(self.topology.nodes))
-        for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — iterates distinct NUMA nodes (a handful), not pages
+        for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — per NUMA node
             self.page_table.map_pages(pages[shadows == node_id], int(node_id))
         self.topology.fast_node.tier.release(pages.size)
         self.page_table.mark_demoted(pages)
@@ -369,16 +373,11 @@ class MigrationEngine:
         """
         candidates = self.lru.coldest(count, member_mask)
         if candidates.size < count:
-            untracked = np.nonzero(member_mask)[0]
-            if candidates.size:
-                # exclude the already-picked pages with a boolean scatter
-                # (np.setdiff1d sorts both sides); ``untracked`` is
-                # already sorted and unique, so the filtered result
-                # matches setdiff1d exactly
-                scratch = self._member_scratch
-                scratch[candidates] = True
-                untracked = untracked[~scratch[untracked]]
-                scratch[candidates] = False
+            # the LRU picks are members: clearing them in a copy of the
+            # mask leaves the untracked members, ascending
+            rest = member_mask.copy()
+            rest[candidates] = False
+            untracked = np.flatnonzero(rest)
             candidates = np.concatenate([candidates, untracked[: count - candidates.size]])
         return candidates
 

@@ -70,23 +70,13 @@ class NumaTopology:
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
-    def first_touch_allocate(
-        self, page_table: PageTable, pages: np.ndarray, start_node: int = 0
-    ) -> int:
-        """Allocate unmapped ``pages`` fastest-node-first.
+    def first_touch_allocate(self, page_table: PageTable, pages: np.ndarray) -> int:
+        """Allocate unmapped ``pages`` fastest-node-first, in touch order.
 
         Returns the number of pages newly mapped.  Raises ``MemoryError``
         if the whole topology is out of capacity (the simulator sizes
         capacities so the resident set always fits, as the paper does by
         reserving host memory).
-
-        Args:
-            start_node: Lowest node id considered.  The default (0) is
-                the kernel's plain first-touch; passing 1 models an
-                allocation constrained off the fast tier — e.g. a
-                co-located tenant that arrives with its working set
-                already resident on CXL, or a cgroup whose fast-tier
-                allowance is exhausted.
         """
         unmapped = page_table.unmapped_pages(pages)
         if unmapped.size == 0:
@@ -96,7 +86,7 @@ class NumaTopology:
         todo = first_occurrence(unmapped, page_table.num_pages)
         mapped = 0
         cursor = 0
-        for node in self.nodes[start_node:]:
+        for node in self.nodes:
             free = node.tier.free_pages
             if free <= 0:
                 continue
@@ -111,9 +101,7 @@ class NumaTopology:
             if cursor >= todo.size:
                 break
         if cursor < todo.size:
-            raise MemoryError(
-                f"out of memory: {todo.size - cursor} pages could not be placed"
-            )
+            raise MemoryError(f"out of memory: {todo.size - cursor} pages could not be placed")
         return mapped
 
     def end_epoch(self) -> None:

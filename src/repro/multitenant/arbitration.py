@@ -35,18 +35,19 @@ POLICY_SCOPES = ("shared", "per-tenant")
 
 @dataclass(frozen=True)
 class QosConfig:
-    """Arbitration knobs for a co-located run."""
+    """How a co-located run shares its tiering policy among tenants.
+
+    Fast-tier quotas are per tenant: they apply to exactly the tenants
+    whose spec sets ``fast_quota_fraction``.
+    """
 
     #: "shared" (one policy for the machine) or "per-tenant" (one each).
     policy_scope: str = "shared"
-    #: master switch for fast-tier quota enforcement.
-    enforce_quota: bool = True
 
     def __post_init__(self) -> None:
         if self.policy_scope not in POLICY_SCOPES:
             raise ValueError(
-                f"policy_scope must be one of {POLICY_SCOPES}, "
-                f"got {self.policy_scope!r}"
+                f"policy_scope must be one of {POLICY_SCOPES}, got {self.policy_scope!r}"
             )
 
 
@@ -86,12 +87,11 @@ class TenantPolicyArbiter:
     def bind(self, engine) -> None:
         self.engine = engine
         fast_capacity = engine.topology.fast_node.tier.capacity_pages
-        if self.qos.enforce_quota:
-            self._quota_pages = {
-                spec.name: int(spec.fast_quota_fraction * fast_capacity)
-                for spec in self.specs
-                if spec.fast_quota_fraction is not None
-            }
+        self._quota_pages = {
+            spec.name: int(spec.fast_quota_fraction * fast_capacity)
+            for spec in self.specs
+            if spec.fast_quota_fraction is not None
+        }
         for policy in self._distinct_policies():
             policy.bind(engine)
             if self._quota_pages:

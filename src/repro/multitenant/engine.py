@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.memsim.engine import EngineConfig, SimulationEngine, Workload
 from repro.memsim.metrics import SimulationReport
 from repro.memsim.tiers import TierSpec
@@ -101,9 +99,7 @@ class ColocationEngine:
                 spec, self.layout.namespace(spec.name), workload
             )
 
-        self.arbiter = TenantPolicyArbiter(
-            specs, self.layout, policy_factory, self.qos
-        )
+        self.arbiter = TenantPolicyArbiter(specs, self.layout, policy_factory, self.qos)
         shared_space = _SharedAddressSpace(
             name="+".join(spec.name for spec in specs),
             num_pages=self.layout.total_pages,
@@ -125,28 +121,13 @@ class ColocationEngine:
     def prefill(self) -> None:
         """Warm-up first-touch for the whole tenant mix.
 
-        Mirrors the single-tenant warm-up (allocation order uncorrelated
-        with future hotness): warm tenants' pages are pre-touched in one
-        *interleaved* pseudo-random permutation, so each gets a fast-tier
-        share proportional to its RSS — as if their init phases ran
-        concurrently.  ``cold_start`` tenants allocate slow-tier-only
-        first, modelling arrival on a machine whose fast tier the
-        incumbent tenants had already filled.
+        The single-tenant warm-up (:meth:`SimulationEngine.prefill`) run
+        over the combined address space: one pseudo-random permutation
+        interleaves every tenant's pages, so each gets a fast-tier share
+        proportional to its RSS — as if their init phases ran
+        concurrently.
         """
-        rng = np.random.default_rng(self.inner.config.seed ^ 0x5EED)
-        cold, warm = [], []
-        for runtime in self.tenants.values():
-            ns = runtime.namespace
-            (cold if runtime.spec.cold_start else warm).append(
-                np.arange(ns.base, ns.end, dtype=np.int64)
-            )
-        for pages in cold:
-            self.inner.topology.first_touch_allocate(
-                self.inner.page_table, rng.permutation(pages), start_node=1
-            )
-        if warm:
-            mixed = rng.permutation(np.concatenate(warm))
-            self.inner.topology.first_touch_allocate(self.inner.page_table, mixed)
+        self.inner.prefill()
 
     # ------------------------------------------------------------------
     def run(self) -> ColocationReport:
@@ -183,9 +164,6 @@ class ColocationEngine:
         if self.inner.telemetry.enabled:
             report.annotations["telemetry"] = {
                 "machine": self.inner.telemetry.registry.snapshot(),
-                "tenants": {
-                    name: reg.snapshot()
-                    for name, reg in self._tenant_registries.items()
-                },
+                "tenants": {name: reg.snapshot() for name, reg in self._tenant_registries.items()},
             }
         return report

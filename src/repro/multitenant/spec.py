@@ -10,7 +10,7 @@ and instantiate trace generators later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class TenantSpec:
         fast_quota_fraction: QoS knob — the fraction of the *fast tier's*
             capacity this tenant may occupy.  ``None`` means unlimited
             (best-effort sharing); 0.0 pins the tenant entirely to CXL.
-        cold_start: When True, the warm-up pre-fill places this tenant's
-            pages on the slow tier only, modelling a tenant that arrives
-            on a machine whose fast tier other tenants already filled.
-        workload_overrides: Extra keyword arguments for the workload
-            factory (hot-set fraction, write ratio, ...).
     """
 
     name: str
@@ -43,8 +38,6 @@ class TenantSpec:
     weight: float = 1.0
     priority: int = 0
     fast_quota_fraction: float | None = None
-    cold_start: bool = False
-    workload_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -54,6 +47,4 @@ class TenantSpec:
         if self.weight <= 0:
             raise ValueError(f"tenant {self.name!r}: weight must be positive")
         if self.fast_quota_fraction is not None and not 0.0 <= self.fast_quota_fraction <= 1.0:
-            raise ValueError(
-                f"tenant {self.name!r}: fast_quota_fraction must lie in [0, 1]"
-            )
+            raise ValueError(f"tenant {self.name!r}: fast_quota_fraction must lie in [0, 1]")

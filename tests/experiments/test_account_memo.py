@@ -140,13 +140,19 @@ class TestMemoSharingAcrossRuns:
                 with pytest.raises(ValueError):
                     array.flags.writeable = True
 
-    def test_truncated_run_does_not_publish(self, process_store):
-        """A max_epochs-truncated run covers only a prefix of the trace;
-        committing it would hand later full runs a partial memo with cold
-        filter state at the cliff edge."""
-        run_one("gups", "memtis", CONFIG, engine_overrides={"max_epochs": 2})
-        assert len(process_store) == 1  # the trace itself is complete
-        assert _replay(process_store).get(0) is None
+    def test_truncated_run_does_not_publish(self, store):
+        """A run stepped through only a prefix of the trace must not
+        commit it: that would hand later full runs a partial memo with
+        cold filter state at the cliff edge."""
+        workload = build_workload("gups", CONFIG)
+        engine = build_engine(workload, "memtis", CONFIG)
+        engine.prefill()
+        replay = store.replay(workload, engine)
+        for _ in range(2):
+            engine.step(*engine.workload.next_batch(engine.rng))
+        replay.commit()
+        assert len(store) == 1  # the trace itself is complete
+        assert _replay(store).get(0) is None
 
 
 class TestTraceStore:

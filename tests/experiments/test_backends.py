@@ -608,7 +608,7 @@ class TestShardedAggregationGuard:
 
 
 class TestSoloBaselineDedup:
-    def test_solo_baselines_shared_across_schedulers(self, tmp_path):
+    def test_solo_baseline_jobs_shared_across_schedulers(self, tmp_path):
         """ROADMAP satellite: solo baselines are their own JobSpecs, so
         two schedulers over one tenant mix run each baseline once."""
         from repro.experiments.colocation import make_tenant_specs, run_colocation

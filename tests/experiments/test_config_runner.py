@@ -15,7 +15,6 @@ from repro.experiments.runner import (
     geomean,
     run_one,
     topology_for,
-    warm_first_touch,
     workload_pages,
 )
 from repro.workloads import BENCHMARKS
@@ -38,15 +37,11 @@ class TestConfig:
         cfg = SMOKE_CONFIG
         engine_cfg = cfg.engine_config()
         assert engine_cfg.migration.quota_bytes_per_s == cfg.quota_bytes_per_s
-        assert engine_cfg.migration.page_copy_ns == pytest.approx(
-            2000.0 * cfg.overhead_scale
-        )
+        assert engine_cfg.migration.page_copy_ns == pytest.approx(2000.0 * cfg.overhead_scale)
 
     def test_neoprof_config_scaled_mmio(self):
         cfg = SMOKE_CONFIG
-        assert cfg.neoprof_config().mmio_latency_ns == pytest.approx(
-            500.0 * cfg.overhead_scale
-        )
+        assert cfg.neoprof_config().mmio_latency_ns == pytest.approx(500.0 * cfg.overhead_scale)
 
     def test_every_benchmark_has_rss_factor(self):
         for name in BENCHMARKS:
@@ -55,28 +50,24 @@ class TestConfig:
 
 class TestRunner:
     def test_workload_pages_scaled(self):
-        assert workload_pages("bwaves", SMOKE_CONFIG) > workload_pages(
-            "gups", SMOKE_CONFIG
-        )
+        assert workload_pages("bwaves", SMOKE_CONFIG) > workload_pages("gups", SMOKE_CONFIG)
 
     def test_build_workload_respects_config(self):
         wl = build_workload("gups", SMOKE_CONFIG)
         assert wl.total_batches == SMOKE_CONFIG.batches
         assert wl.batch_size == SMOKE_CONFIG.batch_size
 
-    def test_warm_first_touch_fills_everything(self):
+    def test_prefill_fills_everything(self):
         wl = build_workload("gups", SMOKE_CONFIG)
         engine = build_engine(wl, "first-touch", SMOKE_CONFIG)
-        warm_first_touch(engine)
-        assert engine.page_table.unmapped_pages(
-            np.arange(wl.num_pages)
-        ).size == 0
+        engine.prefill()
+        assert engine.page_table.unmapped_pages(np.arange(wl.num_pages)).size == 0
 
-    def test_warm_first_touch_is_hotness_agnostic(self):
+    def test_prefill_is_hotness_agnostic(self):
         """The warm-up permutation must not favour low page numbers."""
         wl = build_workload("gups", SMOKE_CONFIG)
         engine = build_engine(wl, "first-touch", SMOKE_CONFIG)
-        warm_first_touch(engine)
+        engine.prefill()
         fast_pages = engine.page_table.pages_on_node(0)
         # if allocation were ascending, every fast page would be < fast
         # capacity; a permutation spreads them across the space

@@ -63,7 +63,6 @@ class TestJobKey:
             JobSpec("gups", "neomem", TINY, seed=7),
             JobSpec("gups", "neomem", TINY, workload_overrides={"total_batches": 2}),
             JobSpec("gups", "neomem", TINY, policy_kwargs={"sample_interval": 10}),
-            JobSpec("gups", "neomem", TINY, prefill=False),
             JobSpec(
                 "gups",
                 "neomem",

@@ -63,7 +63,7 @@ def test_neomem_and_fixed_threshold_share_machinery():
 
 
 def test_thp_run_invariants():
-    from repro.experiments.runner import build_engine, build_workload, warm_first_touch
+    from repro.experiments.runner import build_engine, build_workload
 
     config = SMOKE_CONFIG
     workload = build_workload("pagerank", config)
@@ -73,7 +73,7 @@ def test_thp_run_invariants():
         config,
         policy_kwargs={"neomem_config": config.neomem_config(thp=True)},
     )
-    warm_first_touch(engine)
+    engine.prefill()
     report = engine.run()
     report.annotations["engine"] = engine
     check_invariants(report)
@@ -81,7 +81,7 @@ def test_thp_run_invariants():
 
 def test_three_tier_topology():
     """A DDR + CXL-DRAM + CXL-PCM machine runs and keeps invariants."""
-    from repro.experiments.runner import build_workload, warm_first_touch
+    from repro.experiments.runner import build_workload
     from repro.memsim.engine import SimulationEngine
     from repro.memsim.tiers import CXL_DRAM_PROTO, CXL_PCM, DDR5_LOCAL
     from repro.policies import make_policy
@@ -97,7 +97,7 @@ def test_three_tier_topology():
         policy,
         config.engine_config(),
     )
-    warm_first_touch(engine)
+    engine.prefill()
     report = engine.run()
     report.annotations["engine"] = engine
     check_invariants(report)

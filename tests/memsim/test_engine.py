@@ -5,7 +5,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.experiments.config import ExperimentConfig
 from repro.memsim.engine import EngineConfig, SimulationEngine
 from repro.memsim.tiers import CXL_DRAM_PROTO, CXL_PCM, DDR5_LOCAL
 
@@ -81,7 +80,7 @@ def build_engine(policy=None, fast=500, slow=2000, **wl_kwargs):
         workload,
         [(DDR5_LOCAL, fast), (CXL_DRAM_PROTO, slow)],
         policy or NullPolicy(),
-        EngineConfig(batch_size=4096, llc_capacity_pages=16, seed=7),
+        EngineConfig(llc_capacity_pages=16, seed=7),
     )
 
 
@@ -102,17 +101,6 @@ class TestEngineBasics:
         engine.run()
         occ = engine.page_table.occupancy()
         assert occ.get(0, 0) > 0  # fast node used first
-
-    def test_max_epochs_limits_run(self):
-        workload = StubWorkload(batches=100)
-        engine = SimulationEngine(
-            workload,
-            [(DDR5_LOCAL, 500), (CXL_DRAM_PROTO, 2000)],
-            NullPolicy(),
-            EngineConfig(max_epochs=3, llc_capacity_pages=16),
-        )
-        report = engine.run()
-        assert len(report.epochs) == 3
 
     def test_mismatched_batch_shapes_rejected(self):
         engine = build_engine()
@@ -135,9 +123,6 @@ class TestEngineConfig:
     def test_invalid_timing_rejected_at_construction(self, override):
         with pytest.raises(ValueError):
             EngineConfig(**override)
-        # the path JobSpec.engine_overrides takes
-        with pytest.raises(ValueError):
-            ExperimentConfig().engine_config(**override)
 
     def test_boundary_values_accepted(self):
         EngineConfig(writeback_fraction=0.0, cpu_ns_per_access=0.0, llc_hit_ns=0.0)
@@ -376,7 +361,8 @@ class TestEpochView:
         """A slow page the LLC fully serves sends no request: it is in the
         touched set with zero misses and absent from the stream."""
         engine = build_engine(fast=100, slow=4000, num_pages=2000)
-        engine.topology.first_touch_allocate(engine.page_table, np.arange(2000), start_node=1)
+        engine.page_table.map_pages(np.arange(2000), 1)
+        engine.topology[1].tier.reserve(2000)
         views = []
 
         class Spy(NullPolicy):

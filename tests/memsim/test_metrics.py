@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memsim.metrics import EpochMetrics, SimulationReport
+from repro.memsim.metrics import EPOCH_DTYPE, EpochMetrics, SimulationReport
 
 
 def make_epoch(i, duration_ns=1000.0, accesses=100, **kwargs):
@@ -27,6 +27,32 @@ class TestEpochMetrics:
     def test_throughput_zero_duration(self):
         e = EpochMetrics(duration_ns=0.0, accesses=10)
         assert e.throughput_aps == 0.0
+
+
+class TestEpochDtype:
+    def test_row_layout_is_pinned(self):
+        """The buffer's row type follows EpochMetrics' annotations; value
+        digests hash each column's dtype, so the layout must not drift."""
+        assert EPOCH_DTYPE.descr == [
+            ("epoch", "<i8"),
+            ("sim_time_ns", "<f8"),
+            ("duration_ns", "<f8"),
+            ("accesses", "<i8"),
+            ("llc_misses", "<i8"),
+            ("fast_hits", "<i8"),
+            ("slow_hits", "<i8"),
+            ("slow_read_bytes", "<i8"),
+            ("slow_write_bytes", "<i8"),
+            ("promoted_pages", "<i8"),
+            ("demoted_pages", "<i8"),
+            ("promoted_huge_pages", "<i8"),
+            ("ping_pong_events", "<i8"),
+            ("profiling_overhead_ns", "<f8"),
+            ("migration_stall_ns", "<f8"),
+            ("threshold", "<f8"),
+            ("slow_bandwidth_util", "<f8"),
+            ("slow_read_fraction", "<f8"),
+        ]
 
 
 class TestSimulationReport:
@@ -58,8 +84,12 @@ class TestSimulationReport:
     def test_series(self):
         report = SimulationReport()
         for i in range(4):
-            report.append(make_epoch(i, promoted_pages=i))
+            report.append(make_epoch(i, promoted_pages=i, threshold=i / 2))
         assert report.series("promoted_pages") == [0, 1, 2, 3]
+        assert report.series("threshold") == [0.0, 0.5, 1.0, 1.5]
+        # Python scalars of each field's type, not numpy scalars
+        assert {type(v) for v in report.series("promoted_pages")} == {int}
+        assert {type(v) for v in report.series("threshold")} == {float}
 
     def test_summary_keys(self):
         report = SimulationReport(workload="gups", policy="neomem")
@@ -79,8 +109,8 @@ class TestSimulationReport:
         assert report.fast_hit_ratio == 0.0
 
     def test_zero_epoch_report_summary_is_safe(self):
-        """Regression: a run that produced no epochs (exhausted workload,
-        max_epochs=0) must summarize to zeros, not divide by zero."""
+        """Regression: a run that produced no epochs (an exhausted
+        workload) must summarize to zeros, not divide by zero."""
         summary = SimulationReport(workload="w", policy="p").summary()
         assert summary["runtime_s"] == 0.0
         assert summary["throughput_aps"] == 0.0

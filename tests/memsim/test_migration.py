@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.address import PAGES_PER_HUGE_PAGE
 from repro.memsim.lru2q import Lru2Q
@@ -109,6 +111,32 @@ class TestDemotion:
         topo.first_touch_allocate(pt, np.arange(150))
         eng.grant_quota(1.0)
         assert eng.demote(np.array([120])) == 0
+
+
+class TestColdestVictims:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        members=st.lists(st.booleans(), min_size=1, max_size=64),
+        touched_early=st.sets(st.integers(0, 63)),
+        touched_late=st.sets(st.integers(0, 63)),
+        count=st.integers(0, 80),
+    )
+    def test_lru_picks_then_untracked_members_ascending(
+        self, members, touched_early, touched_late, count
+    ):
+        """Reclaim takes the LRU's coldest members first, then pads with
+        the members the LRU does not track, in ascending page order."""
+        num_pages = len(members)
+        _, _, lru, eng = build(num_pages=num_pages)
+        for epoch, touched in enumerate((touched_early, touched_late)):
+            lru.touch(np.array(sorted(p for p in touched if p < num_pages), dtype=np.int64), epoch)
+        member_mask = np.array(members)
+        picks = lru.coldest(count, member_mask)
+        untracked = np.setdiff1d(np.flatnonzero(member_mask), picks)
+        victims = eng.coldest_victims(count, member_mask)
+        np.testing.assert_array_equal(victims, np.concatenate([picks, untracked])[:count])
+        assert victims.size == min(count, int(member_mask.sum()))
+        assert member_mask[victims].all()
 
 
 class TestPingPong:

@@ -1,5 +1,6 @@
 """Co-location engine tests: every policy end-to-end, conservation,
 QoS quota enforcement, and machine-level invariants."""
+
 # repro: noqa-file PKL002 — engines are built in-process here; factories never cross a pickle boundary
 
 import numpy as np
@@ -17,8 +18,7 @@ from repro.policies import POLICY_NAMES
 TINY = ExperimentConfig(num_pages=8192, batches=8, batch_size=8192)
 
 
-def run_mix(policy, config=TINY, num_tenants=2, scheduler="round-robin",
-            qos=None, specs=None):
+def run_mix(policy, config=TINY, num_tenants=2, scheduler="round-robin", qos=None, specs=None):
     specs = specs or make_tenant_specs(num_tenants, config)
     engine = build_colocation(specs, policy, config, scheduler, qos)
     engine.prefill()
@@ -60,8 +60,7 @@ def test_every_policy_runs_end_to_end(policy):
 
 @pytest.mark.parametrize("scheduler", ("round-robin", "weighted-share", "priority"))
 def test_every_scheduler_runs_end_to_end(scheduler):
-    specs = make_tenant_specs(3, TINY, weights=[2.0, 1.0, 1.0],
-                              priorities=[1, 0, 0])
+    specs = make_tenant_specs(3, TINY, weights=[2.0, 1.0, 1.0], priorities=[1, 0, 0])
     engine, report = run_mix("pebs", specs=specs, scheduler=scheduler)
     check_machine_invariants(engine)
     report.verify_conservation()
@@ -71,9 +70,7 @@ def test_per_tenant_metrics_partition_machine_metrics():
     engine, report = run_mix("neomem", num_tenants=3)
     # exact partition: every machine epoch appears in exactly one tenant
     machine_ids = [id(e) for e in report.machine.epochs]
-    tenant_ids = [
-        id(e) for tr in report.tenants.values() for e in tr.report.epochs
-    ]
+    tenant_ids = [id(e) for tr in report.tenants.values() for e in tr.report.epochs]
     assert sorted(machine_ids) == sorted(tenant_ids)
     # and the aggregated counters agree (also covered by verify_conservation)
     assert report.machine.total_accesses == sum(
@@ -106,9 +103,12 @@ def test_contention_slows_tenants_down():
 
     total = sum(s.num_pages for s in specs)
     for spec in specs:
-        workload = make_workload(spec.workload, num_pages=spec.num_pages,
-                                 total_batches=config.batches,
-                                 batch_size=config.batch_size)
+        workload = make_workload(
+            spec.workload,
+            num_pages=spec.num_pages,
+            total_batches=config.batches,
+            batch_size=config.batch_size,
+        )
         solo = ColocationEngine(
             [(spec, workload)],
             topology_for(total, config),
@@ -136,12 +136,14 @@ class TestFastTierQuota:
         engine, report = run_mix("neomem", specs=specs)
         assert fast_resident(engine, specs[0].name) == 0
 
-    def test_quota_disabled_by_qos_switch(self):
-        specs = make_tenant_specs(2, TINY, fast_quota_fractions=[0.05, None])
-        qos = QosConfig(enforce_quota=False)
-        engine, report = run_mix("neomem", specs=specs, qos=qos)
-        # unenforced, the 5 % tenant grows past its allowance
-        assert fast_resident(engine, specs[0].name) > fast_quota(engine, 0.05)
+    def test_no_fraction_means_no_quota(self):
+        """Quotas apply exactly to the tenants whose spec sets a fraction:
+        without one, nothing is vetoed and no filter is installed."""
+        specs = make_tenant_specs(2, TINY)
+        engine, report = run_mix("neomem", specs=specs)
+        candidates = np.arange(engine.layout.total_pages)
+        np.testing.assert_array_equal(engine.arbiter.quota_filter(candidates), candidates)
+        assert engine.arbiter.policies[specs[0].name].promotion_filter is None
 
     def test_quota_filter_vetoes_only_over_quota_tenants(self):
         specs = make_tenant_specs(2, TINY, fast_quota_fractions=[0.1, None])
@@ -204,9 +206,8 @@ class TestThpQuotaInteraction:
             EngineConfig(),
         )
         # everything starts on the slow node
-        engine.topology.first_touch_allocate(
-            engine.page_table, np.arange(num_pages), start_node=1
-        )
+        engine.page_table.map_pages(np.arange(num_pages), 1)
+        engine.topology[1].tier.reserve(num_pages)
         # veto boundary mid-frame: huge page 1 spans [512, 1024), the
         # "quota'd tenant" owns [0, 768)
         boundary = PAGES_PER_HUGE_PAGE + PAGES_PER_HUGE_PAGE // 2
@@ -215,10 +216,17 @@ class TestThpQuotaInteraction:
 
         empty = np.zeros(0, dtype=np.int64)
         view = EpochView(
-            epoch=0, sim_time_ns=0.0, duration_ns=1e6, pages=empty,
-            is_write=empty.astype(bool), miss_pages=empty, touched_pages=empty,
-            touched_nodes=empty.astype(np.int16), touched_misses=empty.astype(np.int32),
-            touched_write_misses=empty.astype(np.int32), engine=engine,
+            epoch=0,
+            sim_time_ns=0.0,
+            duration_ns=1e6,
+            pages=empty,
+            is_write=empty.astype(bool),
+            miss_pages=empty,
+            touched_pages=empty,
+            touched_nodes=empty.astype(np.int16),
+            touched_misses=empty.astype(np.int32),
+            touched_write_misses=empty.astype(np.int32),
+            engine=engine,
         )
         hot = np.arange(boundary + 32, boundary + 40)  # inside huge page 1
         policy._promote(view, hot)
@@ -262,34 +270,32 @@ class TestPolicyScopes:
             QosConfig(policy_scope="global")
 
 
-class TestColdStart:
-    def test_cold_start_tenant_prefills_to_cxl_only(self):
-        specs = [
-            TenantSpec("warm", "gups", 4096),
-            TenantSpec("cold", "pagerank", 4096, cold_start=True),
-        ]
-        engine = build_colocation(specs, "first-touch", TINY)
-        engine.prefill()
-        assert fast_resident(engine, "cold") == 0, "cold tenant landed on the fast tier"
-        assert fast_resident(engine, "warm") > 0
+class TestPrefill:
+    @pytest.mark.parametrize("num_tenants", (1, 3))
+    def test_mix_warms_like_one_engine_of_the_combined_size(self, num_tenants):
+        """The tenant mix's warm-up is the single-tenant warm-up over the
+        combined address space: same placement, same tier occupancy."""
+        from repro.experiments.runner import build_engine, build_workload
 
-    def test_promotion_rescues_cold_start_tenant(self):
-        specs = [
-            TenantSpec("warm", "gups", 4096),
-            TenantSpec("cold", "gups", 4096, cold_start=True),
-        ]
-        engine = build_colocation(specs, "neomem", TINY)
-        engine.prefill()
-        engine.run()
-        assert fast_resident(engine, "cold") > 0, "NeoMem never promoted the cold tenant"
+        specs = make_tenant_specs(num_tenants, TINY)
+        colocated = build_colocation(specs, "neomem", TINY)
+        colocated.prefill()
+        total = colocated.layout.total_pages
+        single = build_engine(build_workload("gups", TINY, num_pages=total), "neomem", TINY)
+        single.prefill()
+        np.testing.assert_array_equal(
+            colocated.inner.page_table.node_of_page, single.page_table.node_of_page
+        )
+        assert (single.page_table.node_of_page >= 0).all()
+        for mixed, alone in zip(colocated.inner.topology.nodes, single.topology.nodes):
+            assert mixed.tier.used_pages == alone.tier.used_pages
 
 
 class TestConstruction:
     def test_rss_mismatch_rejected(self):
         from repro.workloads import make_workload
         spec = TenantSpec("t0", "gups", 2048)
-        workload = make_workload("gups", num_pages=1024, total_batches=4,
-                                 batch_size=1024)
+        workload = make_workload("gups", num_pages=1024, total_batches=4, batch_size=1024)
         from repro.multitenant import ColocationEngine
         from repro.experiments.runner import topology_for
         with pytest.raises(ValueError, match="RSS"):
@@ -311,8 +317,7 @@ class TestConstruction:
         from repro.workloads import make_workload
         from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
         tenants = [
-            (s, make_workload(s.workload, num_pages=s.num_pages,
-                              total_batches=4, batch_size=1024))
+            (s, make_workload(s.workload, num_pages=s.num_pages, total_batches=4, batch_size=1024))
             for s in specs
         ]
         with pytest.raises(MemoryError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.colocation import (
     DEFAULT_MIX,
+    build_colocation,
     format_colocation,
     make_tenant_specs,
     run_colocation,
@@ -49,8 +50,7 @@ class TestMakeTenantSpecs:
 
     def test_knobs_applied(self):
         specs = make_tenant_specs(
-            2, TINY, weights=[2.0, 1.0], priorities=[1, 0],
-            fast_quota_fractions=[0.5, None],
+            2, TINY, weights=[2.0, 1.0], priorities=[1, 0], fast_quota_fractions=[0.5, None]
         )
         assert specs[0].weight == 2.0 and specs[0].priority == 1
         assert specs[0].fast_quota_fraction == 0.5
@@ -74,7 +74,9 @@ class TestRunColocation:
 
     def test_without_baselines_fairness_unavailable(self):
         specs = make_tenant_specs(2, TINY)
-        report = run_colocation(specs, "pebs", TINY, solo_baselines=False)
+        engine = build_colocation(specs, "pebs", TINY)
+        engine.prefill()
+        report = engine.run()
         assert report.slowdowns == {}
         with pytest.raises(ValueError):
             report.fairness()
@@ -83,8 +85,8 @@ class TestRunColocation:
         specs = make_tenant_specs(2, TINY)
         report = run_colocation(specs, "pebs", TINY)
         row = report.summary()
-        for key in ("policy", "scheduler", "tenants", "fairness",
-                    "mean_slowdown", "worst_slowdown"):
+        keys = ("policy", "scheduler", "tenants", "fairness", "mean_slowdown", "worst_slowdown")
+        for key in keys:
             assert key in row
         assert row["tenants"] == 2
 

@@ -186,7 +186,8 @@ def promote_thp(candidates, num_pages=4 * PAGES_PER_HUGE_PAGE):
         policy,
         EngineConfig(),
     )
-    engine.topology.first_touch_allocate(engine.page_table, np.arange(num_pages), start_node=1)
+    engine.page_table.map_pages(np.arange(num_pages), 1)
+    engine.topology[1].tier.reserve(num_pages)
     engine.migration.grant_quota(10.0)
     empty = np.zeros(0, dtype=np.int64)
     view = EpochView(
