@@ -21,7 +21,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     WORKLOAD_RSS_FACTOR,
 )
-from repro.memsim.engine import SimulationEngine
+from repro.memsim.engine import SimulationEngine, check_page_ids
 from repro.memsim.metrics import SimulationReport
 from repro.policies import make_policy
 from repro.workloads import make_workload
@@ -40,6 +40,10 @@ class TraceStore:
     counts per touched page.  The filter sees only the access stream
     (placement, policy and tier ratio never feed back into it), so jobs
     sharing a trace and a geometry skip the whole filter pipeline.
+
+    Page ids (batches and miss stream) are stored as uint16 up to 65,536
+    pages, else uint32 (``np.bincount`` refuses uint64), after a range
+    check of each drained batch that makes the cast lossless.
 
     Every stored array is read-only, so replays hand out views of them
     rather than copies, and a write through one raises.
@@ -91,9 +95,14 @@ class TraceStore:
         # drain a copy: the caller's workload stays fresh for its run
         source = copy.deepcopy(workload)
         rng = np.random.default_rng(seed)
+        id_dtype = np.uint16 if workload.num_pages <= 1 << 16 else np.uint32
         trace = []
         while (batch := source.next_batch(rng)) is not None:
-            trace.append(tuple(_frozen(array) for array in batch))
+            pages, is_write = batch
+            check_page_ids(pages, workload.num_pages, workload.name)
+            pages = pages.astype(id_dtype)  # a fresh array: frozen in place
+            pages.flags.writeable = False
+            trace.append((pages, _frozen(is_write)))
         entry = self._entries[key] = (trace, {})
         while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
@@ -114,7 +123,7 @@ class _TraceReplay:
     """One run's view of a store entry: the engine's workload and its
     account memo.
 
-    Batches and account products are handed out as read-only views of
+    Batches and products (narrow page ids) are handed out as read-only views of
     the stored arrays, whose own write flag is off: writing through an
     ``EpochView`` array raises instead of corrupting the store, and so
     does switching the flag back on.  Products are recorded when the

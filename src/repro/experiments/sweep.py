@@ -200,7 +200,11 @@ _SOURCE_ROOT: str | os.PathLike | None = None
 
 
 @lru_cache(maxsize=8)
-def _tree_fingerprint(root: Path) -> str:
+def _tree_fingerprint(root: Path | None) -> str:
+    if root is None:  # the package's own tree, resolved once per process
+        import repro  # deferred: repro/__init__ imports the experiments tier
+
+        root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
         digest.update(path.relative_to(root).as_posix().encode())
@@ -218,14 +222,11 @@ def source_fingerprint(root: str | os.PathLike | None = None) -> str:
     workload invalidates stale entries automatically instead of
     requiring a version bump or a manual cache wipe.  Hashed once per
     process (the tree is ~125 small files; the cost is milliseconds).
+    An explicit ``root`` or ``_SOURCE_ROOT`` is resolved on every call.
     """
     if root is None:
         root = _SOURCE_ROOT
-    if root is None:
-        import repro  # deferred: repro/__init__ imports the experiments tier
-
-        root = Path(repro.__file__).resolve().parent
-    return _tree_fingerprint(Path(root).resolve())
+    return _tree_fingerprint(None if root is None else Path(root).resolve())
 
 
 def job_key(spec: JobSpec) -> str:

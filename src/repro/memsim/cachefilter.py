@@ -86,7 +86,7 @@ class PageCacheFilter:
         :func:`~repro.memsim.pageset.distinct_counts` returns them (the
         engine reuses them as its touched set).
         """
-        pages = np.asarray(pages, dtype=np.int64)
+        pages = np.asarray(pages)  # any integer dtype indexes ``by_page``
         if distinct.size == 0:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         if distinct[0] < 0 or distinct[-1] >= self.max_page_id:

@@ -44,8 +44,18 @@ class Workload(Protocol):
     num_pages: int
 
     def next_batch(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
-        """Return ``(pages, is_write)`` arrays, or None when finished."""
+        """Return ``(pages, is_write)`` arrays, or None when finished; page
+        ids may have any integer dtype (:func:`check_page_ids`)."""
         ...
+
+
+def check_page_ids(pages: np.ndarray, num_pages: int, owner: str) -> None:
+    """Raise unless ``pages`` are integer ids in ``[0, num_pages)``."""
+    if pages.dtype.kind not in "iu":
+        raise TypeError(f"{owner}: page ids must be integers, got dtype {pages.dtype}")
+    low, high = (pages.min(), pages.max()) if pages.size else (0, 0)
+    if low < 0 or high >= num_pages:
+        raise ValueError(f"{owner}: page id {low if low < 0 else high} outside [0, {num_pages})")
 
 
 class Policy(Protocol):
@@ -93,7 +103,11 @@ class EngineConfig:
 
 @dataclass
 class EpochView:
-    """Snapshot handed to the policy every epoch; its arrays are read-only."""
+    """Snapshot handed to the policy every epoch; its arrays are read-only.
+
+    ``pages`` and ``miss_pages`` keep the batch's dtype, narrow unsigned on
+    a replay (widen before arithmetic); ``touched_pages`` is int64.
+    """
 
     epoch: int
     sim_time_ns: float
@@ -187,7 +201,8 @@ class SimulationEngine:
         #: it must serve every epoch of a run or none — and
         #: ``put(epoch, ...)`` with the same fields.  Both directions
         #: pass read-only arrays, so the memo keeps and hands out views
-        #: of them instead of copies.
+        #: of them instead of copies.  The memo's batches were checked by
+        #: the store that drained them, so only memo-less steps check ids.
         self.account_memo = None
         self._fully_mapped = False
         self.report = SimulationReport(workload=workload.name, policy=policy.name)
@@ -232,16 +247,19 @@ class SimulationEngine:
         (OS-visible PTE/LRU maintenance plus the policy's own profiler
         span), ``plan`` (policy decision logic) and ``migrate`` (page
         moves, nested under ``plan``) — each timed exclusively, so the
-        per-phase wall-clock totals sum without double counting.
+        per-phase wall-clock totals sum without double counting.  Page ids
+        of any integer dtype are not widened; memo-less steps check them.
         """
         tel = self.telemetry
         with tel.span("account"):
             # read-only views: the caller keeps its arrays, the policy
             # cannot write through the EpochView
-            pages = _read_only(np.asarray(pages, dtype=np.int64).view())
+            pages = _read_only(np.asarray(pages).view())
             is_write = _read_only(np.asarray(is_write, dtype=bool).view())
             if pages.shape != is_write.shape:
                 raise ValueError("pages and is_write must have matching shapes")
+            if (memo := self.account_memo) is None:  # bad ids raise before any booking
+                check_page_ids(pages, self.page_table.num_pages, self.workload.name)
 
             if not self._fully_mapped:
                 self.topology.first_touch_allocate(self.page_table, pages)
@@ -249,15 +267,14 @@ class SimulationEngine:
                 # no-op (nothing ever unmaps) — skip its per-epoch scan.
                 self._fully_mapped = not (self.page_table.node_of_page == -1).any()
 
-            memo = self.account_memo
             cached = memo.get(self.epoch) if memo is not None else None
             if cached is not None:
                 miss_pages, touched, misses, write_misses = cached
             else:
-                # the batch's distinct pages feed the LLC filter and are
-                # the touched set every per-page record below runs over
-                touched, counts = distinct_counts(pages)
-                _read_only(touched)
+                # the batch's distinct pages feed the LLC filter and are the
+                # touched set every per-page record below indexes with (int64)
+                distinct, counts = distinct_counts(pages)
+                touched = _read_only(distinct.astype(np.int64, copy=False))
                 miss_mask, misses = self.cache.filter_batch(pages, touched, counts)
                 misses = _read_only(misses.astype(np.int32))
                 miss_pages = _read_only(pages[np.flatnonzero(miss_mask)])

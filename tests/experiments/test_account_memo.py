@@ -24,6 +24,8 @@ from repro.experiments.fig17 import fig17_jobs
 from repro.experiments.runner import TraceStore, build_engine, build_workload, run_one
 from repro.experiments.sweep import JobSpec, SweepExecutor
 from repro.memsim.cachefilter import PageCacheFilter
+from repro.memsim.metrics import EPOCH_DTYPE
+from repro.workloads import make_workload
 from repro.workloads.base import TraceWorkload
 
 CONFIG = ExperimentConfig(num_pages=2048, batches=6, batch_size=2048)
@@ -132,13 +134,34 @@ class TestMemoSharingAcrossRuns:
 
     def test_recorded_products_replay_sealed(self, process_store):
         """Neither the batches nor the products a live run recorded can
-        have their write flag switched back on when replayed."""
+        have their write flag switched back on when replayed.  The miss
+        stream keeps the trace's narrow dtype; the touched set is int64."""
         run_one("gups", "first-touch", CONFIG)
         replay = _replay(process_store)
         for epoch in range(CONFIG.batches):
-            for array in (*replay.get(epoch), *replay.next_batch(None)):
+            product, batch = replay.get(epoch), replay.next_batch(None)
+            for array in (*product, *batch):
                 with pytest.raises(ValueError):
                     array.flags.writeable = True
+            assert product[0].dtype == batch[0].dtype == np.uint16
+            assert [a.dtype for a in product[1:]] == [np.int64, np.int32, np.int32]
+
+    @pytest.mark.parametrize(
+        "name, policy", [("gups", "pebs"), ("silo", "neomem"), ("kvcache", "pebs")]
+    )
+    def test_replay_equals_live_run(self, process_store, name, policy):
+        """A run that records the products and one that replays them, both
+        on narrow stored ids, equal a live run on the workload's own int64
+        batches bit for bit: every epoch column and the summary."""
+        workload = build_workload(name, CONFIG)
+        engine = build_engine(workload, policy, CONFIG)
+        engine.prefill()
+        live = engine.run()
+        for _ in range(2):  # records, then replays
+            replayed = run_one(name, policy, CONFIG)
+            assert replayed.summary() == live.summary()
+            for column in EPOCH_DTYPE.names:
+                assert replayed.column(column).tobytes() == live.column(column).tobytes()
 
     def test_truncated_run_does_not_publish(self, store):
         """A run stepped through only a prefix of the trace must not
@@ -187,6 +210,42 @@ class TestTraceStore:
             add_other(seed)
         assert held not in store
         assert _replay(store).get(0) is None  # regenerated, products gone
+
+    @pytest.mark.parametrize(
+        "name, num_pages, dtype",
+        [("gups", 12_288, np.uint16), ("kvcache", 40_960, np.uint16), ("gups", 70_000, np.uint32)],
+    )
+    def test_page_ids_are_stored_narrow(self, store, name, num_pages, dtype):
+        """Up to 65,536 pages an id costs 2 bytes per access, above it 4."""
+        workload = make_workload(name, num_pages=num_pages, total_batches=2, batch_size=4096)
+        for pages, _ in store.trace(workload, CONFIG.seed):
+            assert pages.dtype == dtype
+            assert pages.nbytes == np.dtype(dtype).itemsize * pages.size
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_batch_outside_the_rss_is_refused(self, store, bad):
+        """The store checks each drained batch before the lossless cast,
+        and keeps nothing of a trace with an id outside ``[0, num_pages)``
+        (a 64-page workload here)."""
+
+        class Overrun(TraceWorkload):
+            name = "overrun"
+
+            def next_batch(self, rng):
+                if self.emitted >= self.total_batches:
+                    return None
+                self.emitted += 1
+                pages = np.arange(self.batch_size)
+                pages[-1] = bad
+                return pages, np.zeros(pages.size, dtype=bool)
+
+            def generate(self, batch_index, rng):
+                raise NotImplementedError
+
+        workload = Overrun(num_pages=64, total_batches=2, batch_size=16)
+        with pytest.raises(ValueError, match=rf"overrun: page id {bad} outside \[0, 64\)"):
+            store.trace(workload, CONFIG.seed)
+        assert len(store) == 0
 
     def test_trace_leaves_the_callers_workload_fresh(self, store):
         """The store drains a copy, so the workload it was handed can

@@ -137,6 +137,26 @@ class TestSourceFingerprint:
         sweep_module._tree_fingerprint.cache_clear()
         assert source_fingerprint() == before
 
+    def test_fingerprint_follows_source_root(self, source_tree, monkeypatch):
+        """The package root is resolved once per process, but
+        ``_SOURCE_ROOT`` and an explicit root are followed on every call."""
+        assert source_fingerprint() == source_fingerprint(source_tree)
+        monkeypatch.setattr(sweep_module, "_SOURCE_ROOT", None)
+        package = source_fingerprint()
+        assert package != source_fingerprint(source_tree)
+        monkeypatch.setattr(sweep_module, "_SOURCE_ROOT", source_tree)
+        assert source_fingerprint() != package
+
+    def test_job_key_equals_the_explicit_package_root(self, monkeypatch):
+        """Caching the package root leaves every key as the resolved root
+        would make it."""
+        import repro
+
+        spec = JobSpec("gups", "neomem", TINY)
+        default = job_key(spec)
+        monkeypatch.setattr(sweep_module, "_SOURCE_ROOT", Path(repro.__file__).parent)
+        assert job_key(spec) == default
+
     def test_key_salting_is_live_by_default(self):
         """The real tree is hashed into every key (no opt-in needed)."""
         assert len(source_fingerprint()) == 16

@@ -108,6 +108,53 @@ class TestEngineBasics:
             engine.step(np.arange(4), np.zeros(3, dtype=bool))
 
 
+class TestPageIds:
+    """``step`` takes page ids of any integer dtype without widening
+    them, and refuses any other batch before the epoch books anything."""
+
+    @staticmethod
+    def assert_nothing_booked(engine):
+        assert engine.epoch == 0 and not engine.report.epochs
+        assert (engine.page_table.node_of_page == -1).all()
+
+    @pytest.mark.parametrize("pages", [np.array([1.7, 2.2, 3.9]), np.array([True, False, True])])
+    def test_non_integer_ids_raise_type_error(self, pages):
+        engine = build_engine()
+        with pytest.raises(TypeError, match="must be integers"):
+            engine.step(pages, np.zeros(pages.size, dtype=bool))
+        self.assert_nothing_booked(engine)
+
+    @pytest.mark.parametrize("bad", [-1, 2000])
+    def test_out_of_range_id_raises_naming_it(self, bad):
+        engine = build_engine()  # 2000 pages
+        pages = np.array([5, bad, 7])
+        with pytest.raises(ValueError, match=rf"page id {bad} outside \[0, 2000\)"):
+            engine.step(pages, np.zeros(pages.size, dtype=bool))
+        self.assert_nothing_booked(engine)
+
+    def test_narrow_ids_simulate_like_int64_and_are_not_widened(self):
+        views = []
+
+        class Spy(NullPolicy):
+            def on_epoch(self, view):
+                views.append(view)
+                return 0.0
+
+        reports = []
+        for dtype in (np.int64, np.uint16, np.uint32):
+            engine = build_engine(policy=Spy())
+            rng = np.random.default_rng(3)
+            for _ in range(4):
+                pages, is_write = engine.workload.next_batch(rng)
+                engine.step(pages.astype(dtype), is_write)
+            assert views[-1].pages.dtype == views[-1].miss_pages.dtype == dtype
+            assert views[-1].touched_pages.dtype == np.int64
+            reports.append(engine.report)
+        for report in reports[1:]:
+            assert report.summary() == reports[0].summary()
+            assert report.series("llc_misses") == reports[0].series("llc_misses")
+
+
 class TestEngineConfig:
     @pytest.mark.parametrize(
         "override",
