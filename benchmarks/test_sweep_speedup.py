@@ -1,19 +1,20 @@
 """Sweep executor: serial vs process-pool wall clock on one figure grid.
 
 Runs the same multi-point sweep (a Fig. 12-style workload x ratio x
-system grid) through the serial executor and a 4-worker process pool —
-a *cold* pool pass (first ``run``, pool startup on the clock) and a
-*warm* pass (same executor re-run: workers already started, per-worker
-trace stores populated) — asserts the per-job reports are
-bit-identical, and *appends* one record to the ``BENCH_sweep.json``
-perf trajectory (:mod:`repro.experiments.trajectory`): engine
-throughput, per-phase wall-clock split (from one
-telemetry-instrumented job), the pool's dispatch overhead
-(``job_pickle``), sweep wall clocks, and cache hit rates measured
-honestly — an explicit cold pass against a fresh cache (every lookup
-must miss) and a warm replay (every lookup must hit), instead of the
-old single 100 %-by-construction number.  CI's regression gate
-compares each new record against the history's 95 % confidence band.
+system grid) through the serial executor, starting from an empty trace
+store, and a 4-worker process pool — a *cold* pool pass (first ``run``,
+pool startup on the clock) and a *warm* pass (same executor re-run:
+workers already started, per-worker trace stores populated) — asserts
+the three result sets have one value digest, and *appends* one record
+to the ``BENCH_sweep.json`` perf trajectory
+(:mod:`repro.experiments.trajectory`): engine throughput, per-phase
+wall-clock split (from one telemetry-instrumented job), the pool's
+dispatch overhead (``job_pickle``), sweep wall clocks, and cache hit
+rates measured honestly — an explicit cold pass against a fresh cache
+(every lookup must miss) and a warm replay (every lookup must hit),
+instead of the old single 100 %-by-construction number.  CI's
+regression gate compares each new record against the history's 95 %
+confidence band.
 
 Speedup bars are only asserted when the machine has the cores to
 express them; the record carries ``cpu_count`` and an
@@ -27,8 +28,9 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_CONFIG
-from repro.experiments import fig12
+from repro.experiments import fig12, runner
 from repro.experiments.sweep import SweepExecutor, run_single
+from repro.experiments.sweep_cli import results_digest
 from repro.experiments.trajectory import append_record
 from repro.telemetry import configure, git_revision
 
@@ -60,19 +62,18 @@ def _phase_breakdown(spec):
         configure("off")
 
 
-def _simulated_summary(report):
-    """``summary()`` without its ``phase_*`` keys, which are host wall clock."""
-    return {k: v for k, v in report.summary().items() if not k.startswith("phase_")}
-
-
 def _hit_rate(executor):
     lookups = executor.stats.cache_hits + executor.stats.cache_misses
     return executor.stats.cache_hits / lookups if lookups else 0.0
 
 
-def test_sweep_parallel_speedup(benchmark, tmp_path):
+def test_sweep_parallel_speedup(benchmark, tmp_path, monkeypatch):
     jobs = _sweep_jobs()
     cache_dir = tmp_path / "sweep-cache"
+    # the serial pass is always cold: earlier tests in the process may
+    # have stored some of these traces (Fig. 17's grid runs gups and
+    # silo at this scale), which would make it partly warm
+    monkeypatch.setattr(runner, "TRACE_STORE", runner.TraceStore())
 
     def measure():
         # cold serial pass against a fresh cache: every lookup must
@@ -113,16 +114,8 @@ def test_sweep_parallel_speedup(benchmark, tmp_path):
         warm_reports, parallel_warm_s,
     ) = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    def agrees(other):
-        return all(
-            a.epochs == b.epochs
-            and a.workload == b.workload
-            and a.policy == b.policy
-            and _simulated_summary(a) == _simulated_summary(b)
-            for a, b in zip(serial_reports, other)
-        )
-
-    identical = agrees(parallel_reports) and agrees(warm_reports)
+    serial_digest = results_digest(serial_reports)
+    identical = serial_digest == results_digest(parallel_reports) == results_digest(warm_reports)
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     speedup_warm = serial_s / parallel_warm_s if parallel_warm_s > 0 else float("inf")
     cpu_count = os.cpu_count() or 1

@@ -43,12 +43,8 @@ class HotPageDetector:
         self.buffer_entries = int(buffer_entries)
         #: ablation switch for the Fig. 7 hot-bit filter
         self.dedup_filter = bool(dedup_filter)
-        # FIFO modelled as a deque of numpy chunks (one per enqueue) plus
-        # a read offset into the oldest chunk, so batches enqueue and
-        # drain without ever converting pages to Python ints.
-        self._chunks: list[np.ndarray] = []
-        self._consumed = 0
-        self._pending = 0
+        #: the hot-page FIFO, oldest report first
+        self._fifo = np.zeros(0, dtype=np.int64)
         self.dropped_reports = 0
         self.detected_total = 0
 
@@ -94,8 +90,8 @@ class HotPageDetector:
         if queued < fresh.size:
             self.dropped_reports += int(fresh.size) - queued
         if queued:
-            self._chunks.append(fresh[:queued].astype(np.int64))
-            self._pending += queued
+            # cast first: int64 joined with uint64 would give float64
+            self._fifo = np.concatenate((self._fifo, fresh[:queued].astype(np.int64)))
         self.detected_total += queued
         return queued
 
@@ -103,30 +99,16 @@ class HotPageDetector:
     @property
     def pending(self) -> int:
         """Host command ``GetNrHotPage``."""
-        return self._pending
+        return self._fifo.size
 
     def drain(self, max_pages: int | None = None) -> np.ndarray:
         """Pop up to ``max_pages`` queued hot pages (``GetHotPage`` loop)."""
-        avail = self._pending
-        count = avail if max_pages is None else min(max_pages, avail)
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            chunk = self._chunks[0]
-            take = min(chunk.size - self._consumed, count - filled)
-            out[filled : filled + take] = chunk[self._consumed : self._consumed + take]
-            filled += take
-            self._consumed += take
-            if self._consumed >= chunk.size:
-                self._chunks.pop(0)
-                self._consumed = 0
-        self._pending -= count
+        count = self.pending if max_pages is None else min(max(max_pages, 0), self.pending)
+        out, self._fifo = self._fifo[:count], self._fifo[count:]
         return out
 
     def clear(self) -> None:
         """Host command ``Reset``: counters, hot bits and buffer."""
         self.sketch.clear()
-        self._chunks = []
-        self._consumed = 0
-        self._pending = 0
+        self._fifo = np.zeros(0, dtype=np.int64)
         self.dropped_reports = 0

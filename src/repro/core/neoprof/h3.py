@@ -111,7 +111,7 @@ class H3HashFamily:
         """Chunked table-gather hash of already-masked ``values``."""
         byte = (values & np.uint64(0xFF)).astype(np.intp)
         out = self._tables[0][:, byte]  # fancy gather copies: (D, n)
-        for chunk in range(1, self._num_chunks):  # repro: noqa HOT005 — loop over <=4 16-bit chunks (table count), not over elements
+        for chunk in range(1, self._num_chunks):  # repro: noqa HOT005 — loop over <=8 byte chunks (table count), not over elements
             byte = ((values >> np.uint64(8 * chunk)) & np.uint64(0xFF)).astype(np.intp)
             out ^= self._tables[chunk][:, byte]
         return out

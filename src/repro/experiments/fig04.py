@@ -36,7 +36,7 @@ class ProfileOnlyPolicy:
         self.profiler = profiler
 
     def bind(self, engine):
-        self.engine = engine
+        pass
 
     def on_epoch(self, view):
         if self.profiler is None:
@@ -127,9 +127,7 @@ def run_fig04a_neoprof_point(
     report = resolve_executor(executor).run([job])[0]
     # NeoProf tracks every access to every page: 4 KB space resolution,
     # per-request time resolution -> reported as region count = RSS.
-    return FrontierPoint(
-        0.0, workload_pages("gups", config), _profiling_overhead_percent(report)
-    )
+    return FrontierPoint(0.0, workload_pages("gups", config), _profiling_overhead_percent(report))
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +160,9 @@ def run_fig04b(
     """
     rng = np.random.default_rng(seed)
     workload = make_workload(
-        "redis", num_pages=num_pages, total_batches=max(1, accesses // 8192),
+        "redis",
+        num_pages=num_pages,
+        total_batches=max(1, accesses // 8192),
         batch_size=8192,
     )
     # small hierarchy so the footprint : cache ratio matches the paper's

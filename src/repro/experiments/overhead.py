@@ -33,7 +33,7 @@ class ProfilingOnlyNeoMem:
         self._next_readout_ns = 0.0
 
     def bind(self, engine):
-        self.engine = engine
+        pass
 
     def on_epoch(self, view) -> float:
         overhead = self.profiler.observe(view)

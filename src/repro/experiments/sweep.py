@@ -169,10 +169,11 @@ class JobSpec:
 # stable hashing
 # ----------------------------------------------------------------------
 def _canonical(obj):
-    """Reduce a JobSpec field value to canonical JSON-able data.
+    """Reduce a value to canonical JSON-able data.
 
-    Dataclasses are tagged with their type name so two config classes
-    with coincidentally equal fields cannot collide.
+    Used for JobSpec fields (the job key) and job results (the sweep
+    digest).  Dataclasses are tagged with their type name so two config
+    classes with coincidentally equal fields cannot collide.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"__type__": type(obj).__name__}
@@ -190,7 +191,7 @@ def _canonical(obj):
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
     raise SweepError(
-        f"JobSpec fields must be plain data, got {type(obj).__name__}: {obj!r} "
+        f"values must be plain data, got {type(obj).__name__}: {obj!r} "
         "(pass callables as dotted 'module:function' paths instead)"
     )
 

@@ -22,9 +22,12 @@ set, serially, whatever shard the host's environment names:
     python -m repro.experiments.sweep_cli digest fig12 --out serial.digest
     cmp merged.digest serial.digest   # bit-identical, or the build fails
 
-``digest`` hashes each job result's pickle independently (sha256 over
-per-job sha256s), so the digest is a content identity for the whole
-result set: two runs agree iff every job's result is bit-identical.
+``digest`` hashes each job result's canonical values independently
+(sha256 over per-job sha256s of the result's sorted-key JSON), so the
+digest is a content identity for the whole result set: two runs agree
+iff every job's result holds the same values, whichever process built
+it.  Pickle bytes are not values: a co-location report pickles
+differently in a pool worker than in the parent process.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import pickle
 import sys
 from pathlib import Path
 
 from repro.experiments.backends import merge_shards
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweep import JobSpec, SweepExecutor, job_key
+from repro.experiments.sweep import JobSpec, SweepExecutor, _canonical, job_key
 from repro.telemetry import configure, export_chrome_trace, get_telemetry
 
 __all__ = ["JOB_SETS", "build_jobs", "results_digest", "main"]
@@ -129,10 +131,10 @@ def build_jobs(args) -> list[JobSpec]:
 
 
 def results_digest(results) -> str:
-    """Order-sensitive content hash over per-job result pickles."""
+    """Order-sensitive content hash over per-job canonical values."""
     digest = hashlib.sha256()
     for result in results:
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = json.dumps(_canonical(result), sort_keys=True).encode()
         digest.update(hashlib.sha256(blob).digest())
     return digest.hexdigest()
 

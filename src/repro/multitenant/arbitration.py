@@ -85,7 +85,7 @@ class TenantPolicyArbiter:
     # Policy protocol
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        self.engine = engine
+        self._page_table = engine.page_table
         fast_capacity = engine.topology.fast_node.tier.capacity_pages
         self._quota_pages = {
             spec.name: int(spec.fast_quota_fraction * fast_capacity)
@@ -131,7 +131,7 @@ class TenantPolicyArbiter:
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0 or not self._quota_pages:
             return pages
-        node_of_page = self.engine.page_table.node_of_page
+        node_of_page = self._page_table.node_of_page
         keep = np.ones(pages.size, dtype=bool)
         for tenant, quota in self._quota_pages.items():
             ns = self.layout.namespace(tenant)

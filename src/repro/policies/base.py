@@ -63,7 +63,12 @@ class BaseTieringPolicy:
 
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        self.engine = engine
+        """Attach to a freshly built engine; keep nothing of it.
+
+        Every epoch hands the policy its :class:`EpochView`, so a stored
+        engine would only tie policy and engine into a reference cycle
+        that outlives the run until a full garbage collection.
+        """
 
     def on_epoch(self, view) -> float:
         with view.engine.telemetry.span("profile"):

@@ -109,10 +109,16 @@ class TestBuffer:
         assert det.pending == 4
 
     def test_drain_order_fifo(self):
+        """``drain()`` with no limit empties the FIFO in enqueue order."""
         det = make_detector(threshold=2)
-        observe(det, [100], [5])
+        observe(det, [100, 3], [5, 5])
         observe(det, [200], [5])
-        assert det.drain().tolist() == [100, 200]
+        assert det.drain(1).tolist() == [100]
+        observe(det, [1], [5])
+        drained = det.drain()
+        assert drained.dtype == np.int64
+        assert drained.tolist() == [3, 200, 1]
+        assert det.pending == 0 and det.drain().size == 0
 
     def test_clear_empties_buffer(self):
         det = make_detector(threshold=1)

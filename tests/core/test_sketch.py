@@ -154,8 +154,8 @@ class TestProperties:
 
 
 class TestSaturationAtCounterMax:
-    """Regression: the increment must clamp *before* the uint32 write —
-    a saturated counter holds at the ceiling instead of wrapping."""
+    """Regression: a saturated counter holds at the ceiling instead of
+    wrapping, up to 32-bit counters."""
 
     def test_counter_pinned_at_max_does_not_wrap(self):
         s = small_sketch(counter_bits=16)  # counter_max 65535
@@ -211,6 +211,32 @@ class TestFusedUpdateEstimate:
         s = small_sketch()
         out = s.update_estimate_batch(np.array([], dtype=np.uint64))
         assert out.size == 0 and out.dtype == np.int64
+
+
+class TestCountsFold:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=40, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_repeated_pages(self, pages, data):
+        """``counts=c`` streams like ``np.repeat(pages, c)``, saturation
+        included, on a sketch narrow enough that entries collide."""
+        counts = data.draw(st.lists(st.integers(0, 40), min_size=len(pages), max_size=len(pages)))
+        pages = np.array(pages, dtype=np.uint64)
+        counts = np.array(counts, dtype=np.int64)
+        folded = small_sketch(width=16, counter_bits=5)
+        streamed = small_sketch(width=16, counter_bits=5)
+        for _ in range(2):
+            folded.update_batch(pages, counts=counts)
+            streamed.update_batch(np.repeat(pages, counts))
+        assert np.array_equal(folded._counters, streamed._counters)
+        assert folded.total_updates == streamed.total_updates == 2 * int(counts.sum())
+
+    def test_counts_must_match_pages(self):
+        s = small_sketch(depth=1)
+        with pytest.raises(ValueError):
+            s.update_batch(np.arange(3, dtype=np.uint64), counts=np.array([2]))
 
 
 class TestSparseHistogramReadout:

@@ -154,3 +154,18 @@ def test_unsupported_subset_flag_rejected(tmp_path):
         main(["run", "colocation", "--workloads", "gups", "--cache-dir", str(tmp_path)])
     with pytest.raises(SystemExit, match="not supported"):
         main(["run", "fig11", "--ratios", "1:2", "--cache-dir", str(tmp_path)])
+
+
+def test_colocation_pool_digest_equals_serial(tmp_path, monkeypatch):
+    """A 2-worker pool fills a cache whose co-location digest equals a
+    serial run's (CI's pool smoke in miniature): the digest hashes
+    values, and a report built in a worker pickles differently."""
+    tiny = ["colocation", "--num-pages", "2048", "--batches", "4", "--batch-size", "2048"]
+    cache = tmp_path / "pool"
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    assert main(["run", *tiny, "--cache-dir", str(cache)]) == 0
+    pool_out, serial_out = tmp_path / "pool.digest", tmp_path / "serial.digest"
+    cached = ["--cache-dir", str(cache), "--require-cached"]
+    assert main(["digest", *tiny, *cached, "--out", str(pool_out)]) == 0
+    assert main(["digest", *tiny, "--out", str(serial_out)]) == 0
+    assert pool_out.read_text() == serial_out.read_text()

@@ -144,9 +144,11 @@ class TestDisabledMode:
             return time.perf_counter() - start
 
         run("off")  # warm caches/JIT'd numpy paths
-        off_s = min(run("off") for _ in range(3))
-        metrics_s = min(run("metrics") for _ in range(3))
-        assert off_s <= metrics_s * 1.5, (off_s, metrics_s)
+        off_s, metrics_s = [], []
+        for _ in range(7):  # alternate, so a noise burst hits both modes
+            off_s.append(run("off"))
+            metrics_s.append(run("metrics"))
+        assert min(off_s) <= min(metrics_s) * 1.5, (off_s, metrics_s)
 
 
 class TestDrainGuard:
