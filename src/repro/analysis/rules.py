@@ -18,7 +18,7 @@ vectorized hot path rely on:
   callables and live values must not be lambdas or local defs.
 * **TEL** — telemetry discipline: phase spans only as context
   managers, metric objects only through the registry, MigrationStats
-  drained only by its owner (everyone else ``peek()``\\ s).
+  drained only by its owner (everyone else reads ``stats``).
 * **LAY** — layering: the README's architecture map as import rules.
   The simulation packages never import the experiment harnesses built
   on them, and telemetry, which every layer uses, imports no other
@@ -412,7 +412,7 @@ class TelemetryRule(Rule):
         "TEL002": "telemetry metric class constructed directly — go through "
         "MetricsRegistry.counter/gauge/histogram so parent forwarding works",
         "TEL003": "MigrationStats drained outside its owner — the engine drains "
-        "once per epoch; read-only observers must use peek()",
+        "once per epoch; read-only observers read MigrationEngine.stats",
     }
 
     def __init__(self, ctx: ModuleContext) -> None:
@@ -451,7 +451,7 @@ class TelemetryRule(Rule):
                     node,
                     "TEL003",
                     "drain_stats() resets the per-window counters and is owned "
-                    "by the engine's end-of-epoch accounting — use peek() here",
+                    "by the engine's end-of-epoch accounting — read .stats here",
                 )
         full = qualified_name(ctx, func) or ""
         head = full.rsplit(".", 1)[-1]

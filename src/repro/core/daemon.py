@@ -6,15 +6,16 @@ NeoProf device takes the profiler's place.  Each epoch the device snoops
 the CXL request stream; on its configured intervals (Table V) the daemon
 
 * every ``migration_interval`` (10 ms): drains the hot-page FIFO through
-  the driver and promotes those pages (kernel migration functions, quota
-  applied by the migration engine; THP mode coalesces them into 2 MB
-  pages through the base class);
+  the driver and hands those pages to the kernel migration path (the
+  migration engine applies the quota and, in THP mode, coalesces them
+  into 2 MB pages);
 * every ``thr_update_interval`` (1 s): reads the histogram and state
   monitor and runs Algorithm 1 to retune the hotness threshold;
 * every ``clear_interval`` (5 s): resets NeoProf's counters so stale
   history does not saturate the sketch;
-* keeps the fast tier's free headroom above a watermark by demoting the
-  coldest LRU-2Q pages (cold detection stays in software, Sec. III-A).
+* keeps the fast tier's free headroom above a watermark: the migration
+  engine demotes the coldest LRU-2Q pages (cold detection stays in
+  software, Sec. III-A).
 
 CPU overhead charged to the workload is exactly the driver's MMIO time
 plus a per-migrated-page syscall cost — there is no scan, fault or
@@ -98,10 +99,13 @@ class NeoMemDaemon(BaseTieringPolicy):
         if fixed_threshold is None:
             self.threshold_policy = DynamicThresholdPolicy(self.config.threshold_policy)
             self.name = "neomem-thp" if self.thp else "neomem"
+            self.current_threshold = float(self.device.detector.threshold)
         else:
             self.threshold_policy = FixedThresholdPolicy(fixed_threshold)
             self.name = f"neomem-fixed-{int(fixed_threshold)}"
-        self.current_threshold = float(self.device.detector.threshold)
+            # programmed once; the first epoch is billed for the MMIO write
+            self.current_threshold = self.threshold_policy.threshold
+            self.driver.set_threshold(int(self.current_threshold))
         self._next_thr_update_ns = 0.0
         self._next_clear_ns = 0.0
         self._period = _PeriodCounters()
@@ -111,30 +115,22 @@ class NeoMemDaemon(BaseTieringPolicy):
         self.histogram_timeline: list[tuple[float, np.ndarray]] = []
 
     # ------------------------------------------------------------------
-    def bind(self, engine) -> None:
-        super().bind(engine)
-        if isinstance(self.threshold_policy, FixedThresholdPolicy):
-            self.current_threshold = self.threshold_policy.threshold
-            self.driver.set_threshold(int(self.current_threshold))
-
-    # ------------------------------------------------------------------
     def on_epoch(self, view) -> float:
         cfg = self.config
         now_ns = view.sim_time_ns + view.duration_ns
 
         # 1. the device snoops the CXL channel (hardware, no CPU cost)
-        with view.engine.telemetry.span("profile"):
+        with view.telemetry.span("profile"):
             self.device.snoop(*view.slow_miss_stream(), view.duration_ns)
 
         # 2. hot-page promotion at migration_interval, then 3. watermark
         # demotion keeps promotion headroom available
-        overhead_ns = self._promote_due(view) + self._watermark_demotion(view)
+        promotion = self._promote_due(view)
+        overhead_ns = self._syscall_ns(promotion) + self._watermark_demotion(view)
 
-        # period accounting (this epoch's migration activity so far; the
-        # engine drains the stats after on_epoch returns, so peek())
-        window = view.migration.peek()
-        self._period.promoted += window.promoted_pages
-        self._period.ping_pong += window.ping_pong_events
+        # period accounting: this epoch's promotions
+        self._period.promoted += promotion.pages
+        self._period.ping_pong += promotion.ping_pong
 
         # 4. threshold update at thr_update_interval (Algorithm 1)
         if now_ns >= self._next_thr_update_ns:

@@ -35,9 +35,6 @@ class ProfileOnlyPolicy:
     def __init__(self, profiler=None):
         self.profiler = profiler
 
-    def bind(self, engine):
-        pass
-
     def on_epoch(self, view):
         if self.profiler is None:
             return 0.0

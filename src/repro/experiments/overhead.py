@@ -32,9 +32,6 @@ class ProfilingOnlyNeoMem:
         self._next_drain_ns = 0.0
         self._next_readout_ns = 0.0
 
-    def bind(self, engine):
-        pass
-
     def on_epoch(self, view) -> float:
         overhead = self.profiler.observe(view)
         now_ns = view.sim_time_ns + view.duration_ns

@@ -11,8 +11,8 @@ The engine advances the modelled machine in epochs.  Each epoch it
 5. maintains OS-visible state: PTE Accessed bits and the fast-node
    LRU-2Q lists,
 6. invokes the active tiering policy, which may profile, re-threshold,
-   and migrate pages; any CPU overhead and migration stall the policy
-   incurs is charged to the epoch,
+   and ask the migration engine through its view to migrate pages; any
+   CPU overhead and migration stall the policy incurs is charged,
 7. records an :class:`~repro.memsim.metrics.EpochMetrics` row.
 
 Absolute times are not calibrated to the paper's testbed; ratios between
@@ -22,15 +22,15 @@ policies on one machine model are the reproduction target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
 from repro.memsim.cachefilter import PageCacheFilter
 from repro.memsim.lru2q import Lru2Q
 from repro.memsim.metrics import EpochMetrics, SimulationReport
-from repro.memsim.migration import MigrationConfig, MigrationEngine
-from repro.memsim.numa import NumaTopology
+from repro.memsim.migration import MigrationConfig, MigrationEngine, Promotion
+from repro.memsim.numa import FAST_NODE, NumaTopology
 from repro.memsim.page_table import PageTable
 from repro.memsim.pageset import distinct_counts
 from repro.memsim.tiers import TierSpec
@@ -62,10 +62,6 @@ class Policy(Protocol):
     """What the engine needs from a tiering policy."""
 
     name: str
-
-    def bind(self, engine: "SimulationEngine") -> None:
-        """Attach the policy to a freshly built engine."""
-        ...
 
     def on_epoch(self, view: "EpochView") -> float:
         """React to one epoch; return CPU overhead in nanoseconds."""
@@ -106,7 +102,8 @@ class EpochView:
     """Snapshot handed to the policy every epoch; its arrays are read-only.
 
     ``pages`` and ``miss_pages`` keep the batch's dtype, narrow unsigned on
-    a replay (widen before arithmetic); ``touched_pages`` is int64.
+    a replay (widen before arithmetic); ``touched_pages`` is int64.  Its
+    requests go to the migration engine, which owns every tier mechanic.
     """
 
     epoch: int
@@ -119,31 +116,28 @@ class EpochView:
     touched_nodes: np.ndarray
     touched_misses: np.ndarray
     touched_write_misses: np.ndarray
-    engine: "SimulationEngine"
+    #: live PTE bits: the PTE-scan and hint-fault profilers set them.
+    page_table: PageTable
+    fast_capacity_pages: int
+    telemetry: Telemetry
+    _migration: MigrationEngine
+    #: this epoch's promotion veto (tenant quotas): keeps what it approves.
+    promotion_filter: Callable[[np.ndarray], np.ndarray] | None = None
 
-    @property
-    def page_table(self) -> PageTable:
-        return self.engine.page_table
+    def promote(self, candidates: np.ndarray, thp: bool = False) -> Promotion:
+        """Promote ``candidates`` through this epoch's promotion filter."""
+        return self._migration.apply_promotions(candidates, self.epoch, thp, self.promotion_filter)
 
-    @property
-    def topology(self) -> NumaTopology:
-        return self.engine.topology
-
-    @property
-    def migration(self) -> MigrationEngine:
-        return self.engine.migration
-
-    @property
-    def lru(self) -> Lru2Q:
-        return self.engine.lru
+    def keep_watermark(self, watermark: float, target: float) -> int:
+        """Demote cold fast pages if free headroom is below ``watermark``."""
+        return self._migration.keep_watermark(watermark, target)
 
     def slow_miss_stream(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(pages, requests, writes)`` a CXL-device profiler would snoop:
         the distinct slow-node pages that missed this epoch, with their
         misses and write misses.  A page that never missed sent nothing.
         """
-        fast_id = self.engine.topology.fast_node.node_id
-        sel = np.flatnonzero((self.touched_nodes != fast_id) & (self.touched_misses > 0))
+        sel = np.flatnonzero((self.touched_nodes != FAST_NODE) & (self.touched_misses > 0))
         return self.touched_pages[sel], self.touched_misses[sel], self.touched_write_misses[sel]
 
 
@@ -208,7 +202,6 @@ class SimulationEngine:
         self.report = SimulationReport(workload=workload.name, policy=policy.name)
         self.sim_time_ns = 0.0
         self.epoch = 0
-        policy.bind(self)
 
     # ------------------------------------------------------------------
     def prefill(self) -> None:
@@ -301,10 +294,9 @@ class SimulationEngine:
         # OS-visible state updates.
         with tel.span("profile"):
             self.page_table.set_accessed(touched)
-            fast_id = self.topology.fast_node.node_id
-            self.lru.touch(touched[np.flatnonzero(touched_nodes == fast_id)], self.epoch)
+            self.lru.touch(touched[np.flatnonzero(touched_nodes == FAST_NODE)], self.epoch)
             if self.epoch % 8 == 0:
-                self.lru.age(self.epoch, member_mask=self.page_table.node_of_page == fast_id)
+                self.lru.age(self.epoch, member_mask=self.page_table.node_of_page == FAST_NODE)
 
         # Let the policy observe and act.
         with tel.span("plan"):
@@ -319,7 +311,10 @@ class SimulationEngine:
                 touched_nodes=touched_nodes,
                 touched_misses=misses,
                 touched_write_misses=write_misses,
-                engine=self,
+                page_table=self.page_table,
+                fast_capacity_pages=self.topology.fast_node.tier.capacity_pages,
+                telemetry=tel,
+                _migration=self.migration,
             )
             self.migration.grant_quota(duration_ns * 1e-9)
             overhead_ns = float(self.policy.on_epoch(view))
@@ -393,7 +388,6 @@ class SimulationEngine:
             llc_misses=num_misses,
         )
         seconds = duration_ns * 1e-9
-        fast_id = self.topology.fast_node.node_id
         for node in self.topology.nodes:
             count = int(node_misses[node.node_id])
             if count == 0:
@@ -404,7 +398,7 @@ class SimulationEngine:
             read_bytes = reads * 64
             write_bytes = writes * 64 + int(count * cfg.writeback_fraction) * 64
             node.tier.record_traffic(read_bytes, write_bytes, seconds)
-            if node.node_id == fast_id:
+            if node.node_id == FAST_NODE:
                 metrics.fast_hits += count
             else:
                 metrics.slow_hits += count

@@ -1,11 +1,14 @@
 """Page promotion / demotion engine with quota and ping-pong accounting.
 
-Models the kernel migration path NeoMem invokes (Section III ``7``):
+Models the kernel migration path NeoMem invokes (Section III ``7``); a
+policy only chooses pages, and this engine applies the choice:
 
-* **promotion** moves pages from a slow node to the fast node, first
+* **promotion** moves the candidates a veto (tenant quotas) keeps from a
+  slow node to the fast node, in THP mode as whole 2 MB pages, first
   demoting cold pages (chosen by the LRU-2Q lists) if the fast node lacks
   headroom;
-* **demotion** moves cold pages the other way;
+* **demotion** moves cold pages the other way, also to keep a policy's
+  free watermark on the fast node;
 * a **migration quota** (``m_quota``, Table V: 256 MB/s default) caps the
   bytes moved per second — requests beyond the quota are dropped, exactly
   like the kernel rate limiter;
@@ -21,13 +24,14 @@ Models the kernel migration path NeoMem invokes (Section III ``7``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.memsim.address import PAGE_SIZE, PAGES_PER_HUGE_PAGE
 from repro.memsim.lru2q import Lru2Q
-from repro.memsim.numa import NumaTopology
+from repro.memsim.numa import FAST_NODE, NumaTopology
 from repro.memsim.page_table import PageTable
 from repro.memsim.pageset import distinct_counts, first_occurrence
 from repro.telemetry import DISABLED, Telemetry
@@ -43,6 +47,18 @@ class MigrationStats:
     ping_pong_events: int = 0
     quota_dropped_pages: int = 0
     stall_ns: float = 0.0
+
+
+@dataclass(frozen=True)
+class Promotion:
+    """What one :meth:`MigrationEngine.apply_promotions` call moved: base
+    ``pages`` mapped up (huge-page members included), of them ``base_pages``
+    one by one, ``huge_pages`` 2 MB frames whole, and ``ping_pong`` events."""
+
+    pages: int = 0
+    base_pages: int = 0
+    huge_pages: int = 0
+    ping_pong: int = 0
 
 
 @dataclass
@@ -140,6 +156,52 @@ class MigrationEngine:
     # ------------------------------------------------------------------
     # promotion
     # ------------------------------------------------------------------
+    #: candidates a huge page needs before it migrates whole.
+    THP_HOT_REPORTS = 2
+
+    def apply_promotions(
+        self,
+        candidates: np.ndarray,
+        epoch: int,
+        thp: bool = False,
+        veto: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> Promotion:
+        """Promote the candidates ``veto`` keeps; in THP mode, a huge page
+        holding :attr:`THP_HOT_REPORTS` of them migrates whole (Sec. VII),
+        "provided the profiled hot 4KB pages are part of huge pages"."""
+        if veto is not None and candidates.size:
+            candidates = veto(candidates)
+        if candidates.size == 0:
+            return Promotion()
+        promoted, ping_pong = self.stats.promoted_pages, self.stats.ping_pong_events
+        huge_pages = 0
+        if thp:
+            huge_ids = candidates // PAGES_PER_HUGE_PAGE
+            unique, counts = distinct_counts(huge_ids)
+            qualifying = unique[counts >= self.THP_HOT_REPORTS]
+            if qualifying.size and veto is not None:
+                # a huge page migrates whole, so the veto must approve its
+                # *entire* span, not just the candidates inside it — an
+                # unaligned frame straddling a tenant boundary would
+                # otherwise smuggle a neighbour's pages past their quota
+                spans = (
+                    qualifying[:, None] * PAGES_PER_HUGE_PAGE + np.arange(PAGES_PER_HUGE_PAGE)
+                ).ravel()
+                spans = spans[spans < self.page_table.num_pages]
+                vetoed = np.setdiff1d(spans, veto(spans))
+                qualifying = qualifying[~np.isin(qualifying, vetoed // PAGES_PER_HUGE_PAGE)]
+            if qualifying.size:
+                huge_pages = self.promote_huge(qualifying, epoch)
+            # the rest move as base pages
+            candidates = candidates[~np.isin(huge_ids, qualifying)]
+        base_pages = self.promote(candidates, epoch) if candidates.size else 0
+        return Promotion(
+            pages=self.stats.promoted_pages - promoted,
+            base_pages=base_pages,
+            huge_pages=huge_pages,
+            ping_pong=self.stats.ping_pong_events - ping_pong,
+        )
+
     def promote(self, pages: np.ndarray, epoch: int) -> int:
         """Promote ``pages`` (currently on slow nodes) to the fast node.
 
@@ -152,9 +214,8 @@ class MigrationEngine:
             if pages.size == 0:
                 return 0
             nodes = self.page_table.nodes_of(pages)
-            fast_id = self.topology.fast_node.node_id
             # only mapped pages on slow nodes move up
-            movable = pages[(nodes >= 0) & (nodes != fast_id)]
+            movable = pages[(nodes >= 0) & (nodes != FAST_NODE)]
             if movable.size == 0:
                 return 0
             granted = self._charge_quota(movable.size, PAGE_SIZE)
@@ -212,14 +273,13 @@ class MigrationEngine:
                 + np.arange(PAGES_PER_HUGE_PAGE, dtype=np.int64)
             )
             spans_matrix[spans_matrix >= self.page_table.num_pages] = -1
-            fast_id = self.topology.fast_node.node_id
             # grants are sequential: each _make_room changes the free-slot
             # state the next row sees
             for row in range(grant_list.size):  # repro: noqa HOT001 — sequential grants
                 span = spans_matrix[row]
                 span = span[span >= 0]
                 nodes = self.page_table.nodes_of(span)
-                slow_members = span[(nodes >= 0) & (nodes != fast_id)]
+                slow_members = span[(nodes >= 0) & (nodes != FAST_NODE)]
                 if slow_members.size == 0:
                     continue
                 fast = self.topology.fast_node.tier
@@ -267,7 +327,7 @@ class MigrationEngine:
             for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — per NUMA node
                 self.topology[int(node_id)].tier.release(int(node_counts[node_id]))
         self.topology.fast_node.tier.reserve(pages.size)
-        self.page_table.map_pages(pages, self.topology.fast_node.node_id)
+        self.page_table.map_pages(pages, FAST_NODE)
 
         # ping-pong accounting: promoted pages that carry PG_demoted
         ping_pong = int(self.page_table.demoted_mask(pages).sum())
@@ -295,7 +355,7 @@ class MigrationEngine:
             if pages.size == 0:
                 return 0
             nodes = self.page_table.nodes_of(pages)
-            movable = pages[nodes == self.topology.fast_node.node_id]
+            movable = pages[nodes == FAST_NODE]
             if movable.size == 0:
                 return 0
             dropped = 0
@@ -341,6 +401,16 @@ class MigrationEngine:
                 )
             return moved + dropped
 
+    def keep_watermark(self, watermark: float, target: float) -> int:
+        """Below a ``watermark`` fraction of free fast pages, demote the
+        coldest (reclaim-style, no quota) until ``target`` is free."""
+        fast = self.topology.fast_node.tier
+        if fast.free_pages >= fast.capacity_pages * watermark:
+            return 0
+        want = int(fast.capacity_pages * target) - fast.free_pages
+        victims = self.lru.coldest(want, self.page_table.node_of_page == FAST_NODE)
+        return self.demote(victims, charge_quota=False)
+
     def _drop_to_shadow(self, pages: np.ndarray, shadows: np.ndarray) -> int:
         """Inclusive-mode demotion of still-shadowed pages: a free drop.
 
@@ -383,7 +453,7 @@ class MigrationEngine:
 
     def _make_room(self, num_pages: int) -> int:
         """Demote the coldest fast-node pages to free ``num_pages``."""
-        member_mask = self.page_table.node_of_page == self.topology.fast_node.node_id
+        member_mask = self.page_table.node_of_page == FAST_NODE
         candidates = self.coldest_victims(num_pages, member_mask)
         if candidates.size == 0:
             return 0
@@ -404,15 +474,6 @@ class MigrationEngine:
         tel.event(kind, **args)
 
     # ------------------------------------------------------------------
-    def peek(self) -> MigrationStats:
-        """Copy of the live per-window counters, *without* resetting.
-
-        Observers (the daemon's period accounting, telemetry readouts)
-        use this; only the engine's end-of-epoch accounting is allowed
-        to :meth:`drain_stats`.
-        """
-        return replace(self.stats)
-
     def drain_stats(self) -> MigrationStats:
         """Hand back the per-window counters and start a fresh set.
 
@@ -420,13 +481,13 @@ class MigrationEngine:
         engine drains at the end of every epoch, after the per-epoch
         :meth:`grant_quota`).  A second drain in the same window means
         two consumers both think they own the reset — each would see
-        half the counts — so it fails loudly; read-only observers use
-        :meth:`peek` instead.
+        half the counts — so it fails loudly; read-only observers read
+        :attr:`stats` instead.
         """
         if self._window_drained:
             raise RuntimeError(
                 "MigrationStats drained twice in one accounting window — "
-                "the engine owns the per-epoch drain; use peek() for "
+                "the engine owns the per-epoch drain; read stats for "
                 "read-only observation"
             )
         self._window_drained = True

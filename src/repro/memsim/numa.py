@@ -19,6 +19,10 @@ from repro.memsim.page_table import PageTable
 from repro.memsim.pageset import first_occurrence
 from repro.memsim.tiers import MemoryTier, TierSpec
 
+#: Fig. 1-(b): the CPU-attached fast tier is node 0 and every CXL expander
+#: a CPU-less node after it; the topology builds no other layout.
+FAST_NODE = 0
+
 
 @dataclass
 class NumaNode:
@@ -48,7 +52,7 @@ class NumaTopology:
         self.nodes: list[NumaNode] = []
         for node_id, (spec, capacity) in enumerate(specs_and_capacities):
             tier = MemoryTier(spec, capacity, node_id)
-            self.nodes.append(NumaNode(node_id, tier, has_cpu=node_id == 0))
+            self.nodes.append(NumaNode(node_id, tier, has_cpu=node_id == FAST_NODE))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -58,7 +62,7 @@ class NumaTopology:
 
     @property
     def fast_node(self) -> NumaNode:
-        return self.nodes[0]
+        return self.nodes[FAST_NODE]
 
     @property
     def slow_nodes(self) -> list[NumaNode]:

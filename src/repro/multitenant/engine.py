@@ -105,6 +105,7 @@ class ColocationEngine:
             num_pages=self.layout.total_pages,
         )
         self.inner = SimulationEngine(shared_space, topology_spec, self.arbiter, config)
+        self.arbiter.bind(self.inner)
         for runtime in self.tenants.values():
             runtime.report.policy = self.arbiter.name
         # Per-tenant metric partitions: each tenant's epochs publish into

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.policies.base import BaseTieringPolicy
 from repro.profilers.hint_fault import HintFaultProfiler
 
@@ -50,7 +51,7 @@ class AutoNumaPolicy(BaseTieringPolicy):
         candidates = np.nonzero(counts >= self.hot_threshold)[0].astype(np.int64)
         if candidates.size == 0:
             return candidates
-        on_slow = view.page_table.nodes_of(candidates) > 0
+        on_slow = view.page_table.nodes_of(candidates) > FAST_NODE
         candidates = candidates[on_slow]
         # fault history is consumed by promotion (kernel clears it)
         self.profiler.fault_count[candidates] = 0

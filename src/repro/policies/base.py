@@ -2,19 +2,19 @@
 
 A policy is the engine-facing object that reacts to each epoch: it runs
 its profiler, selects promotion candidates on its migration cadence, and
-keeps the fast tier's free watermark by demoting cold pages.  Concrete
-baselines set :attr:`profiler` and override :meth:`_select_promotions`;
-the NeoMem daemon (:mod:`repro.core.daemon`) swaps in the NeoProf
-device as its profiler, so every system promotes, coalesces huge pages
-and demotes through the same code here.
+names the fast tier's free watermark.  Concrete baselines set
+:attr:`profiler` and override :meth:`_select_promotions`; the NeoMem
+daemon (:mod:`repro.core.daemon`) swaps in the NeoProf device as its
+profiler.  Every policy only chooses: the epoch view hands its choice
+to the migration engine, which applies the promotion veto, huge-page
+coalescing and watermark demotion.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.memsim.address import PAGES_PER_HUGE_PAGE
-from repro.memsim.pageset import distinct_counts
+from repro.memsim.migration import Promotion
 
 
 class BaseTieringPolicy:
@@ -33,8 +33,6 @@ class BaseTieringPolicy:
     #: this on the instance; hot candidates are then coalesced and whole
     #: 2 MB pages migrate together.
     thp = False
-    #: candidates a huge page needs before it migrates whole.
-    THP_HOT_REPORTS = 2
     #: telemetry counter of the candidates each migration round selects.
     candidates_counter = "policy.promote_candidates"
     #: the :class:`~repro.profilers.base.Profiler` run every epoch;
@@ -55,75 +53,29 @@ class BaseTieringPolicy:
         self.demotion_target = float(demotion_target)
         self.syscall_ns_per_page = float(syscall_ns_per_page)
         self.current_threshold = 0.0
-        #: QoS arbitration hook (multi-tenant co-location): when set,
-        #: promotion candidates pass through this callable first, so an
-        #: arbiter can drop pages whose tenant is over its fast-tier quota.
-        self.promotion_filter = None
         self._next_migration_ns = 0.0
 
     # ------------------------------------------------------------------
-    def bind(self, engine) -> None:
-        """Attach to a freshly built engine; keep nothing of it.
-
-        Every epoch hands the policy its :class:`EpochView`, so a stored
-        engine would only tie policy and engine into a reference cycle
-        that outlives the run until a full garbage collection.
-        """
-
     def on_epoch(self, view) -> float:
-        with view.engine.telemetry.span("profile"):
+        with view.telemetry.span("profile"):
             overhead = self._profile(view)
-        overhead += self._promote_due(view)
+        overhead += self._syscall_ns(self._promote_due(view))
         overhead += self._watermark_demotion(view)
         return overhead
 
-    def _promote_due(self, view) -> float:
+    def _promote_due(self, view) -> Promotion:
         """Promote the selected candidates when a migration round is due."""
         now_ns = view.sim_time_ns + view.duration_ns
         if now_ns < self._next_migration_ns:
-            return 0.0
+            return Promotion()
         self._next_migration_ns = now_ns + self.migration_interval_s * 1e9
         candidates = self._select_promotions(view)
-        view.engine.telemetry.counter(self.candidates_counter).inc(int(candidates.size))
-        if self.promotion_filter is not None and candidates.size:
-            candidates = self.promotion_filter(candidates)
-        if candidates.size == 0:
-            return 0.0
-        return self._promote(view, candidates)
+        view.telemetry.counter(self.candidates_counter).inc(int(candidates.size))
+        return view.promote(candidates, self.thp)
 
-    def _promote(self, view, candidates: np.ndarray) -> float:
-        """Move candidates up; in THP mode, whole 2 MB pages first (Sec. VII).
-
-        A huge page holding at least :attr:`THP_HOT_REPORTS` candidates
-        migrates whole, "provided the profiled hot 4KB pages are part of
-        huge pages"; the remaining candidates move as base pages.
-        """
-        if not self.thp:
-            promoted = view.migration.promote(candidates, view.epoch)
-            return promoted * self.syscall_ns_per_page
-        huge_ids = candidates // PAGES_PER_HUGE_PAGE
-        unique, counts = distinct_counts(huge_ids)
-        qualifying = unique[counts >= self.THP_HOT_REPORTS]
-        if qualifying.size and self.promotion_filter is not None:
-            # a huge page migrates whole, so QoS arbitration must approve
-            # its *entire* span, not just the candidates inside it — an
-            # unaligned frame straddling a tenant boundary would otherwise
-            # smuggle a neighbour's pages past their fast-tier quota
-            spans = (
-                qualifying[:, None] * PAGES_PER_HUGE_PAGE + np.arange(PAGES_PER_HUGE_PAGE)
-            ).ravel()
-            spans = spans[spans < view.page_table.num_pages]
-            vetoed = np.setdiff1d(spans, self.promotion_filter(spans))
-            qualifying = qualifying[~np.isin(qualifying, vetoed // PAGES_PER_HUGE_PAGE)]
-        overhead = 0.0
-        if qualifying.size:
-            moved = view.migration.promote_huge(qualifying, view.epoch)
-            overhead += moved * self.syscall_ns_per_page * 4
-        stragglers = candidates[~np.isin(huge_ids, qualifying)]
-        if stragglers.size:
-            promoted = view.migration.promote(stragglers, view.epoch)
-            overhead += promoted * self.syscall_ns_per_page
-        return overhead
+    def _syscall_ns(self, promotion: Promotion) -> float:
+        """Host cost of a promotion: a 2 MB move costs four base-page moves."""
+        return (promotion.base_pages + 4 * promotion.huge_pages) * self.syscall_ns_per_page
 
     # ------------------------------------------------------------------
     # subclass hooks
@@ -140,17 +92,6 @@ class BaseTieringPolicy:
 
     # ------------------------------------------------------------------
     def _watermark_demotion(self, view) -> float:
-        """Demote the coldest fast-node pages when free headroom dips.
-
-        Victim membership keys off the topology's actual fast-node id —
-        not literal node 0 — so a remapped fast node still demotes its
-        own pages instead of evicting a slow node's.
-        """
-        fast = view.topology.fast_node.tier
-        if fast.free_pages >= fast.capacity_pages * self.demotion_watermark:
-            return 0.0
-        want = int(fast.capacity_pages * self.demotion_target) - fast.free_pages
-        member_mask = view.page_table.node_of_page == view.topology.fast_node.node_id
-        victims = view.lru.coldest(want, member_mask)
-        demoted = view.migration.demote(victims, charge_quota=False)
+        """Demote the coldest fast-node pages when free headroom dips."""
+        demoted = view.keep_watermark(self.demotion_watermark, self.demotion_target)
         return demoted * self.syscall_ns_per_page

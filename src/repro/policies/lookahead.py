@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.memsim.pageset import first_occurrence
 from repro.policies.base import BaseTieringPolicy
 from repro.workloads.kvcache import KVGeometry
@@ -71,5 +72,5 @@ class LookAheadPolicy(BaseTieringPolicy):
         # the nearest-step copy of each block wins
         wanted = first_occurrence(np.concatenate(horizon), view.page_table.num_pages)
         # only blocks currently on slow nodes need staging
-        on_slow = view.page_table.nodes_of(wanted) > 0
+        on_slow = view.page_table.nodes_of(wanted) > FAST_NODE
         return wanted[on_slow]

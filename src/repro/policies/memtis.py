@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.policies.base import BaseTieringPolicy
 from repro.profilers.pebs import PebsProfiler
 
@@ -47,13 +48,12 @@ class MemtisPolicy(BaseTieringPolicy):
             return np.zeros(0, dtype=np.int64)
         # Histogram-based hot-set sizing: find the smallest count
         # threshold such that the pages above it fit the fast tier.
-        fast = view.topology.fast_node.tier
-        budget = max(int(fast.capacity_pages * 0.95), 1)
+        budget = max(int(view.fast_capacity_pages * 0.95), 1)
         order = np.argsort(counts[sampled])[::-1]
         ranked = sampled[order]
         hot_set = ranked[:budget]
         self.current_threshold = float(counts[hot_set[-1]]) if hot_set.size else 0.0
-        on_slow = view.page_table.nodes_of(hot_set) > 0
+        on_slow = view.page_table.nodes_of(hot_set) > FAST_NODE
         candidates = hot_set[on_slow].astype(np.int64)
         self.profiler.sample_count[candidates] = 0.0
         return candidates

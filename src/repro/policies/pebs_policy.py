@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.policies.base import BaseTieringPolicy
 from repro.profilers.pebs import PebsProfiler
 
@@ -41,7 +42,7 @@ class PebsPolicy(BaseTieringPolicy):
         candidates = self.profiler.hot_candidates(self.min_samples)
         if candidates.size == 0:
             return candidates
-        on_slow = view.page_table.nodes_of(candidates) > 0
+        on_slow = view.page_table.nodes_of(candidates) > FAST_NODE
         candidates = candidates[on_slow]
         # samples are consumed by promotion; the page must re-qualify
         self.profiler.sample_count[candidates] = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.policies.base import BaseTieringPolicy
 from repro.profilers.pte_scan import PteScanProfiler
 
@@ -47,7 +48,7 @@ class PteScanPolicy(BaseTieringPolicy):
         if candidates.size == 0:
             return candidates
         # only slow-tier residents are promotable
-        on_slow = view.page_table.nodes_of(candidates) > 0
+        on_slow = view.page_table.nodes_of(candidates) > FAST_NODE
         candidates = candidates[on_slow]
         # The kernel has no per-page frequency ranking — candidates hit
         # the (quota-limited) migration path in scan order, which is

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.policies.base import BaseTieringPolicy
 from repro.profilers.hint_fault import HintFaultProfiler
 
@@ -58,7 +59,7 @@ class TppPolicy(BaseTieringPolicy):
         candidates = self.profiler.consecutive_fault_pages(self.refault_epoch_gap)
         if candidates.size == 0:
             return candidates
-        on_slow = view.page_table.nodes_of(candidates) > 0
+        on_slow = view.page_table.nodes_of(candidates) > FAST_NODE
         candidates = candidates[on_slow]
         # consume the fault pair so the page must re-qualify
         self.profiler.prev_fault_epoch[candidates] = -1

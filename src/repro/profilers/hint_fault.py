@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.numa import FAST_NODE
 from repro.profilers.base import Profiler
 
 
@@ -92,7 +93,7 @@ class HintFaultProfiler(Profiler):
 
     def _poison_window(self, page_table) -> float:
         if self.slow_only:
-            eligible = np.nonzero(page_table.node_of_page > 0)[0]
+            eligible = np.nonzero(page_table.node_of_page > FAST_NODE)[0]
         else:
             eligible = np.nonzero(page_table.node_of_page >= 0)[0]
         if eligible.size == 0:

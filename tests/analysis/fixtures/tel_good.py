@@ -1,4 +1,4 @@
-"""TEL good fixture: spans as context managers, registry metrics, peek()."""
+"""TEL good fixture: spans as context managers, registry metrics, stats reads."""
 
 
 def spanned(tel, pages):
@@ -16,4 +16,4 @@ def registry_metrics(registry):
 
 
 def observe_stats(migration):
-    return migration.peek()
+    return migration.stats.promoted_pages

@@ -69,9 +69,6 @@ class TestDaemonLoop:
         class Null:
             name = "null"
 
-            def bind(self, engine):
-                pass
-
             def on_epoch(self, view):
                 return 0.0
 
@@ -150,78 +147,3 @@ class TestDaemonLoop:
         assert fast.free_pages >= 0
         assert engine.report.total_demoted_pages > 0
 
-
-from repro.memsim.numa import NumaTopology  # noqa: E402
-
-
-class RemappedTopology(NumaTopology):
-    """Fast tier living on node 1 (node 0 is a CXL expander).
-
-    Models a multi-socket / hotplug layout where the CPU-attached DDR
-    does not get node id 0 — exactly the case the daemon's watermark
-    demotion used to get wrong by hardcoding ``node_of_page == 0``.
-    """
-
-    @property
-    def fast_node(self):
-        return self.nodes[1]
-
-    @property
-    def slow_nodes(self):
-        return [self.nodes[0]] + self.nodes[2:]
-
-
-class TestWatermarkDemotionRemappedFastNode:
-    def _build(self):
-        from types import SimpleNamespace
-
-        from repro.memsim.lru2q import Lru2Q
-        from repro.memsim.migration import MigrationConfig, MigrationEngine
-        from repro.memsim.page_table import PageTable
-
-        topo = RemappedTopology([(CXL_DRAM_PROTO, 400), (DDR5_LOCAL, 100)])
-        pt = PageTable(300)
-        lru = Lru2Q(300)
-        migration = MigrationEngine(
-            topo, pt, lru, MigrationConfig(quota_bytes_per_s=10**9)
-        )
-        migration.grant_quota(1.0)
-        # 200 pages on the slow node 0, 100 filling the fast node 1
-        pt.map_pages(np.arange(200), 0)
-        topo[0].tier.reserve(200)
-        fast_pages = np.arange(200, 300)
-        pt.map_pages(fast_pages, 1)
-        topo[1].tier.reserve(100)
-        lru.touch(fast_pages, epoch=0)
-        view = SimpleNamespace(
-            topology=topo, page_table=pt, lru=lru, migration=migration
-        )
-        return topo, pt, view
-
-    def test_demotes_from_the_actual_fast_node(self):
-        daemon = NeoMemDaemon(
-            NeoMemConfig(demotion_watermark=0.2, demotion_target=0.3),
-            NeoProfConfig(sketch_width=4096),
-        )
-        topo, pt, view = self._build()
-        assert topo.fast_node.tier.free_pages == 0  # below the watermark
-        overhead = daemon._watermark_demotion(view)
-        # victims must come off node 1 (the true fast node): headroom is
-        # restored there and node 0's population only grows
-        assert topo.fast_node.tier.free_pages > 0
-        assert (pt.node_of_page[np.arange(200)] == 0).all()
-        demoted = int((pt.node_of_page[np.arange(200, 300)] == 0).sum())
-        assert demoted == topo.fast_node.tier.free_pages
-        assert overhead > 0.0
-
-    def test_literal_node_zero_mask_would_demote_nothing(self):
-        """The pre-fix behaviour pinned down: a node-0 membership mask
-        yields slow-tier victims, which demote() rightly refuses — so
-        the watermark never recovers.  Guards against the bug returning
-        in a refactor."""
-        topo, pt, view = self._build()
-        buggy_mask = pt.node_of_page == 0
-        victims = view.lru.coldest(30, buggy_mask)
-        moved = view.migration.demote(victims, charge_quota=False)
-        assert moved == 0
-        assert topo.fast_node.tier.free_pages == 0

@@ -38,9 +38,6 @@ class NullPolicy:
 
     name = "null"
 
-    def bind(self, engine):
-        self.engine = engine
-
     def on_epoch(self, view):
         return 0.0
 
@@ -51,12 +48,9 @@ class PromoteAllPolicy:
     name = "promote-all"
     current_threshold = 1.0
 
-    def bind(self, engine):
-        self.engine = engine
-
     def on_epoch(self, view):
         slow_pages, _, _ = view.slow_miss_stream()
-        view.migration.promote(slow_pages, view.epoch)
+        view.promote(slow_pages)
         return 1000.0  # pretend 1 us of CPU overhead
 
 
@@ -65,12 +59,9 @@ class PromoteHotPolicy:
 
     name = "promote-hot"
 
-    def bind(self, engine):
-        self.engine = engine
-
     def on_epoch(self, view):
         slow_pages, requests, _ = view.slow_miss_stream()
-        view.migration.promote(slow_pages[requests >= 8], view.epoch)
+        view.promote(slow_pages[requests >= 8])
         return 0.0
 
 
@@ -235,7 +226,7 @@ class TestTrafficAccounting:
                 # placement as booked: this runs before any migration
                 _, miss_is_write, nodes = access_level_misses(view, masks)
                 books = {}
-                for node in view.topology.nodes:
+                for node in engine.topology.nodes:
                     on_node = nodes == node.node_id
                     count = int(on_node.sum())
                     writes = int((on_node & miss_is_write).sum())
@@ -330,6 +321,26 @@ class TestPolicyInteraction:
         assert report.epochs[-1].threshold == 1.0
 
 
+class TestPolicyInterface:
+    def test_policy_needs_only_name_and_on_epoch(self):
+        """The engine calls nothing on its policy but ``on_epoch``, and the
+        view it hands over reaches no engine, LRU list or topology."""
+        views = []
+
+        class Minimal:
+            name = "minimal"
+
+            def on_epoch(self, view):
+                views.append(view)
+                return 0.0
+
+        report = build_engine(policy=Minimal()).run()
+        assert len(views) == len(report.epochs) == 5
+        for view in views:
+            for attr in ("engine", "migration", "lru", "topology"):
+                assert not hasattr(view, attr), attr
+
+
 class TestEpochView:
     def test_live_epoch_arrays_are_read_only(self):
         """An epoch the engine filters itself (nothing replayed) hands the
@@ -349,7 +360,6 @@ class TestEpochView:
                 return 0.0
 
         engine.policy = Spy()
-        engine.policy.bind(engine)
         pages = np.arange(64, dtype=np.int64)
         is_write = np.ones(64, dtype=bool)
         engine.step(pages, is_write)
@@ -370,7 +380,6 @@ class TestEpochView:
                 return 0.0
 
         engine.policy = Spy()
-        engine.policy.bind(engine)
         engine.run()
         pages, requests, writes = captured["stream"]
         assert pages.size > 0
@@ -400,7 +409,6 @@ class TestEpochView:
                 return 0.0
 
         engine.policy = Spy()
-        engine.policy.bind(engine)
         engine.run()
         assert sum(seen) > 0
 
@@ -418,7 +426,6 @@ class TestEpochView:
                 return 0.0
 
         engine.policy = Spy()
-        engine.policy.bind(engine)
         no_writes = np.zeros(64, dtype=bool)
         engine.step(np.full(64, 5), no_writes)  # page 5 becomes fully resident
         engine.step(np.array([5] * 10 + [7] * 3), no_writes[:13])
@@ -441,7 +448,6 @@ class TestEpochView:
                 return 0.0
 
         engine.policy = Spy()
-        engine.policy.bind(engine)
         engine.run()
         assert streams, "policy never ran"
         for pages, requests, writes in streams:

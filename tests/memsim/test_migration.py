@@ -1,5 +1,5 @@
 """Tests for the migration engine: quota, ping-pong, capacity handling."""
-# repro: noqa-file TEL003 — this suite tests the drain-once/peek contract itself
+# repro: noqa-file TEL003 — this suite tests the drain-once contract itself
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.memsim.address import PAGES_PER_HUGE_PAGE
 from repro.memsim.lru2q import Lru2Q
-from repro.memsim.migration import MigrationConfig, MigrationEngine
+from repro.memsim.migration import MigrationConfig, MigrationEngine, MigrationStats, Promotion
 from repro.memsim.numa import NumaTopology
 from repro.memsim.page_table import PageTable
 from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
@@ -64,6 +64,66 @@ class TestPromotion:
         occ = pt.occupancy()
         assert occ.get(0, 0) == topo[0].tier.used_pages
         assert occ.get(1, 0) == topo[1].tier.used_pages
+
+
+class TestApplyPromotions:
+    def test_veto_keeps_what_it_approves(self):
+        topo, pt, lru, eng = build()
+        topo.first_touch_allocate(pt, np.arange(150))  # 100 fast, 50 slow
+        eng.grant_quota(1.0)
+        vetoed = []
+
+        def veto(pages):
+            vetoed.append(pages)
+            return pages[pages < 125]
+
+        promotion = eng.apply_promotions(np.array([120, 130]), epoch=0, veto=veto)
+        assert promotion == Promotion(pages=1, base_pages=1)
+        assert pt.nodes_of(np.array([120, 130])).tolist() == [0, 1]
+        assert [v.tolist() for v in vetoed] == [[120, 130]]
+
+    def test_fully_vetoed_round_moves_nothing(self):
+        topo, pt, lru, eng = build()
+        topo.first_touch_allocate(pt, np.arange(150))
+        eng.grant_quota(1.0)
+        promotion = eng.apply_promotions(np.array([120]), epoch=0, veto=lambda pages: pages[:0])
+        assert promotion == Promotion()
+        assert eng.stats == MigrationStats()
+
+    def test_counts_ping_pong_of_this_call_only(self):
+        topo, pt, lru, eng = build()
+        topo.first_touch_allocate(pt, np.arange(150))
+        eng.grant_quota(1.0)
+        eng.promote(np.array([120]), epoch=0)
+        eng.demote(np.array([120]))
+        promotion = eng.apply_promotions(np.array([120, 130]), epoch=1)
+        assert promotion == Promotion(pages=2, base_pages=2, ping_pong=1)
+        assert eng.stats.promoted_pages == 3
+
+    def test_huge_frame_counts_its_members(self):
+        topo, pt, lru, eng = build(fast=600, slow=1200, num_pages=1024)
+        pt.map_pages(np.arange(1024), 1)
+        topo[1].tier.reserve(1024)
+        eng.grant_quota(1.0)
+        frame = PAGES_PER_HUGE_PAGE
+        promotion = eng.apply_promotions(np.array([frame + 1, frame + 2, 7]), epoch=0, thp=True)
+        assert promotion == Promotion(pages=PAGES_PER_HUGE_PAGE + 1, base_pages=1, huge_pages=1)
+
+
+class TestKeepWatermark:
+    def test_restores_the_target_below_the_watermark(self):
+        topo, pt, lru, eng = build()
+        topo.first_touch_allocate(pt, np.arange(150))  # fast node full
+        lru.touch(np.arange(100), epoch=0)
+        assert eng.keep_watermark(0.05, 0.10) == 10
+        assert topo.fast_node.tier.free_pages == 10
+        assert eng.stats.demoted_pages == 10
+
+    def test_nothing_moves_at_the_watermark(self):
+        topo, pt, lru, eng = build()
+        topo.first_touch_allocate(pt, np.arange(95))  # 5 of 100 fast pages free
+        assert eng.keep_watermark(0.05, 0.50) == 0
+        assert topo.fast_node.tier.free_pages == 5
 
 
 class TestQuota:
@@ -217,24 +277,3 @@ class TestStatsDrain:
         eng.grant_quota(1.0)  # new epoch, new window
         eng.promote(np.array([120]), epoch=1)
         assert eng.drain_stats().promoted_pages == 1
-
-    def test_peek_does_not_reset_or_consume_the_drain(self):
-        topo, pt, lru, eng = build()
-        topo.first_touch_allocate(pt, np.arange(150))
-        eng.grant_quota(1.0)
-        eng.promote(np.array([120, 121]), epoch=0)
-        first = eng.peek()
-        assert first.promoted_pages == 2
-        assert eng.peek() == first  # read-only: repeatable
-        assert eng.stats.promoted_pages == 2  # live counters untouched
-        # peeking never claims the window; the drain still works once
-        snap = eng.drain_stats()
-        assert snap.promoted_pages == 2
-
-    def test_peek_returns_a_copy(self):
-        topo, pt, lru, eng = build()
-        topo.first_touch_allocate(pt, np.arange(150))
-        eng.grant_quota(1.0)
-        snap = eng.peek()
-        snap.promoted_pages = 999
-        assert eng.stats.promoted_pages == 0

@@ -1,5 +1,5 @@
 """Inclusive vs exclusive tier semantics: shadows, free drops, conservation."""
-# repro: noqa-file TEL003 — stats are drained/peeked directly to assert costs
+# repro: noqa-file TEL003 — stats are drained and read directly to assert costs
 
 import numpy as np
 import pytest
@@ -15,9 +15,7 @@ def build(tier_mode, fast=100, slow=300, num_pages=250):
     topo = NumaTopology([(DDR5_LOCAL, fast), (CXL_DRAM_PROTO, slow)])
     pt = PageTable(num_pages)
     lru = Lru2Q(num_pages)
-    cfg = MigrationConfig(
-        quota_bytes_per_s=1e12, fast_free_target=0.0, tier_mode=tier_mode
-    )
+    cfg = MigrationConfig(quota_bytes_per_s=1e12, fast_free_target=0.0, tier_mode=tier_mode)
     eng = MigrationEngine(topo, pt, lru, cfg)
     return topo, pt, lru, eng
 
@@ -96,7 +94,7 @@ class TestInclusive:
         eng.grant_quota(1.0)
         lru.touch(np.arange(100), epoch=0)
         eng.promote(np.array([120, 130]), epoch=1)
-        assert eng.peek().stall_ns >= 2 * eng.config.page_copy_ns
+        assert eng.stats.stall_ns >= 2 * eng.config.page_copy_ns
 
     def test_shadowed_demotion_is_a_free_drop(self):
         topo, pt, lru, eng = build("inclusive")
@@ -104,7 +102,7 @@ class TestInclusive:
         eng.grant_quota(1.0)
         lru.touch(np.arange(100), epoch=0)
         eng.promote(np.array([120, 130]), epoch=1)
-        promote_stall = eng.peek().stall_ns
+        promote_stall = eng.stats.stall_ns
         budget_before = eng._window_budget_bytes
         assert eng.demote(np.array([120, 130])) == 2
         stats = eng.drain_stats()
@@ -136,7 +134,7 @@ class TestInclusive:
         eng.promote(np.array([120]), epoch=1)
         eng.demote(np.array([120]))
         eng.promote(np.array([120]), epoch=2)
-        assert eng.peek().ping_pong_events == 1
+        assert eng.stats.ping_pong_events == 1
         check_conservation(topo, pt, eng)
 
     def test_mixed_demotion_batch_splits_paths(self):
@@ -145,7 +143,7 @@ class TestInclusive:
         eng.grant_quota(1.0)
         lru.touch(np.arange(100), epoch=0)
         eng.promote(np.array([120]), epoch=1)
-        stall_before = eng.peek().stall_ns
+        stall_before = eng.stats.stall_ns
         # one shadowed page (free drop) + one first-touch page (copy)
         assert eng.demote(np.array([120, 7])) == 2
         stats = eng.drain_stats()

@@ -136,14 +136,29 @@ class TestFastTierQuota:
         engine, report = run_mix("neomem", specs=specs)
         assert fast_resident(engine, specs[0].name) == 0
 
-    def test_no_fraction_means_no_quota(self):
+    @pytest.mark.parametrize("fractions", ([None, None], [0.1, None]))
+    def test_no_fraction_means_no_quota(self, fractions):
         """Quotas apply exactly to the tenants whose spec sets a fraction:
-        without one, nothing is vetoed and no filter is installed."""
-        specs = make_tenant_specs(2, TINY)
-        engine, report = run_mix("neomem", specs=specs)
-        candidates = np.arange(engine.layout.total_pages)
-        np.testing.assert_array_equal(engine.arbiter.quota_filter(candidates), candidates)
-        assert engine.arbiter.policies[specs[0].name].promotion_filter is None
+        without one, nothing is vetoed and no view carries a filter."""
+        specs = make_tenant_specs(2, TINY, fast_quota_fractions=fractions)
+        engine = build_colocation(specs, "neomem", TINY)
+        policy = engine.arbiter.policies[specs[0].name]
+        filters = []
+
+        def spy(view, on_epoch=policy.on_epoch):
+            filters.append(view.promotion_filter)
+            return on_epoch(view)
+
+        policy.on_epoch = spy
+        engine.prefill()
+        engine.run()
+        assert len(filters) == 2 * TINY.batches
+        if fractions[0] is None:
+            candidates = np.arange(engine.layout.total_pages)
+            np.testing.assert_array_equal(engine.arbiter.quota_filter(candidates), candidates)
+            assert filters == [None] * len(filters)
+        else:
+            assert filters == [engine.arbiter.quota_filter] * len(filters)
 
     def test_quota_filter_vetoes_only_over_quota_tenants(self):
         specs = make_tenant_specs(2, TINY, fast_quota_fractions=[0.1, None])
@@ -184,7 +199,7 @@ class TestThpQuotaInteraction:
         onto the fast tier inside one huge-page migration.
         """
         from repro.memsim.address import PAGES_PER_HUGE_PAGE
-        from repro.memsim.engine import EngineConfig, EpochView, SimulationEngine
+        from repro.memsim.engine import EngineConfig, SimulationEngine
         from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
 
         num_pages = 4 * PAGES_PER_HUGE_PAGE
@@ -211,25 +226,13 @@ class TestThpQuotaInteraction:
         # veto boundary mid-frame: huge page 1 spans [512, 1024), the
         # "quota'd tenant" owns [0, 768)
         boundary = PAGES_PER_HUGE_PAGE + PAGES_PER_HUGE_PAGE // 2
-        policy.promotion_filter = lambda pages: pages[pages >= boundary]
         engine.migration.grant_quota(10.0)
 
-        empty = np.zeros(0, dtype=np.int64)
-        view = EpochView(
-            epoch=0,
-            sim_time_ns=0.0,
-            duration_ns=1e6,
-            pages=empty,
-            is_write=empty.astype(bool),
-            miss_pages=empty,
-            touched_pages=empty,
-            touched_nodes=empty.astype(np.int16),
-            touched_misses=empty.astype(np.int32),
-            touched_write_misses=empty.astype(np.int32),
-            engine=engine,
-        )
+        def veto(pages):
+            return pages[pages >= boundary]
+
         hot = np.arange(boundary + 32, boundary + 40)  # inside huge page 1
-        policy._promote(view, hot)
+        engine.migration.apply_promotions(hot, epoch=0, thp=policy.thp, veto=veto)
 
         nodes = engine.page_table.node_of_page
         assert (nodes[:boundary] == 1).all(), "vetoed tenant pages migrated"
@@ -239,7 +242,7 @@ class TestThpQuotaInteraction:
 
         # a frame wholly past the boundary still migrates whole
         hot2 = np.arange(3 * PAGES_PER_HUGE_PAGE, 3 * PAGES_PER_HUGE_PAGE + 4)
-        policy._promote(view, hot2)
+        engine.migration.apply_promotions(hot2, epoch=0, thp=policy.thp, veto=veto)
         span = slice(3 * PAGES_PER_HUGE_PAGE, 4 * PAGES_PER_HUGE_PAGE)
         assert (engine.page_table.node_of_page[span] == 0).all()
         assert engine.migration.stats.promoted_huge_pages == 1

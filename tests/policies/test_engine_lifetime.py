@@ -1,9 +1,11 @@
 """A finished engine is freed by reference counting alone.
 
-No policy keeps the engine that binds it, so policy and engine form no
-reference cycle: the engine, its page table and NeoProf's sketch go as
-soon as the last outside reference does, without waiting for a full
-garbage collection.
+No policy is bound to the engine or holds any part of it, and a
+co-location's arbiter hands its quota filter to each epoch's view
+instead of installing it on the policies, so nothing forms a reference
+cycle: the engine, its page table, the arbiter, every policy and
+NeoProf's sketches go as soon as the last outside reference does,
+without waiting for a full garbage collection.
 """
 
 import gc
@@ -33,15 +35,25 @@ def no_gc():
         gc.enable()
 
 
+def colocation_parts(engine):
+    """A co-location engine's simulation engine, arbiter, distinct
+    policies and their NeoProf sketches."""
+    policies = list({id(policy): policy for policy in engine.arbiter.policies.values()}.values())
+    sketches = [policy.device.detector.sketch for policy in policies]
+    return [engine.inner, engine.arbiter, *policies, *sketches]
+
+
 def assert_freed_on_release(engine):
-    """Run ``engine``, drop it, and check every engine object is gone."""
+    """Run ``engine``, drop it, and check every engine object is gone;
+    return how many objects were checked."""
     engine.prefill()
     engine.run()
     refs = [weakref.ref(engine)]
-    if hasattr(engine, "inner"):  # a co-location engine's simulation engine
-        refs.append(weakref.ref(engine.inner))
+    if hasattr(engine, "inner"):
+        refs += [weakref.ref(part) for part in colocation_parts(engine)]
     del engine
     assert [ref() for ref in refs] == [None] * len(refs)
+    return len(refs)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES + ("neomem-fixed-8",))
@@ -57,7 +69,8 @@ def test_lookahead_engine(no_gc):
 def test_quota_colocation_engine(no_gc, scope):
     specs = make_tenant_specs(3, CONFIG, fast_quota_fractions=QUOTAS)
     qos = QosConfig(policy_scope=scope)
-    assert_freed_on_release(build_colocation(specs, "neomem", CONFIG, qos=qos))
+    checked = assert_freed_on_release(build_colocation(specs, "neomem", CONFIG, qos=qos))
+    assert checked == (5 if scope == "shared" else 9)
 
 
 @pytest.mark.parametrize("factory", [_profile_neoprof, _profiling_only_policy])

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.memsim.address import PAGES_PER_HUGE_PAGE
-from repro.memsim.engine import EngineConfig, EpochView, SimulationEngine
+from repro.memsim.engine import EngineConfig, SimulationEngine
+from repro.memsim.lru2q import Lru2Q
+from repro.memsim.migration import MigrationEngine
+from repro.memsim.numa import NumaTopology
+from repro.memsim.page_table import PageTable
 from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
 from repro.policies import POLICY_NAMES, make_policy
 from repro.policies.autonuma import AutoNumaPolicy
@@ -97,9 +101,7 @@ class TestAutoNuma:
         auto = AutoNumaPolicy(
             NUM_PAGES, scan_interval_s=1e-5, scan_window_pages=20_000, **fast_kwargs()
         )
-        tpp = TppPolicy(
-            NUM_PAGES, scan_interval_s=1e-5, scan_window_pages=20_000, **fast_kwargs()
-        )
+        tpp = TppPolicy(NUM_PAGES, scan_interval_s=1e-5, scan_window_pages=20_000, **fast_kwargs())
         auto_report, _ = run_policy(auto)
         tpp_report, _ = run_policy(tpp)
         # Both are quota-capped in this short run, so allow a small
@@ -158,46 +160,26 @@ class TestBasePolicy:
 
     def test_watermark_demotion_triggers(self):
         policy = PebsPolicy(
-            NUM_PAGES, sample_interval=50, demotion_watermark=0.5, demotion_target=0.6,
+            NUM_PAGES,
+            sample_interval=50,
+            demotion_watermark=0.5,
+            demotion_target=0.6,
             **fast_kwargs(),
         )
         report, engine = run_policy(policy)
         assert report.total_demoted_pages > 0
 
 
-class AddressSpace:
-    """A workload that only sizes the page table; it emits no batches."""
-
-    name = "space"
-
-    def __init__(self, num_pages):
-        self.num_pages = num_pages
-
-    def next_batch(self, rng):
-        return None
-
-
 def promote_thp(candidates, num_pages=4 * PAGES_PER_HUGE_PAGE):
-    """Promote ``candidates`` once through a THP policy; all pages start slow."""
-    policy = TppPolicy(num_pages, thp=True)
-    engine = SimulationEngine(
-        AddressSpace(num_pages),
-        [(DDR5_LOCAL, num_pages), (CXL_DRAM_PROTO, num_pages)],
-        policy,
-        EngineConfig(),
-    )
-    engine.page_table.map_pages(np.arange(num_pages), 1)
-    engine.topology[1].tier.reserve(num_pages)
-    engine.migration.grant_quota(10.0)
-    empty = np.zeros(0, dtype=np.int64)
-    view = EpochView(
-        epoch=0, sim_time_ns=0.0, duration_ns=1e6, pages=empty,
-        is_write=empty.astype(bool), miss_pages=empty, touched_pages=empty,
-        touched_nodes=empty.astype(np.int16), touched_misses=empty.astype(np.int32),
-        touched_write_misses=empty.astype(np.int32), engine=engine,
-    )
-    policy._promote(view, np.asarray(candidates, dtype=np.int64))
-    return engine
+    """Promote ``candidates`` once in THP mode; all pages start slow."""
+    topology = NumaTopology([(DDR5_LOCAL, num_pages), (CXL_DRAM_PROTO, num_pages)])
+    page_table = PageTable(num_pages)
+    migration = MigrationEngine(topology, page_table, Lru2Q(num_pages))
+    page_table.map_pages(np.arange(num_pages), 1)
+    topology[1].tier.reserve(num_pages)
+    migration.grant_quota(10.0)
+    migration.apply_promotions(np.asarray(candidates, dtype=np.int64), epoch=0, thp=True)
+    return page_table, migration
 
 
 class TestThpCoalescing:
@@ -205,26 +187,26 @@ class TestThpCoalescing:
 
     def test_reported_frame_migrates_whole(self):
         frame = 2 * PAGES_PER_HUGE_PAGE
-        engine = promote_thp([frame + 3, frame + 400])
-        fast = np.nonzero(engine.page_table.node_of_page == 0)[0]
+        page_table, migration = promote_thp([frame + 3, frame + 400])
+        fast = np.nonzero(page_table.node_of_page == 0)[0]
         assert fast.tolist() == list(range(frame, frame + PAGES_PER_HUGE_PAGE))
-        assert engine.migration.stats.promoted_huge_pages == 1
+        assert migration.stats.promoted_huge_pages == 1
 
     def test_lone_report_moves_as_base_page(self):
         frame = 2 * PAGES_PER_HUGE_PAGE
-        assert TppPolicy.THP_HOT_REPORTS > 1
-        engine = promote_thp([frame + 3])
-        fast = np.nonzero(engine.page_table.node_of_page == 0)[0]
+        assert MigrationEngine.THP_HOT_REPORTS > 1
+        page_table, migration = promote_thp([frame + 3])
+        fast = np.nonzero(page_table.node_of_page == 0)[0]
         assert fast.tolist() == [frame + 3]
-        assert engine.migration.stats.promoted_huge_pages == 0
+        assert migration.stats.promoted_huge_pages == 0
 
     def test_trailing_frame_stops_at_the_table_end(self):
         frame = 2 * PAGES_PER_HUGE_PAGE
         num_pages = frame + 100
-        engine = promote_thp([frame + 1, frame + 50], num_pages=num_pages)
-        fast = np.nonzero(engine.page_table.node_of_page == 0)[0]
+        page_table, migration = promote_thp([frame + 1, frame + 50], num_pages=num_pages)
+        fast = np.nonzero(page_table.node_of_page == 0)[0]
         assert fast.tolist() == list(range(frame, num_pages))
-        assert engine.migration.stats.promoted_huge_pages == 1
+        assert migration.stats.promoted_huge_pages == 1
 
 
 class TestRegistry:
@@ -232,7 +214,7 @@ class TestRegistry:
     def test_make_policy_builds_each(self, name):
         policy = make_policy(name, NUM_PAGES)
         assert hasattr(policy, "on_epoch")
-        assert hasattr(policy, "bind")
+        assert not hasattr(policy, "bind")
 
     def test_fixed_threshold_variant(self):
         policy = make_policy("neomem-fixed-200", NUM_PAGES)

@@ -22,9 +22,6 @@ class RecordingPolicy:
         self.views = []
         self.overheads = {id(p): [] for p in self.profilers}
 
-    def bind(self, engine):
-        self.engine = engine
-
     def on_epoch(self, view):
         self.views.append(view)
         for profiler in self.profilers:
@@ -65,9 +62,7 @@ def run_engine():
     Pass ``profilers=[...]`` to have them observe live during the run.
     """
 
-    def _run(
-        num_pages=2000, hot=40, batches=10, fast=100, slow=4000, policy=None, profilers=()
-    ):
+    def _run(num_pages=2000, hot=40, batches=10, fast=100, slow=4000, policy=None, profilers=()):
         policy = policy or RecordingPolicy(profilers)
         workload = HotColdWorkload(num_pages=num_pages, hot=hot, batches=batches)
         engine = SimulationEngine(
@@ -77,9 +72,7 @@ def run_engine():
             EngineConfig(llc_capacity_pages=16, seed=3),
         )
         # hot set starts on the slow tier
-        engine.topology.first_touch_allocate(
-            engine.page_table, np.arange(num_pages - 1, -1, -1)
-        )
+        engine.topology.first_touch_allocate(engine.page_table, np.arange(num_pages - 1, -1, -1))
         engine.run()
         return policy, engine
 
