@@ -74,7 +74,8 @@ class NeoMemDaemon(BaseTieringPolicy):
 
     The migration interval, watermark, demotion target and syscall cost
     are copied from :class:`NeoMemConfig` at construction; the sysfs
-    knobs write the daemon's attributes.
+    knobs write the daemon's attributes.  ``num_pages`` is the page space
+    the device profiles (see :class:`NeoProfDevice`).
     """
 
     name = "neomem"
@@ -85,6 +86,7 @@ class NeoMemDaemon(BaseTieringPolicy):
         config: NeoMemConfig | None = None,
         device_config: NeoProfConfig | None = None,
         fixed_threshold: float | None = None,
+        num_pages: int | None = None,
     ) -> None:
         self.config = config or NeoMemConfig()
         super().__init__(
@@ -94,7 +96,7 @@ class NeoMemDaemon(BaseTieringPolicy):
             syscall_ns_per_page=self.config.syscall_ns_per_page,
         )
         self.thp = self.config.thp
-        self.device = NeoProfDevice(device_config)
+        self.device = NeoProfDevice(device_config, num_pages)
         self.driver = NeoProfDriver(self.device)
         if fixed_threshold is None:
             self.threshold_policy = DynamicThresholdPolicy(self.config.threshold_policy)

@@ -63,12 +63,12 @@ class HotPageDetector:
         counters only add, so at epoch granularity the equivalent is to
         add each page's count, then test each page of the batch.
         """
-        pages = np.asarray(pages, dtype=np.uint64)
+        pages = np.asarray(pages)
         if pages.size == 0:
             return 0
-        # One pass of the H3 units feeds the whole pipeline: hash the
-        # pages once, fold their counts into the update, and reuse the
-        # entries for the estimate and both hot-bit ops.
+        # One pass of the H3 units feeds the whole pipeline: look the
+        # pages' entries up once, fold their counts into the update, and
+        # reuse the entries for the estimate and both hot-bit ops.
         flat = self.sketch.entries(pages)
         estimates = self.sketch.update_estimate_batch(pages, counts=counts, flat=flat)
         hot_sel = estimates > self.threshold

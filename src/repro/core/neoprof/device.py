@@ -43,17 +43,21 @@ class NeoProfDevice:
     * Data-path port: :meth:`snoop` (called by the memory system).
     * Control port: :meth:`mmio_read` / :meth:`mmio_write` (the driver).
 
+    ``num_pages``, the page space the device serves, lets its sketch
+    read pages from a slot table (:class:`CountMinSketch`).
+
     The device tracks ``mmio_time_ns`` — cumulative host-visible stall
     from MMIO round trips — which the driver charges as CPU overhead.
     """
 
-    def __init__(self, config: NeoProfConfig | None = None) -> None:
+    def __init__(self, config: NeoProfConfig | None = None, num_pages: int | None = None) -> None:
         self.config = config or NeoProfConfig()
         sketch = CountMinSketch(
             width=self.config.sketch_width,
             depth=self.config.sketch_depth,
             counter_bits=self.config.counter_bits,
             addr_bits=self.config.addr_bits,
+            num_pages=num_pages,
         )
         self.detector = HotPageDetector(
             sketch,

@@ -21,12 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: dense prefix tables shared across instances: the table is a pure
-#: function of (input_bits, width, num_hashes, seed), and a sweep builds
-#: one identical H3 family per job.  Values are read-only.
-_DENSE_TABLE_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
-_DENSE_TABLE_CACHE_MAX = 8
-
 
 class H3HashFamily:
     """``num_hashes`` independent H3 hash functions onto ``[0, width)``.
@@ -51,6 +45,7 @@ class H3HashFamily:
         self.width = int(width)
         self.num_hashes = int(num_hashes)
         self.output_bits = int(width - 1).bit_length()
+        self.seed = int(seed)
         rng = np.random.default_rng(seed)
         # pi[d, i] is the m-bit seed row for bit i of hash d.
         self._pi = rng.integers(0, width, size=(num_hashes, input_bits), dtype=np.uint64)
@@ -69,14 +64,6 @@ class H3HashFamily:
                 )
                 filled *= 2
         self._tables = tables
-        # Lazily built full hash table over a small input prefix: batches
-        # of page numbers (as opposed to full physical addresses) draw
-        # from a tiny id space, where one gather per batch beats the
-        # chunked gather-XOR recomputation.  Built from hash_batch itself,
-        # so it is bit-identical by construction.
-        self._dense: np.ndarray | None = None
-        self._dense_size = min(1 << 16, 1 << self.input_bits)
-        self._dense_key = (self.input_bits, self.width, self.num_hashes, int(seed))
 
     def hash_one(self, value: int, which: int) -> int:
         """Hash a single value with function ``which`` (reference path)."""
@@ -94,21 +81,6 @@ class H3HashFamily:
         indices in ``[0, width)``.
         """
         values = np.asarray(values, dtype=np.uint64) & self._input_mask
-        if values.size and int(values.max()) < self._dense_size:
-            if self._dense is None:
-                dense = _DENSE_TABLE_CACHE.get(self._dense_key)
-                if dense is None:
-                    dense = self._hash_chunks(np.arange(self._dense_size, dtype=np.uint64))
-                    dense.setflags(write=False)
-                    while len(_DENSE_TABLE_CACHE) >= _DENSE_TABLE_CACHE_MAX:
-                        _DENSE_TABLE_CACHE.pop(next(iter(_DENSE_TABLE_CACHE)))
-                    _DENSE_TABLE_CACHE[self._dense_key] = dense
-                self._dense = dense
-            return self._dense[:, values.astype(np.intp)]
-        return self._hash_chunks(values)
-
-    def _hash_chunks(self, values: np.ndarray) -> np.ndarray:
-        """Chunked table-gather hash of already-masked ``values``."""
         byte = (values & np.uint64(0xFF)).astype(np.intp)
         out = self._tables[0][:, byte]  # fancy gather copies: (D, n)
         for chunk in range(1, self._num_chunks):  # repro: noqa HOT005 — loop over <=8 byte chunks (table count), not over elements

@@ -4,11 +4,19 @@ Each of the ``D x W`` entries holds a saturating counter, a *hot bit*
 (the in-sketch bloom filter that deduplicates hot-page reports) and a
 *valid bit*.  The hardware's ``Reset`` clears the valid bits in bulk
 instead of rewriting the counter SRAM, and an invalid entry reads as
-zero.  The model keeps the counters and hot bits as plain ``D x W``
-arrays and zero-fills them on :meth:`CountMinSketch.clear`: every read
-sees the same values as through valid bits, so no operation pays for a
-validity check.  :attr:`CountMinSketch.sram_bits` still counts the valid
-bit, because it models Table IV's storage.
+zero.  The model keeps the counters and hot bits as plain arrays and
+zero-fills them on :meth:`CountMinSketch.clear`: every read sees the
+same values as through valid bits, so no operation pays for a validity
+check.  :attr:`CountMinSketch.sram_bits` still counts the valid bit,
+because it models Table IV's storage.
+
+A sketch told its page space (the pages ``0 .. num_pages - 1`` a
+profiled machine can address) hashes that space once into a slot
+table: per lane and page, the compact id of the entry the page hashes
+to.  It then keeps counters and hot bits only for the entries some page
+reaches; every other entry reads as zero forever, as it would in the
+full geometry.  Colliding pages still share an entry, so estimates, hot
+bits and histograms are those of the full ``D x W`` sketch.
 
 Guarantees (Cormode & Muthukrishnan):  with ``W = ceil(2/eps)`` and
 ``D = ceil(log2(1/delta))``, the estimate ``a_hat`` satisfies
@@ -24,6 +32,40 @@ import numpy as np
 
 from repro.core.neoprof.h3 import H3HashFamily
 
+#: slot tables shared across sketches: a table is a pure function of the
+#: hash family and the page space, and a sweep builds one sketch per job
+#: over a handful of page spaces.  Values are read-only.
+_SLOT_TABLES: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_SLOT_TABLES_MAX = 8
+
+
+def _slot_table(hashes: H3HashFamily, num_pages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(slots, columns, lane_starts)`` of a page space.
+
+    The reachable entries are numbered in ``lane * width + column``
+    order: ``slots[lane, page]`` is the number of the entry ``page``
+    hashes to, ``columns`` the column of each numbered entry, and lane
+    ``l`` owns the numbers ``lane_starts[l] .. lane_starts[l + 1] - 1``.
+    """
+    key = (hashes.input_bits, hashes.width, hashes.num_hashes, hashes.seed, num_pages)
+    table = _SLOT_TABLES.get(key)
+    if table is None:
+        width, depth = hashes.width, hashes.num_hashes
+        cols = hashes.hash_batch(np.arange(num_pages, dtype=np.uint64)).astype(np.int64)
+        flat = cols + (np.arange(depth, dtype=np.int64) * width)[:, None]
+        reached, slots = np.unique(flat.reshape(-1), return_inverse=True)
+        table = (
+            slots.reshape(depth, num_pages).astype(np.int32),
+            (reached & (width - 1)).astype(np.int32),
+            np.searchsorted(reached, np.arange(depth + 1, dtype=np.int64) * width),
+        )
+        for array in table:
+            array.setflags(write=False)
+        while len(_SLOT_TABLES) >= _SLOT_TABLES_MAX:
+            _SLOT_TABLES.pop(next(iter(_SLOT_TABLES)))
+        _SLOT_TABLES[key] = table
+    return table
+
 
 class CountMinSketch:
     """Hardware-faithful CM sketch over page addresses.
@@ -38,6 +80,9 @@ class CountMinSketch:
         counter_bits: Saturating counter width (Table IV: 16).
         addr_bits: Input page-address bits (Table IV: 32).
         seed: Hash-seed RNG seed.
+        num_pages: The page space, if bounded: pages are then read
+            from a slot table instead of hashed, and a page at or
+            beyond it raises.  ``None`` hashes every batch.
     """
 
     def __init__(
@@ -47,6 +92,7 @@ class CountMinSketch:
         counter_bits: int = 16,
         addr_bits: int = 32,
         seed: int = 0xC0FFEE,
+        num_pages: int | None = None,
     ) -> None:
         if width <= 0 or width & (width - 1):
             raise ValueError("sketch width must be a power of two")
@@ -54,31 +100,48 @@ class CountMinSketch:
             raise ValueError("sketch depth must be positive")
         if not 1 <= counter_bits <= 32:
             raise ValueError("counter_bits must be in 1..32")
+        if num_pages is not None and num_pages <= 0:
+            raise ValueError("the page space must hold at least one page")
         self.width = int(width)
         self.depth = int(depth)
         self.counter_bits = int(counter_bits)
         self.counter_max = (1 << counter_bits) - 1
         self.hashes = H3HashFamily(addr_bits, width, depth, seed)
-        # int64, so a scatter-add into a saturated 32-bit counter cannot wrap
-        self._counters = np.zeros((depth, width), dtype=np.int64)
-        self._hot = np.zeros((depth, width), dtype=bool)
-        # lane offsets for flat (lane * width + col) entry indices; int32
-        # when the entry space fits — every gather and scatter runs
-        # measurably faster on the narrower type
+        self.num_pages = None if num_pages is None else int(num_pages)
+        if self.num_pages is None:
+            # every entry, numbered lane * width + column
+            self._slots = self._columns = None
+            self._lane_starts = np.arange(depth + 1, dtype=np.int64) * width
+        else:
+            self._slots, self._columns, self._lane_starts = _slot_table(self.hashes, self.num_pages)
+        # lane offsets for hashed entry numbers; int32 when the entry
+        # space fits — every gather and scatter runs measurably faster on
+        # the narrower type
         self._flat_dtype = np.int32 if depth * width <= np.iinfo(np.int32).max else np.int64
         self._lane_offsets = (np.arange(depth, dtype=self._flat_dtype) * width)[:, None]
+        entries = int(self._lane_starts[-1])
+        # int64, so a scatter-add into a saturated 32-bit counter cannot wrap
+        self._counters = np.zeros(entries, dtype=np.int64)
+        self._hot = np.zeros(entries, dtype=bool)
         self.total_updates = 0
 
     # ------------------------------------------------------------------
     def entries(self, pages: np.ndarray) -> np.ndarray:
-        """Flat ``lane * width + col`` entry indices ``(depth, n)`` of ``pages``.
+        """Entry numbers ``(depth, n)`` of ``pages``.
 
-        The detector pipeline hashes a batch exactly once and passes the
-        result to the update, estimate and hot-bit calls, matching the
-        hardware where one H3 unit feeds every downstream consumer.
+        The detector pipeline looks a batch up exactly once and passes
+        the result to the update, estimate and hot-bit calls, matching
+        the hardware where one H3 unit feeds every downstream consumer.
+        With a page space the lookup is one gather from the slot table.
         """
-        cols = self.hashes.hash_batch(np.asarray(pages, dtype=np.uint64))
-        return cols.astype(self._flat_dtype) + self._lane_offsets
+        if self._slots is None:
+            cols = self.hashes.hash_batch(np.asarray(pages, dtype=np.uint64))
+            return cols.astype(self._flat_dtype) + self._lane_offsets
+        pages = np.asarray(pages)
+        if pages.size and (pages.min() < 0 or pages.max() >= self.num_pages):
+            bad = pages.min() if pages.min() < 0 else pages.max()
+            raise ValueError(f"page {bad} outside the sketch's page space [0, {self.num_pages})")
+        return self._slots.take(pages, axis=1)
 
     def _add(
         self, pages: np.ndarray, counts: np.ndarray | None, flat: np.ndarray | None
@@ -100,14 +163,16 @@ class CountMinSketch:
         if counts.shape != flat.shape[1:]:
             raise ValueError("counts must match pages")
         self.total_updates += int(counts.sum())
-        counters = self._counters.reshape(-1)
-        # a flat index with tiled values: a 2-D index with 1-D values
+        counters = self._counters
+        # a flat index with repeated values: a 2-D index with 1-D values
         # misreads memory in numpy 2.4's np.add.at
-        np.add.at(counters, flat.reshape(-1), np.tile(counts, self.depth))
-        # take/put run the update 1.5x faster than 2-D fancy indexing
-        clamped = np.minimum(counters.take(flat), self.counter_max)
-        counters.put(flat, clamped)
-        return clamped
+        np.add.at(counters, flat.reshape(-1), np.concatenate((counts,) * self.depth))
+        values = counters.take(flat)
+        # only a saturated entry needs its clamped value written back
+        if values.max(initial=0) > self.counter_max:
+            np.minimum(values, self.counter_max, out=values)
+            counters.put(flat, values)
+        return values
 
     def update_batch(
         self,
@@ -145,7 +210,7 @@ class CountMinSketch:
         """Estimated access count per page (Eq. 2: min across lanes)."""
         if flat is None:
             flat = self.entries(pages)
-        return self._counters.reshape(-1).take(flat).min(axis=0)
+        return self._counters.take(flat).min(axis=0)
 
     def estimate(self, page: int) -> int:
         """Estimated access count of a single page."""
@@ -158,14 +223,14 @@ class CountMinSketch:
         """True per page if every hashed entry's hot bit is already set."""
         if flat is None:
             flat = self.entries(pages)
-        return self._hot.reshape(-1)[flat].all(axis=0)
+        return self._hot.take(flat).all(axis=0)
 
     def set_hot_bits(self, pages: np.ndarray, *, flat: np.ndarray | None = None) -> None:
         """Set the hot bit in every entry hashed by ``pages``."""
         if flat is None:
             flat = self.entries(pages)
         # duplicate entries are harmless: the scatter is idempotent
-        self._hot.reshape(-1)[flat] = True
+        self._hot[flat] = True
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -174,9 +239,18 @@ class CountMinSketch:
         self._hot.fill(False)
         self.total_updates = 0
 
+    def _lane(self, lane: int) -> slice:
+        """The numbers of one lane's kept entries, in column order."""
+        return slice(self._lane_starts[lane], self._lane_starts[lane + 1])
+
     def lane_snapshot(self, lane: int = 0) -> np.ndarray:
-        """Copy of one lane's counters (int64)."""
-        return self._counters[lane].copy()
+        """Copy of one lane's ``width`` counters (int64)."""
+        kept = self._counters[self._lane(lane)]
+        if self._columns is None:
+            return kept.copy()
+        row = np.zeros(self.width, dtype=np.int64)
+        row[self._columns[self._lane(lane)]] = kept
+        return row
 
     def lane_valid_counters(self, lane: int = 0) -> np.ndarray:
         """The lane's non-zero counters, in entry order.
@@ -184,10 +258,10 @@ class CountMinSketch:
         Every other entry is zero, so a histogram of these values plus
         ``width - count`` implicit zeros equals a histogram of the full
         :meth:`lane_snapshot` row (see ``HistogramUnit.compute_sparse``).
-        ``np.compress`` selects them in one dense pass, 2-5x faster than
-        boolean-mask indexing on a 64K-entry row (5-50 % non-zero).
+        ``np.compress`` selects them in one dense pass over the kept
+        counters, 2-5x faster than boolean-mask indexing.
         """
-        row = self._counters[lane]
+        row = self._counters[self._lane(lane)]
         return np.compress(row > 0, row)
 
     @property

@@ -72,7 +72,9 @@ def _filter_ablation(config: ExperimentConfig, epochs: int) -> FilterAblationRes
     results = {}
     for dedup in (True, False):
         detector = HotPageDetector(
-            CountMinSketch(width=config.neoprof_config().sketch_width, depth=2),
+            CountMinSketch(
+                width=config.neoprof_config().sketch_width, depth=2, num_pages=workload.num_pages
+            ),
             threshold=32,
             buffer_entries=4096,
             dedup_filter=dedup,
@@ -127,7 +129,7 @@ def _bound_ablation(
 
     workload = build_workload("gups", config, total_batches=epochs)
     rng = np.random.default_rng(config.seed)
-    sketch = CountMinSketch(width=sketch_width, depth=2)
+    sketch = CountMinSketch(width=sketch_width, depth=2, num_pages=workload.num_pages)
     updates = 0
     while True:
         batch = workload.next_batch(rng)

@@ -116,7 +116,7 @@ def run_fig15c(
     unit = HistogramUnit(64)
     bounds = {}
     for width in widths:
-        sketch = CountMinSketch(width=width, depth=2)
+        sketch = CountMinSketch(width=width, depth=2, num_pages=workload.num_pages)
         for pages in batches:
             sketch.update_batch(pages.astype(np.uint64))
         hist = unit.compute(sketch.lane_snapshot(0))

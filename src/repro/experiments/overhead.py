@@ -25,8 +25,8 @@ class ProfilingOnlyNeoMem:
 
     name = "neoprof-profiling-only"
 
-    def __init__(self, config: ExperimentConfig):
-        self.profiler = NeoProfProfiler(config.neoprof_config())
+    def __init__(self, config: ExperimentConfig, num_pages: int | None = None):
+        self.profiler = NeoProfProfiler(config.neoprof_config(), num_pages)
         self.migration_interval_s = config.migration_interval_s
         self.thr_update_interval_s = config.thr_update_interval_s
         self._next_drain_ns = 0.0
@@ -47,7 +47,7 @@ class ProfilingOnlyNeoMem:
 
 def _profiling_only_policy(num_pages: int, config):
     """Policy factory for the profiling-enabled arm of the comparison."""
-    return ProfilingOnlyNeoMem(config)
+    return ProfilingOnlyNeoMem(config, num_pages)
 
 
 def overhead_jobs(config: ExperimentConfig = DEFAULT_CONFIG) -> list[JobSpec]:

@@ -46,7 +46,10 @@ class TraceStore:
     check of each drained batch that makes the cast lossless.
 
     Every stored array is read-only, so replays hand out views of them
-    rather than copies, and a write through one raises.
+    rather than copies, and a write through one raises.  A workload
+    changed after construction is refused
+    (:meth:`~repro.workloads.base.TraceWorkload.check_unchanged`): its
+    key would name another trace.
 
     :attr:`MAX_ENTRIES` traces is the only bound, which keeps resident
     traces small: the least recently used entry is evicted together with
@@ -87,6 +90,7 @@ class TraceStore:
                 f"{workload.name}: {workload.emitted} batches already drained; "
                 "only a fresh workload yields the trace its key names"
             )
+        workload.check_unchanged()
         key = workload.trace_key(seed)
         entry = self._entries.get(key)
         if entry is not None:

@@ -27,7 +27,8 @@ set, serially, whatever shard the host's environment names:
 digest is a content identity for the whole result set: two runs agree
 iff every job's result holds the same values, whichever process built
 it.  Pickle bytes are not values: a co-location report pickles
-differently in a pool worker than in the parent process.
+differently in a pool worker than in the parent process.  Wall-clock
+phase times are not values either, and stay out of the hash.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ from pathlib import Path
 from repro.experiments.backends import merge_shards
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import JobSpec, SweepExecutor, _canonical, job_key
-from repro.telemetry import configure, export_chrome_trace, get_telemetry
+from repro.telemetry import (
+    configure,
+    deterministic_annotation,
+    export_chrome_trace,
+    get_telemetry,
+)
 
 __all__ = ["JOB_SETS", "build_jobs", "results_digest", "main"]
 
@@ -130,11 +136,30 @@ def build_jobs(args) -> list[JobSpec]:
     return build(config, args)
 
 
+def _deterministic(value):
+    """Canonical ``value`` with every report's telemetry annotation
+    stripped of its wall-clock entries (see ``deterministic_annotation``)."""
+    if isinstance(value, list):
+        return [_deterministic(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    out = {key: _deterministic(item) for key, item in value.items()}
+    annotations = out.get("annotations")
+    if isinstance(annotations, dict) and isinstance(annotations.get("telemetry"), dict):
+        telemetry = deterministic_annotation(annotations["telemetry"])
+        out["annotations"] = {**annotations, "telemetry": telemetry}
+    return out
+
+
 def results_digest(results) -> str:
-    """Order-sensitive content hash over per-job canonical values."""
+    """Order-sensitive content hash over per-job canonical values.
+
+    Wall-clock telemetry (phase times) is left out, so two runs of one
+    job set digest alike with telemetry on as well as off.
+    """
     digest = hashlib.sha256()
     for result in results:
-        blob = json.dumps(_canonical(result), sort_keys=True).encode()
+        blob = json.dumps(_deterministic(_canonical(result)), sort_keys=True).encode()
         digest.update(hashlib.sha256(blob).digest())
     return digest.hexdigest()
 

@@ -277,14 +277,11 @@ class SimulationEngine:
                 if memo is not None:
                     memo.put(self.epoch, miss_pages, touched, misses, write_misses)
             touched_nodes = _read_only(self.page_table.nodes_of(touched))
-
-            # Weighted bincounts over the touched pages book the per-node
-            # misses and writes for the timing model and the traffic
-            # accounting (float64 sums far below 2**53: the cast is exact).
-            num_nodes = len(self.topology.nodes)
-            node_misses = np.bincount(touched_nodes, misses, num_nodes).astype(np.int64)
-            node_writes = np.bincount(touched_nodes, write_misses, num_nodes).astype(np.int64)
-            llc_misses = int(node_misses.sum())
+            # the epoch's fast-resident touched pages, found once: they book
+            # the fast node's traffic and are what the LRU-2Q lists see
+            fast = np.flatnonzero(touched_nodes == FAST_NODE)
+            node_misses, node_writes = self._node_traffic(touched_nodes, fast, misses, write_misses)
+            llc_misses = sum(node_misses)
 
             duration_ns = self._epoch_time_ns(pages.size, llc_misses, node_misses, node_writes)
             metrics = self._account_traffic(
@@ -294,9 +291,11 @@ class SimulationEngine:
         # OS-visible state updates.
         with tel.span("profile"):
             self.page_table.set_accessed(touched)
-            self.lru.touch(touched[np.flatnonzero(touched_nodes == FAST_NODE)], self.epoch)
+            self.lru.touch(touched[fast], self.epoch)
             if self.epoch % 8 == 0:
-                self.lru.age(self.epoch, member_mask=self.page_table.node_of_page == FAST_NODE)
+                # the lists hold only fast-resident pages (the migration
+                # engine forgets every page it moves off the fast node)
+                self.lru.age(self.epoch)
 
         # Let the policy observe and act.
         with tel.span("plan"):
@@ -349,22 +348,47 @@ class SimulationEngine:
         return metrics
 
     # ------------------------------------------------------------------
+    def _node_traffic(
+        self,
+        touched_nodes: np.ndarray,
+        fast: np.ndarray,
+        misses: np.ndarray,
+        write_misses: np.ndarray,
+    ) -> tuple[list[int], list[int]]:
+        """Misses and write misses per node, as exact integer sums.
+
+        The fast node sums over its touched pages ``fast`` (indices into
+        the touched set), every other node but the last over its own, and
+        the last node books what the others leave of the totals.
+        """
+        node_misses, node_writes = [], []
+        for node in self.topology.nodes[:-1]:
+            if node.node_id == FAST_NODE:
+                own = fast
+            else:
+                own = np.flatnonzero(touched_nodes == node.node_id)
+            node_misses.append(int(misses[own].sum()))
+            node_writes.append(int(write_misses[own].sum()))
+        node_misses.append(int(misses.sum()) - sum(node_misses))
+        node_writes.append(int(write_misses.sum()) - sum(node_writes))
+        return node_misses, node_writes
+
     def _epoch_time_ns(
         self,
         num_accesses: int,
         num_misses: int,
-        node_misses: np.ndarray,
-        node_writes: np.ndarray,
+        node_misses: list[int],
+        node_writes: list[int],
     ) -> float:
         cfg = self.config
         cpu_ns = num_accesses * cfg.cpu_ns_per_access
         hit_ns = (num_accesses - num_misses) * cfg.llc_hit_ns / cfg.mlp
         mem_ns = 0.0
         for node in self.topology.nodes:
-            count = int(node_misses[node.node_id])
+            count = node_misses[node.node_id]
             if count == 0:
                 continue
-            writes = int(node_writes[node.node_id])
+            writes = node_writes[node.node_id]
             reads = count - writes
             mem_ns += (
                 reads * node.tier.effective_latency_ns(is_write=False)
@@ -376,8 +400,8 @@ class SimulationEngine:
         self,
         num_accesses: int,
         num_misses: int,
-        node_misses: np.ndarray,
-        node_writes: np.ndarray,
+        node_misses: list[int],
+        node_writes: list[int],
         duration_ns: float,
     ) -> EpochMetrics:
         cfg = self.config
@@ -389,10 +413,10 @@ class SimulationEngine:
         )
         seconds = duration_ns * 1e-9
         for node in self.topology.nodes:
-            count = int(node_misses[node.node_id])
+            count = node_misses[node.node_id]
             if count == 0:
                 continue
-            writes = int(node_writes[node.node_id])
+            writes = node_writes[node.node_id]
             reads = count - writes
             # demand fills + dirty writebacks, 64 B lines
             read_bytes = reads * 64

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.telemetry import DISABLED, Telemetry
 
-#: list states
+#: list states, consecutive: touch steps a page up from one to the next
 _NONE = np.int8(0)
 _INACTIVE = np.int8(1)
 _ACTIVE = np.int8(2)
@@ -63,18 +63,18 @@ class Lru2Q:
         """
         idx = np.asarray(pages, dtype=np.int64)
         state = self._state[idx]
-        # pages on either list always carry a stamp >= 0 (touch stamps on
-        # insert, forget clears state and stamp together), so the
-        # INACTIVE check alone rules out never-touched pages
-        promote = (state == _INACTIVE) & (self._stamp[idx] < epoch)
-        fresh = state == _NONE
-        new_state = np.where(fresh, _INACTIVE, np.where(promote, _ACTIVE, state))
-        self._state[idx] = new_state
+        # A page off the lists carries stamp -1 (forget clears state and
+        # stamp together), so it is older than any epoch: a page not yet
+        # active steps up one state (none -> inactive -> active) exactly
+        # when its stamp is older than this epoch.
+        step = (state != _ACTIVE) & (self._stamp[idx] < epoch)
+        self._state[idx] = state + step
         self._stamp[idx] = epoch
         if self.telemetry.enabled:
             reg = self.telemetry.registry
-            reg.counter("lru2q.inserted_pages").inc(int(fresh.sum()))
-            reg.counter("lru2q.activated_pages").inc(int(promote.sum()))
+            fresh = int((state == _NONE).sum())
+            reg.counter("lru2q.inserted_pages").inc(fresh)
+            reg.counter("lru2q.activated_pages").inc(int(step.sum()) - fresh)
 
     def forget(self, pages: np.ndarray) -> None:
         """Drop pages from the lists (e.g. after demotion off-node)."""
@@ -101,20 +101,13 @@ class Lru2Q:
             Number of pages moved from active to inactive.
         """
         del epoch  # staleness is relative; stamps carry the ordering
-        active_mask = self._state == _ACTIVE
-        inactive_mask = self._state == _INACTIVE
-        if member_mask is not None:
-            active_mask &= member_mask
-            inactive_mask &= member_mask
-        total = int(active_mask.sum() + inactive_mask.sum())
-        if total == 0:
-            return 0
-        max_active = int(total * self.active_ratio)
-        excess = int(active_mask.sum()) - max_active
+        active = self._on(_ACTIVE, member_mask)
+        num_active = np.count_nonzero(active)
+        total = num_active + np.count_nonzero(self._on(_INACTIVE, member_mask))
+        excess = num_active - int(total * self.active_ratio)
         if excess <= 0:
             return 0
-        active_pages = np.nonzero(active_mask)[0]
-        oldest = self._oldest(active_pages, excess)
+        oldest = self._oldest(np.flatnonzero(active), excess)
         self._state[oldest] = _INACTIVE
         if self.telemetry.enabled:
             self.telemetry.registry.counter("lru2q.aged_pages").inc(int(oldest.size))
@@ -129,50 +122,39 @@ class Lru2Q:
         """
         if count <= 0:
             return np.zeros(0, dtype=np.int64)
-        inactive_mask = self._state == _INACTIVE
-        active_mask = self._state == _ACTIVE
-        if member_mask is not None:
-            inactive_mask &= member_mask
-            active_mask &= member_mask
-        inactive_pages = np.nonzero(inactive_mask)[0]
-        picks = self._oldest(inactive_pages, count)
+        picks = self._oldest(np.flatnonzero(self._on(_INACTIVE, member_mask)), count)
         if picks.size < count:
-            active_pages = np.nonzero(active_mask)[0]
-            extra = self._oldest(active_pages, count - picks.size)
-            picks = np.concatenate([picks, extra])
-        return picks.astype(np.int64)
+            active = np.flatnonzero(self._on(_ACTIVE, member_mask))
+            picks = np.concatenate([picks, self._oldest(active, count - picks.size)])
+        return picks
+
+    def _on(self, state: np.int8, member_mask: np.ndarray | None) -> np.ndarray:
+        """Mask of the pages in ``state``, within ``member_mask`` if given."""
+        on = self._state == state
+        if member_mask is not None:
+            on &= member_mask
+        return on
 
     def _oldest(self, pages: np.ndarray, count: int) -> np.ndarray:
         """First ``count`` of ``pages`` ordered by (stamp, page number).
 
-        ``pages`` arrives in ascending page order (``np.nonzero``), so a
-        stable argsort of the stamps orders by (stamp, page).  The
-        composite key ``(stamp + 1) * num_pages + page`` is unique and
-        encodes that exact order, which lets an O(n) ``argpartition``
-        select the prefix instead of fully sorting every candidate.
+        The composite key ``(stamp + 1) * num_pages + page`` is unique and
+        encodes that exact order, which lets an O(n) ``partition`` select
+        the prefix instead of fully sorting every candidate.
         """
         if count <= 0 or pages.size == 0:
             return np.zeros(0, dtype=np.int64)
         keys = (self._stamp[pages] + 1) * self.num_pages + pages
         if count < keys.size:
-            part = np.argpartition(keys, count - 1)[:count]
-            sel = np.sort(keys[part])
-        else:
-            sel = np.sort(keys)
-        return (sel % self.num_pages).astype(np.int64)
+            keys = np.partition(keys, count - 1)[:count]
+        return np.sort(keys) % self.num_pages
 
     # ------------------------------------------------------------------
     def active_count(self, member_mask: np.ndarray | None = None) -> int:
-        mask = self._state == _ACTIVE
-        if member_mask is not None:
-            mask &= member_mask
-        return int(mask.sum())
+        return np.count_nonzero(self._on(_ACTIVE, member_mask))
 
     def inactive_count(self, member_mask: np.ndarray | None = None) -> int:
-        mask = self._state == _INACTIVE
-        if member_mask is not None:
-            mask &= member_mask
-        return int(mask.sum())
+        return np.count_nonzero(self._on(_INACTIVE, member_mask))
 
     def state_of(self, page: int) -> str:
         """Human-readable list membership of one page."""

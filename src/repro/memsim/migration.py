@@ -342,16 +342,21 @@ class MigrationEngine:
     # ------------------------------------------------------------------
     # demotion
     # ------------------------------------------------------------------
-    def demote(self, pages: np.ndarray, charge_quota: bool = True) -> int:
+    def demote(
+        self, pages: np.ndarray, charge_quota: bool = True, *, distinct: bool = False
+    ) -> int:
         """Demote fast-node ``pages`` to a slow node.
 
         Returns the number of pages moved.  Policy-driven demotions share
         the quota with promotions; reclaim-driven demotions (making room
         for a promotion, the kernel's kswapd path) bypass it by passing
-        ``charge_quota=False``.
+        ``charge_quota=False``.  ``distinct`` promises that no page
+        repeats, as in reclaim's LRU-2Q victims, and skips the dedupe.
         """
         with self.telemetry.span("migrate"):
-            pages = first_occurrence(np.asarray(pages, dtype=np.int64), self.page_table.num_pages)
+            pages = np.asarray(pages, dtype=np.int64)
+            if not distinct:
+                pages = first_occurrence(pages, self.page_table.num_pages)
             if pages.size == 0:
                 return 0
             nodes = self.page_table.nodes_of(pages)
@@ -408,8 +413,7 @@ class MigrationEngine:
         if fast.free_pages >= fast.capacity_pages * watermark:
             return 0
         want = int(fast.capacity_pages * target) - fast.free_pages
-        victims = self.lru.coldest(want, self.page_table.node_of_page == FAST_NODE)
-        return self.demote(victims, charge_quota=False)
+        return self.demote(self.lru.coldest(want), charge_quota=False, distinct=True)
 
     def _drop_to_shadow(self, pages: np.ndarray, shadows: np.ndarray) -> int:
         """Inclusive-mode demotion of still-shadowed pages: a free drop.
@@ -432,20 +436,26 @@ class MigrationEngine:
         self._audit("migration.shadow_drop", pages=dropped, quota_bytes=0)
         return dropped
 
-    def coldest_victims(self, count: int, member_mask: np.ndarray) -> np.ndarray:
-        """Reclaim candidates within ``member_mask``, coldest first.
+    def coldest_victims(self, count: int, member_mask: np.ndarray | None = None) -> np.ndarray:
+        """Reclaim candidates within ``member_mask`` (default: every
+        fast-resident page), coldest first.
 
         LRU-2Q coldest pages, padded with untracked members: pages never
         touched since placement are not on the 2Q lists yet; in the
         kernel they sit on the inactive list from allocation, so they
-        are legitimate (indeed prime) victims.  Shared by promotion
-        headroom reclaim and the multi-tenant quota arbiter.
+        are legitimate (indeed prime) victims.  The lists hold only
+        fast-resident pages (every move off the fast node forgets its
+        pages), so the default needs no mask until it pads.  Shared by
+        promotion headroom reclaim and the multi-tenant quota arbiter.
         """
         candidates = self.lru.coldest(count, member_mask)
         if candidates.size < count:
             # the LRU picks are members: clearing them in a copy of the
             # mask leaves the untracked members, ascending
-            rest = member_mask.copy()
+            if member_mask is None:
+                rest = self.page_table.node_of_page == FAST_NODE
+            else:
+                rest = member_mask.copy()
             rest[candidates] = False
             untracked = np.flatnonzero(rest)
             candidates = np.concatenate([candidates, untracked[: count - candidates.size]])
@@ -453,11 +463,10 @@ class MigrationEngine:
 
     def _make_room(self, num_pages: int) -> int:
         """Demote the coldest fast-node pages to free ``num_pages``."""
-        member_mask = self.page_table.node_of_page == FAST_NODE
-        candidates = self.coldest_victims(num_pages, member_mask)
+        candidates = self.coldest_victims(num_pages)
         if candidates.size == 0:
             return 0
-        return self.demote(candidates, charge_quota=False)
+        return self.demote(candidates, charge_quota=False, distinct=True)
 
     # ------------------------------------------------------------------
     def _audit(self, kind: str, **args) -> None:

@@ -64,7 +64,7 @@ def make_policy(
     Args:
         name: One of :data:`POLICY_NAMES` (or ``neomem-fixed-<theta>``).
         num_pages: Workload resident-set size (profilers size arrays
-            from it).
+            from it; NeoMem's sketch reads its slot table over it).
         neomem_config / neoprof_config: NeoMem-specific configuration.
         kwargs: Forwarded to the policy constructor.
     """
@@ -72,10 +72,12 @@ def make_policy(
     from repro.core.daemon import NeoMemDaemon
 
     if name == "neomem":
-        return NeoMemDaemon(neomem_config, neoprof_config, **kwargs)
+        return NeoMemDaemon(neomem_config, neoprof_config, num_pages=num_pages, **kwargs)
     if name.startswith("neomem-fixed-"):
         theta = float(name.rsplit("-", 1)[1])
-        return NeoMemDaemon(neomem_config, neoprof_config, fixed_threshold=theta, **kwargs)
+        return NeoMemDaemon(
+            neomem_config, neoprof_config, fixed_threshold=theta, num_pages=num_pages, **kwargs
+        )
     if name == "pebs":
         return PebsPolicy(num_pages, **kwargs)
     if name == "pte-scan":

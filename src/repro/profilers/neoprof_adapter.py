@@ -20,8 +20,10 @@ class NeoProfProfiler(Profiler):
 
     name = "neoprof"
 
-    def __init__(self, device_config: NeoProfConfig | None = None) -> None:
-        self.device = NeoProfDevice(device_config)
+    def __init__(
+        self, device_config: NeoProfConfig | None = None, num_pages: int | None = None
+    ) -> None:
+        self.device = NeoProfDevice(device_config, num_pages)
         self.driver = NeoProfDriver(self.device)
         self._unbilled_ns = 0.0
 

@@ -28,6 +28,8 @@ from repro.telemetry.core import (
     Telemetry,
     TraceBuffer,
     configure,
+    deterministic_annotation,
+    deterministic_counters,
     engine_telemetry,
     get_telemetry,
     parse_mode,
@@ -60,6 +62,8 @@ __all__ = [
     "Telemetry",
     "TraceBuffer",
     "configure",
+    "deterministic_annotation",
+    "deterministic_counters",
     "engine_telemetry",
     "get_telemetry",
     "parse_mode",

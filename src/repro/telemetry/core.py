@@ -250,7 +250,7 @@ class Telemetry:
         """Exclusive wall-clock nanoseconds per span name."""
         out: dict[str, int] = {}
         for name, value in self.registry.counters():
-            if name.startswith("phase.") and name.endswith(".ns"):
+            if _wall_clock(name):
                 out[name[len("phase.") : -len(".ns")]] = value
         return out
 
@@ -261,6 +261,36 @@ class Telemetry:
             "phases": self.phase_totals(),
             **self.registry.snapshot(),
         }
+
+
+def _wall_clock(counter: str) -> bool:
+    return counter.startswith("phase.") and counter.endswith(".ns")
+
+
+def deterministic_counters(counters: dict) -> dict:
+    """``counters`` without the wall-clock span totals (``phase.<name>.ns``);
+    their ``phase.<name>.calls`` companions are deterministic and stay."""
+    return {name: value for name, value in counters.items() if not _wall_clock(name)}
+
+
+def deterministic_annotation(annotation: dict) -> dict:
+    """A report's telemetry annotation without its wall-clock entries.
+
+    ``annotation`` is a :meth:`Telemetry.summary` or a mapping of
+    registry snapshots (a co-location's machine and tenants).  Its
+    ``phases`` go, and each ``counters`` map keeps only deterministic
+    counters, so two runs of one job annotate alike.
+    """
+    out = {}
+    for key, value in annotation.items():
+        if key == "phases":
+            continue
+        if key == "counters":
+            value = deterministic_counters(value)
+        elif isinstance(value, dict):
+            value = deterministic_annotation(value)
+        out[key] = value
+    return out
 
 
 #: shared disabled instance: the default for components built without

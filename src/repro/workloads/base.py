@@ -16,6 +16,7 @@ global factor of ``experiments/config.py`` so runs finish in seconds.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import inspect
 
 import numpy as np
@@ -34,11 +35,15 @@ class TraceWorkload(abc.ABC):
     constructor arguments and the engine seed (:meth:`trace_key`), so
     a generator must draw only on those: no state set after
     construction, no randomness but the ``rng`` handed to
-    :meth:`generate`.
+    :meth:`generate`.  :meth:`check_unchanged` enforces the first half.
     """
 
     #: registry key; subclasses override
     name = "trace"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._init_signature = inspect.signature(cls.__init__)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)
@@ -46,8 +51,7 @@ class TraceWorkload(abc.ABC):
         # signature order: recorded here so no subclass can forget them.
         # Partial binding because unpickling calls __new__ bare and then
         # restores the recorded arguments with the rest of the state.
-        signature = inspect.signature(cls.__init__)
-        bound = signature.bind_partial(self, *args, **kwargs)
+        bound = cls._init_signature.bind_partial(self, *args, **kwargs)
         bound.apply_defaults()
         self._trace_args = tuple(bound.arguments.items())[1:]
         return self
@@ -106,7 +110,37 @@ class TraceWorkload(abc.ABC):
         cls = type(self)
         return (cls.__module__, cls.__qualname__, self._trace_args, int(seed))
 
+    def check_unchanged(self) -> None:
+        """Raise ``ValueError`` naming the first attribute in which this
+        workload differs from a fresh instance of its constructor
+        arguments: changed after construction, it no longer yields the
+        trace :meth:`trace_key` names."""
+        mine, fresh = vars(self), vars(type(self)(**dict(self._trace_args)))
+        # the twin is built from _trace_args, so the two agree on it
+        for name in sorted((mine.keys() | fresh.keys()) - {"_trace_args"}):
+            if name not in mine or name not in fresh or not _same(mine[name], fresh[name]):
+                raise ValueError(
+                    f"{self.name}: attribute {name!r} differs from a fresh instance of its "
+                    "constructor arguments; a workload must not change after construction"
+                )
+
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def generate(self, batch_index: int, rng: np.random.Generator) -> np.ndarray:
         """Produce the page-number array for epoch ``batch_index``."""
+
+
+def _same(a, b) -> bool:
+    """Equal values: arrays by dtype and contents, dataclasses and
+    containers member by member, anything else by ``==``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a == b

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.neoprof import sketch as sketch_module
+from repro.core.neoprof.detector import HotPageDetector
 from repro.core.neoprof.histogram import HistogramUnit
 from repro.core.neoprof.sketch import CountMinSketch
 
@@ -269,9 +271,8 @@ class TestSparseHistogramReadout:
             assert not s.lane_snapshot(lane).any()
 
 
-#: page universe of the reference programs: small ids (H3's dense table)
-#: and wide addresses (its chunked gather), enough to collide constantly
-#: in the tiny sketch below
+#: page universe of the reference programs: small page numbers and wide
+#: addresses, enough to collide constantly in the tiny sketch below
 REF_PAGES = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 987, 65_535, 65_536, 1 << 20, 2**32 - 1)
 #: 4-bit counters, so the programs saturate them
 REF_GEOMETRY = dict(width=16, depth=3, counter_bits=4)
@@ -375,3 +376,101 @@ class TestAgainstValidBitReference:
                 assert np.array_equal(got.edges, want.edges)
                 assert np.array_equal(got.counts, want.counts)
             assert s.total_updates == ref.total_updates
+
+
+@st.composite
+def page_space_programs(draw):
+    """A sketch geometry, a page space and a program of detector and
+    sketch operations over it."""
+    num_pages = draw(st.integers(min_value=1, max_value=400))
+    geometry = dict(
+        width=draw(st.sampled_from((8, 64, 512))),
+        depth=draw(st.integers(min_value=1, max_value=3)),
+        counter_bits=draw(st.sampled_from((4, 16))),
+    )
+    pages = st.lists(st.integers(0, num_pages - 1), min_size=1, max_size=40, unique=True)
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(("observe", "update", "set_hot", "threshold", "clear")))
+        batch = draw(pages)
+        counts = draw(st.lists(st.integers(0, 9), min_size=len(batch), max_size=len(batch)))
+        ops.append((kind, batch, counts, draw(st.integers(0, 12))))
+    return num_pages, geometry, ops
+
+
+class TestSlotTableAgainstHashing:
+    """A sketch told its page space reads exactly like one that hashes."""
+
+    @given(page_space_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_same_streams_read_alike(self, program):
+        num_pages, geometry, ops = program
+        table = HotPageDetector(
+            CountMinSketch(**geometry, num_pages=num_pages), threshold=4, buffer_entries=16
+        )
+        hashed = HotPageDetector(CountMinSketch(**geometry), threshold=4, buffer_entries=16)
+        universe = np.arange(num_pages)
+        unit = HistogramUnit(16)
+        for kind, batch, counts, value in ops:
+            pages, weights = np.array(batch), np.array(counts)
+            for detector in (table, hashed):
+                if kind == "observe":
+                    detector.observe(pages, weights)
+                elif kind == "update":
+                    detector.sketch.update_batch(pages, counts=weights)
+                elif kind == "set_hot":
+                    detector.sketch.set_hot_bits(pages)
+                elif kind == "threshold":
+                    detector.set_threshold(value)
+                else:
+                    detector.clear()
+            a, b = table.sketch, hashed.sketch
+            assert np.array_equal(a.estimate_batch(universe), b.estimate_batch(universe))
+            assert np.array_equal(a.hot_bits_all_set(universe), b.hot_bits_all_set(universe))
+            assert a.total_updates == b.total_updates
+            for lane in range(a.depth):
+                assert np.array_equal(a.lane_snapshot(lane), b.lane_snapshot(lane))
+                kept, full = a.lane_valid_counters(lane), b.lane_valid_counters(lane)
+                assert np.array_equal(kept, full)
+                assert np.array_equal(
+                    unit.compute_sparse(kept, a.width).counts,
+                    unit.compute_sparse(full, b.width).counts,
+                )
+            assert table.detected_total == hashed.detected_total
+            assert table.dropped_reports == hashed.dropped_reports
+            assert np.array_equal(table.drain(3), hashed.drain(3))
+        assert np.array_equal(table.drain(), hashed.drain())
+        assert a.sram_bits == b.sram_bits == a.depth * a.width * (a.counter_bits + 2)
+
+    def test_pages_outside_the_space_raise(self):
+        s = CountMinSketch(width=64, depth=2, num_pages=100)
+        for bad in ([100], [3, 250], [-1]):
+            with pytest.raises(ValueError, match="page space"):
+                s.update_batch(np.array(bad))
+            with pytest.raises(ValueError, match="page space"):
+                s.estimate_batch(np.array(bad))
+        with pytest.raises(ValueError, match="page space"):
+            HotPageDetector(s).observe(np.array([100], dtype=np.uint64), np.array([1]))
+        assert s.total_updates == 0
+
+    def test_keeps_only_reachable_entries(self):
+        s = CountMinSketch(width=1024, depth=2, num_pages=100)
+        assert s._counters.size <= 2 * 100
+        assert s.sram_bits == 2 * 1024 * 18
+
+    def test_slot_table_cache_is_bounded_and_only_a_speedup(self, monkeypatch):
+        """A cached table reads like a fresh build, and the cache keeps
+        at most its bound of page spaces."""
+        monkeypatch.setattr(sketch_module, "_SLOT_TABLES", {})
+        pages = np.arange(300)
+        cold = CountMinSketch(width=256, depth=2, num_pages=300)
+        warm = CountMinSketch(width=256, depth=2, num_pages=300)
+        assert warm._slots is cold._slots
+        assert np.array_equal(warm.entries(pages), cold.entries(pages))
+        monkeypatch.setattr(sketch_module, "_SLOT_TABLES", {})
+        fresh = CountMinSketch(width=256, depth=2, num_pages=300)
+        assert fresh._slots is not cold._slots
+        assert np.array_equal(fresh.entries(pages), cold.entries(pages))
+        for num_pages in range(1, 2 * sketch_module._SLOT_TABLES_MAX + 2):
+            CountMinSketch(width=256, depth=2, num_pages=num_pages)
+        assert len(sketch_module._SLOT_TABLES) == sketch_module._SLOT_TABLES_MAX

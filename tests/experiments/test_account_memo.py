@@ -25,7 +25,7 @@ from repro.experiments.runner import TraceStore, build_engine, build_workload, r
 from repro.experiments.sweep import JobSpec, SweepExecutor
 from repro.memsim.cachefilter import PageCacheFilter
 from repro.memsim.metrics import EPOCH_DTYPE
-from repro.workloads import make_workload
+from repro.workloads import make_workload, workload_names
 from repro.workloads.base import TraceWorkload
 
 CONFIG = ExperimentConfig(num_pages=2048, batches=6, batch_size=2048)
@@ -190,6 +190,23 @@ class TestTraceStore:
         assert len(store) == 0
         fresh = build_workload("gups", CONFIG)
         assert len(store.trace(fresh, CONFIG.seed)) == CONFIG.batches
+
+    def test_workload_changed_after_construction_is_refused(self, store):
+        """A changed workload keeps the key of its constructor arguments
+        but would generate another trace: the store names the change."""
+        fresh = build_workload("gups", CONFIG)
+        store.trace(fresh, CONFIG.seed)
+        changed = build_workload("gups", CONFIG)
+        changed.hot_access_fraction = 0.5
+        assert changed.trace_key(CONFIG.seed) == fresh.trace_key(CONFIG.seed)
+        with pytest.raises(ValueError, match="'hot_access_fraction'"):
+            store.trace(changed, CONFIG.seed)
+        with pytest.raises(ValueError, match="'hot_access_fraction'"):
+            store.replay(changed, build_engine(changed, "first-touch", CONFIG))
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_registry_workload_matches_its_fresh_twin(self, name):
+        build_workload(name, CONFIG).check_unchanged()
 
     def test_least_recently_used_trace_is_evicted_with_its_products(self, store):
         _store_products(store, [_entry(t) for t in range(CONFIG.batches)])

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_one
 from repro.experiments.sweep import NUM_SHARDS_ENV, SHARD_ENV, WORKERS_ENV
-from repro.experiments.sweep_cli import main
+from repro.experiments.sweep_cli import main, results_digest
 from repro.telemetry import configure
 
 #: tiny-scale flags so the CLI flow stays test-suite sized
@@ -169,3 +171,20 @@ def test_colocation_pool_digest_equals_serial(tmp_path, monkeypatch):
     assert main(["digest", *tiny, *cached, "--out", str(pool_out)]) == 0
     assert main(["digest", *tiny, "--out", str(serial_out)]) == 0
     assert pool_out.read_text() == serial_out.read_text()
+
+
+@pytest.mark.parametrize("policy", ["neomem", "pebs", "tpp"])
+def test_metrics_runs_digest_alike(policy):
+    """Two runs of one job with telemetry on digest alike: wall-clock
+    phase times stay out of the hash, and every counter else stays in."""
+    config = ExperimentConfig(num_pages=2048, batches=4, batch_size=2048)
+    configure("metrics")
+    try:
+        first, second = (run_one("gups", policy, config) for _ in range(2))
+    finally:
+        configure("off")
+    telemetry = second.annotations["telemetry"]
+    assert telemetry["phases"] and any(name.endswith(".ns") for name in telemetry["counters"])
+    assert results_digest([first]) == results_digest([second])
+    telemetry["counters"]["engine.epochs"] += 1
+    assert results_digest([first]) != results_digest([second])

@@ -35,7 +35,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_one
 from repro.memsim.metrics import EpochMetrics
 from repro.policies import POLICY_NAMES
-from repro.telemetry import configure
+from repro.telemetry import configure, deterministic_counters
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -82,16 +82,6 @@ def _case_id(case) -> str:
     return f"{workload}-{label}-s{seed}"
 
 
-def _deterministic_counters(counters: dict) -> dict:
-    """Drop the wall-clock span totals (``phase.<name>.ns``); their
-    ``phase.<name>.calls`` companions are deterministic and stay."""
-    return {
-        name: value
-        for name, value in counters.items()
-        if not (name.startswith("phase.") and name.endswith(".ns"))
-    }
-
-
 def report_digest(report) -> dict:
     """Everything deterministic in a SimulationReport, JSON-ready."""
     telemetry = report.annotations.get("telemetry", {})
@@ -120,7 +110,7 @@ def report_digest(report) -> dict:
         # wall-clock "phases" stay out: they are the one nondeterministic
         # part of a telemetry summary; counters/histograms are exact
         "telemetry": {
-            "counters": _deterministic_counters(telemetry.get("counters", {})),
+            "counters": deterministic_counters(telemetry.get("counters", {})),
             "histograms": telemetry.get("histograms", {}),
         },
     }

@@ -30,9 +30,9 @@ from repro.experiments.colocation import make_tenant_specs
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_policy, topology_for
 from repro.multitenant import ColocationEngine, QosConfig
-from repro.telemetry import configure
+from repro.telemetry import configure, deterministic_counters
 from repro.workloads import make_workload
-from tests.integration.test_differential import _deterministic_counters, report_digest
+from tests.integration.test_differential import report_digest
 
 FIXTURE = Path(__file__).parent / "golden" / "quota-colocation.json"
 
@@ -100,7 +100,7 @@ def case_digest(report) -> dict:
         "telemetry": _sha(
             [
                 {
-                    "counters": _deterministic_counters(snap["counters"]),
+                    "counters": deterministic_counters(snap["counters"]),
                     "histograms": snap["histograms"],
                 }
                 for snap in registries
