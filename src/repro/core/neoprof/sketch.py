@@ -35,17 +35,17 @@ from repro.core.neoprof.h3 import H3HashFamily
 #: slot tables shared across sketches: a table is a pure function of the
 #: hash family and the page space, and a sweep builds one sketch per job
 #: over a handful of page spaces.  Values are read-only.
-_SLOT_TABLES: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_SLOT_TABLES: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 _SLOT_TABLES_MAX = 8
 
 
-def _slot_table(hashes: H3HashFamily, num_pages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(slots, columns, lane_starts)`` of a page space.
+def _slot_table(hashes: H3HashFamily, num_pages: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(slots, lane_starts)`` of a page space.
 
     The reachable entries are numbered in ``lane * width + column``
     order: ``slots[lane, page]`` is the number of the entry ``page``
-    hashes to, ``columns`` the column of each numbered entry, and lane
-    ``l`` owns the numbers ``lane_starts[l] .. lane_starts[l + 1] - 1``.
+    hashes to, and lane ``l`` owns the numbers ``lane_starts[l] ..
+    lane_starts[l + 1] - 1``.
     """
     key = (hashes.input_bits, hashes.width, hashes.num_hashes, hashes.seed, num_pages)
     table = _SLOT_TABLES.get(key)
@@ -56,7 +56,6 @@ def _slot_table(hashes: H3HashFamily, num_pages: int) -> tuple[np.ndarray, np.nd
         reached, slots = np.unique(flat.reshape(-1), return_inverse=True)
         table = (
             slots.reshape(depth, num_pages).astype(np.int32),
-            (reached & (width - 1)).astype(np.int32),
             np.searchsorted(reached, np.arange(depth + 1, dtype=np.int64) * width),
         )
         for array in table:
@@ -110,10 +109,10 @@ class CountMinSketch:
         self.num_pages = None if num_pages is None else int(num_pages)
         if self.num_pages is None:
             # every entry, numbered lane * width + column
-            self._slots = self._columns = None
+            self._slots = None
             self._lane_starts = np.arange(depth + 1, dtype=np.int64) * width
         else:
-            self._slots, self._columns, self._lane_starts = _slot_table(self.hashes, self.num_pages)
+            self._slots, self._lane_starts = _slot_table(self.hashes, self.num_pages)
         # lane offsets for hashed entry numbers; int32 when the entry
         # space fits — every gather and scatter runs measurably faster on
         # the narrower type
@@ -245,11 +244,12 @@ class CountMinSketch:
 
     def lane_snapshot(self, lane: int = 0) -> np.ndarray:
         """Copy of one lane's ``width`` counters (int64)."""
-        kept = self._counters[self._lane(lane)]
-        if self._columns is None:
-            return kept.copy()
+        if self._slots is None:
+            return self._counters[self._lane(lane)].copy()
+        # every kept entry is some page's: each page's column reads its slot
         row = np.zeros(self.width, dtype=np.int64)
-        row[self._columns[self._lane(lane)]] = kept
+        columns = self.hashes.hash_batch(np.arange(self.num_pages, dtype=np.uint64))[lane]
+        row[columns] = self._counters[self._slots[lane]]
         return row
 
     def lane_valid_counters(self, lane: int = 0) -> np.ndarray:
