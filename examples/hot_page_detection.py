@@ -20,7 +20,7 @@ from repro.memsim.pageset import distinct_counts
 
 
 def main() -> None:
-    device = NeoProfDevice(NeoProfConfig(sketch_width=16384, initial_threshold=64))
+    device = NeoProfDevice(8192, NeoProfConfig(sketch_width=16384, initial_threshold=64))
     driver = NeoProfDriver(device)
     rng = np.random.default_rng(0)
 

@@ -83,10 +83,10 @@ class NeoMemDaemon(BaseTieringPolicy):
 
     def __init__(
         self,
+        num_pages: int,
         config: NeoMemConfig | None = None,
         device_config: NeoProfConfig | None = None,
         fixed_threshold: float | None = None,
-        num_pages: int | None = None,
     ) -> None:
         self.config = config or NeoMemConfig()
         super().__init__(
@@ -96,7 +96,7 @@ class NeoMemDaemon(BaseTieringPolicy):
             syscall_ns_per_page=self.config.syscall_ns_per_page,
         )
         self.thp = self.config.thp
-        self.device = NeoProfDevice(device_config, num_pages)
+        self.device = NeoProfDevice(num_pages, device_config)
         self.driver = NeoProfDriver(self.device)
         if fixed_threshold is None:
             self.threshold_policy = DynamicThresholdPolicy(self.config.threshold_policy)

@@ -50,7 +50,7 @@ class NeoProfDevice:
     from MMIO round trips — which the driver charges as CPU overhead.
     """
 
-    def __init__(self, config: NeoProfConfig | None = None, num_pages: int | None = None) -> None:
+    def __init__(self, num_pages: int, config: NeoProfConfig | None = None) -> None:
         self.config = config or NeoProfConfig()
         sketch = CountMinSketch(
             width=self.config.sketch_width,

@@ -108,8 +108,7 @@ class HistogramUnit:
         # instead of np.histogram, which sorts the whole row: non-zero
         # counter c lands in bin (c - 1) >> log2(width) + 1, and the
         # chosen width guarantees the top bin is never exceeded.
-        # a sketch's readout passes only non-zero counters: no filter then
-        nonzero = counters if counters.min(initial=1) > 0 else counters[counters > 0]
+        nonzero = counters[counters > 0]
         shift = width.bit_length() - 1
         counts = np.bincount((nonzero - 1) >> shift, minlength=self.num_bins - 1)
         zeros = int(total_entries) - nonzero.size

@@ -72,7 +72,7 @@ def _profile_none(num_pages: int, config):
 def _profile_neoprof(num_pages: int, config):
     from repro.profilers.neoprof_adapter import NeoProfProfiler
 
-    return ProfileOnlyPolicy(NeoProfProfiler(config.neoprof_config(), num_pages))
+    return ProfileOnlyPolicy(NeoProfProfiler(num_pages, config.neoprof_config()))
 
 
 def _profiling_overhead_percent(report) -> float:

@@ -25,8 +25,8 @@ class ProfilingOnlyNeoMem:
 
     name = "neoprof-profiling-only"
 
-    def __init__(self, config: ExperimentConfig, num_pages: int | None = None):
-        self.profiler = NeoProfProfiler(config.neoprof_config(), num_pages)
+    def __init__(self, num_pages: int, config: ExperimentConfig):
+        self.profiler = NeoProfProfiler(num_pages, config.neoprof_config())
         self.migration_interval_s = config.migration_interval_s
         self.thr_update_interval_s = config.thr_update_interval_s
         self._next_drain_ns = 0.0
@@ -47,7 +47,7 @@ class ProfilingOnlyNeoMem:
 
 def _profiling_only_policy(num_pages: int, config):
     """Policy factory for the profiling-enabled arm of the comparison."""
-    return ProfilingOnlyNeoMem(config, num_pages)
+    return ProfilingOnlyNeoMem(num_pages, config)
 
 
 def overhead_jobs(config: ExperimentConfig = DEFAULT_CONFIG) -> list[JobSpec]:

@@ -342,21 +342,16 @@ class MigrationEngine:
     # ------------------------------------------------------------------
     # demotion
     # ------------------------------------------------------------------
-    def demote(
-        self, pages: np.ndarray, charge_quota: bool = True, *, distinct: bool = False
-    ) -> int:
+    def demote(self, pages: np.ndarray, charge_quota: bool = True) -> int:
         """Demote fast-node ``pages`` to a slow node.
 
         Returns the number of pages moved.  Policy-driven demotions share
         the quota with promotions; reclaim-driven demotions (making room
         for a promotion, the kernel's kswapd path) bypass it by passing
-        ``charge_quota=False``.  ``distinct`` promises that no page
-        repeats, as in reclaim's LRU-2Q victims, and skips the dedupe.
+        ``charge_quota=False``.
         """
         with self.telemetry.span("migrate"):
-            pages = np.asarray(pages, dtype=np.int64)
-            if not distinct:
-                pages = first_occurrence(pages, self.page_table.num_pages)
+            pages = first_occurrence(np.asarray(pages, dtype=np.int64), self.page_table.num_pages)
             if pages.size == 0:
                 return 0
             nodes = self.page_table.nodes_of(pages)
@@ -413,7 +408,7 @@ class MigrationEngine:
         if fast.free_pages >= fast.capacity_pages * watermark:
             return 0
         want = int(fast.capacity_pages * target) - fast.free_pages
-        return self.demote(self.lru.coldest(want), charge_quota=False, distinct=True)
+        return self.demote(self.lru.coldest(want), charge_quota=False)
 
     def _drop_to_shadow(self, pages: np.ndarray, shadows: np.ndarray) -> int:
         """Inclusive-mode demotion of still-shadowed pages: a free drop.
@@ -466,7 +461,7 @@ class MigrationEngine:
         candidates = self.coldest_victims(num_pages)
         if candidates.size == 0:
             return 0
-        return self.demote(candidates, charge_quota=False, distinct=True)
+        return self.demote(candidates, charge_quota=False)
 
     # ------------------------------------------------------------------
     def _audit(self, kind: str, **args) -> None:

@@ -72,11 +72,11 @@ def make_policy(
     from repro.core.daemon import NeoMemDaemon
 
     if name == "neomem":
-        return NeoMemDaemon(neomem_config, neoprof_config, num_pages=num_pages, **kwargs)
+        return NeoMemDaemon(num_pages, neomem_config, neoprof_config, **kwargs)
     if name.startswith("neomem-fixed-"):
         theta = float(name.rsplit("-", 1)[1])
         return NeoMemDaemon(
-            neomem_config, neoprof_config, fixed_threshold=theta, num_pages=num_pages, **kwargs
+            num_pages, neomem_config, neoprof_config, fixed_threshold=theta, **kwargs
         )
     if name == "pebs":
         return PebsPolicy(num_pages, **kwargs)

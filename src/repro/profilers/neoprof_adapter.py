@@ -20,10 +20,8 @@ class NeoProfProfiler(Profiler):
 
     name = "neoprof"
 
-    def __init__(
-        self, device_config: NeoProfConfig | None = None, num_pages: int | None = None
-    ) -> None:
-        self.device = NeoProfDevice(device_config, num_pages)
+    def __init__(self, num_pages: int, device_config: NeoProfConfig | None = None) -> None:
+        self.device = NeoProfDevice(num_pages, device_config)
         self.driver = NeoProfDriver(self.device)
         self._unbilled_ns = 0.0
 

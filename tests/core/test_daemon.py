@@ -42,7 +42,9 @@ def build(daemon=None, fast=200, slow=8000, num_pages=4000, batches=30, **daemon
         )
         config_kwargs.update(daemon_kwargs)
         config = NeoMemConfig(**config_kwargs)
-        daemon = NeoMemDaemon(config, NeoProfConfig(sketch_width=16384, initial_threshold=16))
+        daemon = NeoMemDaemon(
+            num_pages, config, NeoProfConfig(sketch_width=16384, initial_threshold=16)
+        )
     workload = SkewedWorkload(num_pages=num_pages, batches=batches)
     engine = SimulationEngine(
         workload,
@@ -130,6 +132,7 @@ class TestDaemonLoop:
             clear_interval_s=5e-4,
         )
         daemon = NeoMemDaemon(
+            4000,
             config,
             NeoProfConfig(sketch_width=16384),
             fixed_threshold=32,

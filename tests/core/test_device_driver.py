@@ -11,7 +11,7 @@ from repro.core.neoprof.mmio import MmioError, NeoProfCommand
 def make_device(**overrides):
     defaults = dict(sketch_width=4096, hot_buffer_entries=64, initial_threshold=5)
     defaults.update(overrides)
-    return NeoProfDevice(NeoProfConfig(**defaults))
+    return NeoProfDevice(4096, NeoProfConfig(**defaults))
 
 
 def snoop_reads(device, pages, requests, elapsed_ns=10_000):

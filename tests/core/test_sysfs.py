@@ -14,7 +14,7 @@ SMALL = ExperimentConfig(num_pages=4096, batches=8, batch_size=4096)
 
 @pytest.fixture
 def sysfs():
-    return NeoMemSysfs(NeoMemDaemon())
+    return NeoMemSysfs(NeoMemDaemon(SMALL.num_pages))
 
 
 class TestRead:

@@ -180,7 +180,7 @@ class TestFastTierQuota:
 def _neomem_thp(num_pages):
     from repro.core.daemon import NeoMemConfig, NeoMemDaemon
 
-    return NeoMemDaemon(NeoMemConfig(thp=True))
+    return NeoMemDaemon(num_pages, NeoMemConfig(thp=True))
 
 
 def _tpp_thp(num_pages):

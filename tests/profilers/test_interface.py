@@ -24,7 +24,9 @@ PROFILERS = {
         NUM_PAGES, scan_window_pages=10_000, scan_interval_s=1e-12
     ),
     "pebs": lambda: PebsProfiler(NUM_PAGES, sample_interval=10),
-    "neoprof": lambda: NeoProfProfiler(NeoProfConfig(sketch_width=8192, initial_threshold=16)),
+    "neoprof": lambda: NeoProfProfiler(
+        NUM_PAGES, NeoProfConfig(sketch_width=8192, initial_threshold=16)
+    ),
 }
 
 

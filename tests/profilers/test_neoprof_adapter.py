@@ -4,8 +4,9 @@ from repro.core.neoprof.device import NeoProfConfig
 from repro.profilers.neoprof_adapter import NeoProfProfiler
 
 
-def make_profiler(threshold=16):
-    return NeoProfProfiler(NeoProfConfig(sketch_width=8192, initial_threshold=threshold))
+def make_profiler(threshold=16, num_pages=2000):
+    # num_pages: the page space of the run_engine fixture's workload
+    return NeoProfProfiler(num_pages, NeoProfConfig(sketch_width=8192, initial_threshold=threshold))
 
 
 class TestAdapter:
