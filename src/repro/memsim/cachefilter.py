@@ -31,6 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def _evict_residue(credit: np.ndarray) -> None:
+    """Zero sub-line residue (credit under half a line), which behaves as
+    evicted, in one in-place sweep.  Credit is finite and non-negative, so
+    each product is the credit itself or +0.0, as the mask assignment
+    ``credit[credit < 0.5] = 0`` gives."""
+    credit *= credit >= 0.5
+
+
 class PageCacheFilter:
     """Approximate LLC filter operating on page-number batches.
 
@@ -139,8 +147,7 @@ class PageCacheFilter:
         total = float(self._credit.sum())
         if total > self._capacity_lines:
             self._credit *= np.float32(self._capacity_lines / total)
-            # Sub-line residue behaves as evicted.
-            self._credit[self._credit < 0.5] = 0.0
+            _evict_residue(self._credit)
 
         return miss_mask, np.minimum(budget, counts)
 

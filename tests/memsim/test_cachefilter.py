@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memsim.cachefilter import PageCacheFilter
+from repro.memsim.cachefilter import PageCacheFilter, _evict_residue
 from repro.memsim.pageset import distinct_counts
 
 
@@ -205,7 +205,8 @@ class TestAgainstReference:
                 continue
             expected, credit = reference_epoch(credit, batch, capacity, lines)
             np.testing.assert_array_equal(mask, expected)
-            np.testing.assert_array_equal(f._credit, credit)
+            # bit for bit: a -0.0 credit would compare equal to 0.0
+            np.testing.assert_array_equal(f._credit.view(np.uint32), credit.view(np.uint32))
 
     @given(filter_runs())
     @settings(max_examples=100, deadline=None)
@@ -230,3 +231,52 @@ class TestAgainstReference:
         mask, misses = f.filter_batch(batch, *distinct_counts(batch))
         np.testing.assert_array_equal(mask, [True, True, False, False])
         np.testing.assert_array_equal(misses, [1, 1])  # pages 1 and 5
+
+
+F32 = np.finfo(np.float32)
+#: float32 credits at the eviction edge: zero, the smallest and largest
+#: subnormals, the smallest normal, the float just below 0.5, 0.5 itself
+#: and a fully resident page's default 64 lines
+EDGE_CREDITS = np.array(
+    [
+        0.0,
+        F32.smallest_subnormal,
+        F32.smallest_normal - F32.smallest_subnormal,
+        F32.smallest_normal,
+        np.nextafter(np.float32(0.5), np.float32(0.0)),
+        0.5,
+        64.0,
+    ],
+    dtype=np.float32,
+)
+
+
+class TestEvictionSweep:
+    """The sub-line eviction is one in-place multiply by the keep mask; it
+    must equal the mask assignment ``credit[credit < 0.5] = 0`` bit for bit."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_CREDITS.tolist()),
+                st.floats(min_value=0.0, max_value=64.0, width=32),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_mask_assignment_bit_for_bit(self, values):
+        credit = np.array(values, dtype=np.float32)
+        expected = credit.copy()
+        expected[expected < 0.5] = 0.0
+        _evict_residue(credit)
+        assert credit.dtype == np.float32
+        np.testing.assert_array_equal(credit.view(np.uint32), expected.view(np.uint32))
+        assert not np.signbit(credit).any()
+
+    def test_edges(self):
+        credit = EDGE_CREDITS.copy()
+        _evict_residue(credit)
+        kept = np.array([0, 0, 0, 0, 0, 0.5, 64], dtype=np.float32)
+        np.testing.assert_array_equal(credit.view(np.uint32), kept.view(np.uint32))
