@@ -47,7 +47,6 @@ def main() -> None:
     config = ExperimentConfig(num_pages=12288, batches=36, batch_size=12288)
     workload = build_workload("pagerank", config, total_batches=None, **PAGERANK_KWARGS)
     engine = build_engine(workload, "neomem", config)
-    engine.prefill()
 
     sysfs = NeoMemSysfs(engine.policy)
     print("visible knobs:", ", ".join(sysfs.list()))

@@ -182,7 +182,6 @@ def _run_solo_job(job: JobSpec) -> float:
         policy_factory=partial(build_policy, job.policy, spec.num_pages, config),
         config=config.engine_config(),
     )
-    solo_engine.prefill()
     return solo_engine.run().machine.total_time_s
 
 
@@ -219,9 +218,7 @@ def _run_colocation(
     scheduler: str,
     qos: QosConfig | None,
 ) -> ColocationReport:
-    engine = build_colocation(specs, policy_name, config, scheduler, qos)
-    engine.prefill()
-    report = engine.run()
+    report = build_colocation(specs, policy_name, config, scheduler, qos).run()
     report.verify_conservation()
     return report
 

@@ -75,8 +75,7 @@ class TraceStore:
     def replay(self, workload, engine: SimulationEngine) -> "_TraceReplay":
         """Make ``engine`` replay a fresh workload's stored trace, and its
         account products for the engine's LLC filter (recording them when
-        the entry has none).  Call :meth:`_TraceReplay.commit` after the
-        run."""
+        the entry has none)."""
         trace, products = self._entry(workload, engine.config.seed)
         cache = engine.cache
         geometry = (cache.capacity_pages, cache.max_page_id, cache.lines_per_page)
@@ -131,10 +130,10 @@ class _TraceReplay:
     the stored arrays, whose own write flag is off: writing through an
     ``EpochView`` array raises instead of corrupting the store, and so
     does switching the flag back on.  Products are recorded when the
-    entry has none for this filter geometry, and :meth:`commit` stores
-    them only if the run covered the whole trace: a run stopped early
-    never leaves a prefix that a later, longer run would fall off the
-    end of with cold filter state.
+    entry has none for this filter geometry, and published to it once
+    the trace's last epoch is recorded: a run stopped early never leaves
+    a prefix that a later, longer run would fall off the end of with
+    cold filter state.
     Everything else proxies to the inner workload.
     """
 
@@ -160,13 +159,13 @@ class _TraceReplay:
         return tuple(a.view() for a in self._served[epoch])
 
     def put(self, epoch: int, miss_pages, touched, misses, write_misses) -> None:
-        if self._recorded is not None and epoch == len(self._recorded):
+        recorded = self._recorded
+        if recorded is not None and epoch == len(recorded):
             products = (miss_pages, touched, misses, write_misses)
-            self._recorded.append(tuple(_frozen(array) for array in products))
-
-    def commit(self) -> None:
-        if self._recorded is not None and len(self._recorded) == len(self._trace):
-            self._products[self._geometry] = self._recorded
+            recorded.append(tuple(_frozen(array) for array in products))
+            if len(recorded) == len(self._trace):
+                self._products[self._geometry] = recorded
+                self._recorded = None
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -327,8 +326,8 @@ def run_one(
 ) -> SimulationReport:
     """Run one (workload, policy) experiment and return its report.
 
-    The engine runs the paper's warm-up (:meth:`SimulationEngine.prefill`)
-    first, then replays the workload's trace from :data:`TRACE_STORE`.
+    The engine, built warmed up, replays the workload's trace from
+    :data:`TRACE_STORE`.
 
     Args:
         keep_engine: When True, stash the finished engine (and its
@@ -350,10 +349,8 @@ def run_one(
     if policy_factory is not None:
         policy = policy_factory(workload.num_pages, config, **(policy_kwargs or {}))
     engine = build_engine(workload, policy_name, config, policy=policy, policy_kwargs=policy_kwargs)
-    engine.prefill()
-    replay = TRACE_STORE.replay(workload, engine)
+    TRACE_STORE.replay(workload, engine)
     report = engine.run()
-    replay.commit()
     if keep_engine:
         report.annotations["policy_object"] = engine.policy
         report.annotations["engine"] = engine

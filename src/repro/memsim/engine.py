@@ -3,17 +3,20 @@
 The engine advances the modelled machine in epochs.  Each epoch it
 
 1. pulls a batch of page accesses from the workload,
-2. first-touch-allocates any new pages (Fig. 1-(b) NUMA placement),
-3. filters the batch through the LLC model to get true memory accesses,
-4. books each touched page's misses on its backing tier and accumulates
+2. filters the batch through the LLC model to get true memory accesses,
+3. books each touched page's misses on its backing tier and accumulates
    the epoch's time from core work, LLC hits, and tier latencies
    (overlapped by an MLP factor) plus bandwidth-queueing inflation,
-5. maintains OS-visible state: PTE Accessed bits and the fast-node
+4. maintains OS-visible state: PTE Accessed bits and the fast-node
    LRU-2Q lists,
-6. invokes the active tiering policy, which may profile, re-threshold,
+5. invokes the active tiering policy, which may profile, re-threshold,
    and ask the migration engine through its view to migrate pages; any
    CPU overhead and migration stall the policy incurs is charged,
-7. records an :class:`~repro.memsim.metrics.EpochMetrics` row.
+6. records an :class:`~repro.memsim.metrics.EpochMetrics` row.
+
+Every page is placed before the first epoch: the constructor runs the
+paper's warm-up, first-touch over the whole page space (Fig. 1-(b) NUMA
+placement), and nothing ever unmaps a page.
 
 Absolute times are not calibrated to the paper's testbed; ratios between
 policies on one machine model are the reproduction target.
@@ -147,7 +150,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-#: warm-up placements shared across engines: a fresh engine's warm-up is
+#: warm-up placements shared across engines: an engine's warm-up is
 #: a pure function of the seed, the page space and the node capacities,
 #: and a sweep builds one engine per job over a few dozen machine shapes
 #: (the paper grid uses 21).  Values are read-only.
@@ -164,7 +167,6 @@ class SimulationEngine:
         topology_spec: list[tuple[TierSpec, int]],
         policy: Policy,
         config: EngineConfig | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         self.config = config or EngineConfig()
         self.workload = workload
@@ -174,11 +176,9 @@ class SimulationEngine:
                 f"workload RSS {workload.num_pages} pages exceeds topology "
                 f"capacity {self.topology.total_capacity_pages()} pages"
             )
-        if telemetry is None:
-            telemetry = engine_telemetry(f"{workload.name}/{policy.name}")
-        self.telemetry = telemetry
+        self.telemetry = engine_telemetry(f"{workload.name}/{policy.name}")
         self.page_table = PageTable(workload.num_pages)
-        self.lru = Lru2Q(workload.num_pages, telemetry=telemetry)
+        self.lru = Lru2Q(workload.num_pages, telemetry=self.telemetry)
         self.cache = PageCacheFilter(
             capacity_pages=self.config.llc_capacity_pages,
             max_page_id=workload.num_pages,
@@ -188,7 +188,7 @@ class SimulationEngine:
             self.page_table,
             self.lru,
             self.config.migration,
-            telemetry=telemetry,
+            telemetry=self.telemetry,
         )
         self.policy = policy
         self.rng = np.random.default_rng(self.config.seed)
@@ -206,14 +206,14 @@ class SimulationEngine:
         #: of them instead of copies.  The memo's batches were checked by
         #: the store that drained them, so only memo-less steps check ids.
         self.account_memo = None
-        self._fully_mapped = False
         self.report = SimulationReport(workload=workload.name, policy=policy.name)
         self.sim_time_ns = 0.0
         self.epoch = 0
+        self._warm_up()
 
     # ------------------------------------------------------------------
-    def prefill(self) -> None:
-        """Pre-fill memory in allocation order (the paper's warm-up).
+    def _warm_up(self) -> None:
+        """Map every page in allocation order (the paper's warm-up).
 
         The workload's address space is populated during initialization
         (graph build, table load), so by measurement time the fast tier is
@@ -225,30 +225,28 @@ class SimulationEngine:
         exactly the regime the paper's Fig. 11 premises (and why promotion
         matters at all).
 
-        An engine with nothing mapped or reserved copies the placement a
-        fresh warm-up of its shape (seed, page space and node capacities)
-        recorded instead of replaying it; any other engine runs the
-        warm-up and neither reads nor records a shared placement.
+        The constructor runs it on an empty machine, so the result is a
+        pure function of the seed, the page space and the node capacities:
+        the first engine of each such shape records its placement and
+        per-node reservations, and later ones copy them.
         """
         table, nodes = self.page_table, self.topology.nodes
-        fresh = not any(n.tier.used_pages for n in nodes) and (table.node_of_page == -1).all()
         key = (self.config.seed, table.num_pages, *(n.tier.capacity_pages for n in nodes))
-        warm = _WARM_UPS.get(key) if fresh else None
+        warm = _WARM_UPS.get(key)
         if warm is not None:
             placement, reserved = warm
             np.copyto(table.node_of_page, placement)
             for node, count in zip(nodes, reserved):
                 node.tier.reserve(count)
             return
-        perm = np.random.default_rng(self.config.seed ^ 0x5EED).permutation(self.workload.num_pages)
+        perm = np.random.default_rng(self.config.seed ^ 0x5EED).permutation(table.num_pages)
         self.topology.first_touch_allocate(table, perm)
-        if fresh:
-            while len(_WARM_UPS) >= _WARM_UPS_MAX:
-                _WARM_UPS.pop(next(iter(_WARM_UPS)))
-            _WARM_UPS[key] = (
-                _read_only(table.node_of_page.copy()),
-                tuple(n.tier.used_pages for n in nodes),
-            )
+        while len(_WARM_UPS) >= _WARM_UPS_MAX:
+            _WARM_UPS.pop(next(iter(_WARM_UPS)))
+        _WARM_UPS[key] = (
+            _read_only(table.node_of_page.copy()),
+            tuple(n.tier.used_pages for n in nodes),
+        )
 
     def run(self) -> SimulationReport:
         """Run until the workload finishes."""
@@ -283,12 +281,6 @@ class SimulationEngine:
                 raise ValueError("pages and is_write must have matching shapes")
             if (memo := self.account_memo) is None:  # bad ids raise before any booking
                 check_page_ids(pages, self.page_table.num_pages, self.workload.name)
-
-            if not self._fully_mapped:
-                self.topology.first_touch_allocate(self.page_table, pages)
-                # Once every page is backed, first-touch is a permanent
-                # no-op (nothing ever unmaps) — skip its per-epoch scan.
-                self._fully_mapped = not (self.page_table.node_of_page == -1).any()
 
             cached = memo.get(self.epoch) if memo is not None else None
             if cached is not None:
@@ -325,7 +317,7 @@ class SimulationEngine:
             if self.epoch % 8 == 0:
                 # the lists hold only fast-resident pages (the migration
                 # engine forgets every page it moves off the fast node)
-                self.lru.age(self.epoch)
+                self.lru.age()
 
         # Let the policy observe and act.
         with tel.span("plan"):

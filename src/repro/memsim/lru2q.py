@@ -32,18 +32,13 @@ _ACTIVE = np.int8(2)
 class Lru2Q:
     """Kernel-style 2Q lists over a flat page-number space."""
 
-    def __init__(
-        self,
-        num_pages: int,
-        active_ratio: float = 0.6,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    #: the largest share of list members that aging leaves active
+    ACTIVE_RATIO = 0.6
+
+    def __init__(self, num_pages: int, telemetry: Telemetry | None = None) -> None:
         if num_pages <= 0:
             raise ValueError("need at least one page")
-        if not 0.0 < active_ratio < 1.0:
-            raise ValueError("active_ratio must be in (0, 1)")
         self.num_pages = int(num_pages)
-        self.active_ratio = float(active_ratio)
         self.telemetry = telemetry if telemetry is not None else DISABLED
         self._state = np.full(self.num_pages, _NONE, dtype=np.int8)
         self._stamp = np.full(self.num_pages, -1, dtype=np.int64)
@@ -89,22 +84,16 @@ class Lru2Q:
         self._state[idx[on_list]] = _INACTIVE
 
     # ------------------------------------------------------------------
-    def age(self, epoch: int, member_mask: np.ndarray | None = None) -> int:
+    def age(self) -> int:
         """Rebalance: demote old active pages until the active share fits.
 
-        Args:
-            epoch: Current epoch (for relative staleness).
-            member_mask: Optional boolean mask restricting which pages
-                belong to the managed node (fast tier).
-
-        Returns:
-            Number of pages moved from active to inactive.
+        Staleness is relative, so the stamps alone order the pages.
+        Returns the number of pages moved from active to inactive.
         """
-        del epoch  # staleness is relative; stamps carry the ordering
-        active = self._on(_ACTIVE, member_mask)
+        active = self._state == _ACTIVE
         num_active = np.count_nonzero(active)
-        total = num_active + np.count_nonzero(self._on(_INACTIVE, member_mask))
-        excess = num_active - int(total * self.active_ratio)
+        total = num_active + np.count_nonzero(self._state == _INACTIVE)
+        excess = num_active - int(total * self.ACTIVE_RATIO)
         if excess <= 0:
             return 0
         oldest = self._oldest(np.flatnonzero(active), excess)

@@ -104,6 +104,10 @@ class ColocationEngine:
             name="+".join(spec.name for spec in specs),
             num_pages=self.layout.total_pages,
         )
+        # the inner engine warms up over the combined address space: one
+        # pseudo-random permutation interleaves every tenant's pages, so
+        # each gets a fast-tier share proportional to its RSS, as if their
+        # init phases ran concurrently
         self.inner = SimulationEngine(shared_space, topology_spec, self.arbiter, config)
         self.arbiter.bind(self.inner)
         for runtime in self.tenants.values():
@@ -117,18 +121,6 @@ class ColocationEngine:
             if self.inner.telemetry.enabled
             else {}
         )
-
-    # ------------------------------------------------------------------
-    def prefill(self) -> None:
-        """Warm-up first-touch for the whole tenant mix.
-
-        The single-tenant warm-up (:meth:`SimulationEngine.prefill`) run
-        over the combined address space: one pseudo-random permutation
-        interleaves every tenant's pages, so each gets a fast-tier share
-        proportional to its RSS — as if their init phases ran
-        concurrently.
-        """
-        self.inner.prefill()
 
     # ------------------------------------------------------------------
     def run(self) -> ColocationReport:

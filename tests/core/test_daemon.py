@@ -6,6 +6,7 @@ from repro.core.daemon import NeoMemConfig, NeoMemDaemon
 from repro.core.neoprof.device import NeoProfConfig
 from repro.memsim.engine import EngineConfig, SimulationEngine
 from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
+from tests.memsim.test_engine import start_hot_set_on_slow_tier
 
 
 class SkewedWorkload:
@@ -52,9 +53,7 @@ def build(daemon=None, fast=200, slow=8000, num_pages=4000, batches=30, **daemon
         daemon,
         EngineConfig(llc_capacity_pages=24, seed=11),
     )
-    # Pre-place pages high-to-low so the hot set (low page numbers) is on
-    # the slow tier at start.
-    engine.topology.first_touch_allocate(engine.page_table, np.arange(num_pages - 1, -1, -1))
+    start_hot_set_on_slow_tier(engine, workload.hot_pages)
     return engine, daemon
 
 

@@ -5,8 +5,8 @@ trace generation, and every job on the same LLC-filter geometry skip
 the filter pipeline: the per-epoch ``(miss_pages, touched, misses,
 write_misses)`` tuple is a pure function of the trace prefix and the
 filter geometry, independent of policy and tier ratio.  These
-tests pin the rules that keep that sharing sound: products commit only
-when they cover a complete trace, consumers get read-only views, only
+tests pin the rules that keep that sharing sound: products are published
+only when they cover a complete trace, consumers get read-only views, only
 fresh workloads are stored, and one bound evicts a trace together with
 its products.
 """
@@ -47,11 +47,10 @@ def _replay(store):
 
 
 def _store_products(store, entries):
-    """Commit ``entries`` as gups' account products, one per epoch."""
+    """Record ``entries`` as gups' account products, one per epoch."""
     replay = _replay(store)
     for epoch, entry in enumerate(entries):
         replay.put(epoch, *entry)
-    replay.commit()
 
 
 @pytest.fixture
@@ -104,16 +103,25 @@ class TestEpochAccountMemo:
         pages[:] = -1
         for epoch in range(1, CONFIG.batches):
             replay.put(epoch, *_entry(epoch))
-        replay.commit()
         assert np.array_equal(_replay(store).get(0)[0], np.array([3, 4]))
+
+    def test_put_past_the_end_leaves_the_published_products_alone(self, store):
+        """Once the last epoch's entry publishes the products, a step past
+        the trace's end (an explicit batch) records nothing more."""
+        replay = _replay(store)
+        for epoch in range(CONFIG.batches + 1):
+            replay.put(epoch, *_entry(epoch))
+        served = _replay(store)
+        assert served.get(CONFIG.batches) is None
+        assert np.array_equal(served.get(CONFIG.batches - 1)[0], _entry(CONFIG.batches - 1)[0])
 
     def test_put_only_appends_in_sequence(self, store):
         replay = _replay(store)
         replay.put(5, *_entry(5))  # out of sequence: dropped
+        assert _replay(store).get(0) is None
         for epoch in range(CONFIG.batches):
             replay.put(epoch, *_entry(epoch))
-        replay.commit()  # commits only if exactly one entry per epoch
-        served = _replay(store)
+        served = _replay(store)  # published with the last epoch's entry
         assert np.array_equal(served.get(0)[0], _entry(0)[0])
         assert np.array_equal(served.get(5)[0], _entry(5)[0])
 
@@ -155,7 +163,6 @@ class TestMemoSharingAcrossRuns:
         batches bit for bit: every epoch column and the summary."""
         workload = build_workload(name, CONFIG)
         engine = build_engine(workload, policy, CONFIG)
-        engine.prefill()
         live = engine.run()
         for _ in range(2):  # records, then replays
             replayed = run_one(name, policy, CONFIG)
@@ -165,17 +172,17 @@ class TestMemoSharingAcrossRuns:
 
     def test_truncated_run_does_not_publish(self, store):
         """A run stepped through only a prefix of the trace must not
-        commit it: that would hand later full runs a partial memo with
-        cold filter state at the cliff edge."""
+        publish its products: that would hand later full runs a partial
+        memo with cold filter state at the cliff edge."""
         workload = build_workload("gups", CONFIG)
         engine = build_engine(workload, "memtis", CONFIG)
-        engine.prefill()
-        replay = store.replay(workload, engine)
-        for _ in range(2):
+        store.replay(workload, engine)
+        for _ in range(CONFIG.batches - 1):
             engine.step(*engine.workload.next_batch(engine.rng))
-        replay.commit()
         assert len(store) == 1  # the trace itself is complete
         assert _replay(store).get(0) is None
+        engine.step(*engine.workload.next_batch(engine.rng))  # the last epoch publishes
+        assert _replay(store).get(0) is not None
 
 
 class TestTraceStore:

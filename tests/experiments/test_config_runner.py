@@ -58,16 +58,15 @@ class TestRunner:
         assert wl.batch_size == SMOKE_CONFIG.batch_size
 
     def test_prefill_fills_everything(self):
+        """An engine is built warmed up: every page is already mapped."""
         wl = build_workload("gups", SMOKE_CONFIG)
         engine = build_engine(wl, "first-touch", SMOKE_CONFIG)
-        engine.prefill()
         assert engine.page_table.unmapped_pages(np.arange(wl.num_pages)).size == 0
 
     def test_prefill_is_hotness_agnostic(self):
         """The warm-up permutation must not favour low page numbers."""
         wl = build_workload("gups", SMOKE_CONFIG)
         engine = build_engine(wl, "first-touch", SMOKE_CONFIG)
-        engine.prefill()
         fast_pages = engine.page_table.pages_on_node(0)
         # if allocation were ascending, every fast page would be < fast
         # capacity; a permutation spreads them across the space

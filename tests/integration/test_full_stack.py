@@ -73,7 +73,6 @@ def test_thp_run_invariants():
         config,
         policy_kwargs={"neomem_config": config.neomem_config(thp=True)},
     )
-    engine.prefill()
     report = engine.run()
     report.annotations["engine"] = engine
     check_invariants(report)
@@ -97,7 +96,6 @@ def test_three_tier_topology():
         policy,
         config.engine_config(),
     )
-    engine.prefill()
     report = engine.run()
     report.annotations["engine"] = engine
     check_invariants(report)

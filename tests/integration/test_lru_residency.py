@@ -62,7 +62,6 @@ def run_single(registry_name, workload_name, kwargs_builder, tier_mode):
     policy_kwargs = kwargs_builder(config) if kwargs_builder is not None else None
     engine = build_engine(workload, registry_name, config, policy_kwargs=policy_kwargs)
     counts = check_every_epoch(engine)
-    engine.prefill()
     report = engine.run()
     return counts, report
 
@@ -79,7 +78,6 @@ def run_colocated(scope, tier_mode):
         qos=QosConfig(policy_scope=scope),
     )
     counts = check_every_epoch(engine.inner)
-    engine.prefill()
     report = engine.run()
     return counts, report.machine
 

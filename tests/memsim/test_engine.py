@@ -75,6 +75,20 @@ def build_engine(policy=None, fast=500, slow=2000, **wl_kwargs):
     )
 
 
+def start_hot_set_on_slow_tier(engine, hot):
+    """Redo ``engine``'s placement as first-touch from the highest page id
+    down, so the fast tier holds the top page ids and the hot set (pages
+    ``0 .. hot - 1``) starts wholly on the slow tier: the scenario
+    promotion exists to fix.  The warm-up's random permutation would have
+    put a fast-tier-sized sample of the hot set on the fast tier."""
+    table, topology = engine.page_table, engine.topology
+    for node in topology.nodes:
+        node.tier.release(node.tier.used_pages)
+    table.node_of_page.fill(-1)
+    topology.first_touch_allocate(table, np.arange(table.num_pages - 1, -1, -1))
+    assert (table.nodes_of(np.arange(hot)) == 1).all()
+
+
 class TestEngineBasics:
     def test_run_produces_report(self):
         engine = build_engine()
@@ -104,24 +118,33 @@ class TestPageIds:
     them, and refuses any other batch before the epoch books anything."""
 
     @staticmethod
-    def assert_nothing_booked(engine):
+    def placement(engine):
+        nodes = engine.topology.nodes
+        return engine.page_table.node_of_page.copy(), [n.tier.used_pages for n in nodes]
+
+    def assert_nothing_booked(self, engine, warmed_up):
+        """No epoch, and the placement the constructor's warm-up left."""
         assert engine.epoch == 0 and not engine.report.epochs
-        assert (engine.page_table.node_of_page == -1).all()
+        node_of_page, used_pages = self.placement(engine)
+        np.testing.assert_array_equal(node_of_page, warmed_up[0])
+        assert used_pages == warmed_up[1]
 
     @pytest.mark.parametrize("pages", [np.array([1.7, 2.2, 3.9]), np.array([True, False, True])])
     def test_non_integer_ids_raise_type_error(self, pages):
         engine = build_engine()
+        warmed_up = self.placement(engine)
         with pytest.raises(TypeError, match="must be integers"):
             engine.step(pages, np.zeros(pages.size, dtype=bool))
-        self.assert_nothing_booked(engine)
+        self.assert_nothing_booked(engine, warmed_up)
 
     @pytest.mark.parametrize("bad", [-1, 2000])
     def test_out_of_range_id_raises_naming_it(self, bad):
         engine = build_engine()  # 2000 pages
+        warmed_up = self.placement(engine)
         pages = np.array([5, bad, 7])
         with pytest.raises(ValueError, match=rf"page id {bad} outside \[0, 2000\)"):
             engine.step(pages, np.zeros(pages.size, dtype=bool))
-        self.assert_nothing_booked(engine)
+        self.assert_nothing_booked(engine, warmed_up)
 
     def test_narrow_ids_simulate_like_int64_and_are_not_widened(self):
         views = []
@@ -304,11 +327,7 @@ class TestPolicyInteraction:
             engine = build_engine(
                 policy=policy, fast=60, slow=4000, num_pages=3000, batches=12, batch_size=8192
             )
-            # Pre-touch pages high-to-low so the hot set (pages 0-49) is
-            # first-touch-placed on the *slow* tier — the scenario
-            # promotion exists to fix.
-            scan = np.arange(2999, -1, -1)
-            engine.topology.first_touch_allocate(engine.page_table, scan)
+            start_hot_set_on_slow_tier(engine, hot=50)
             return engine.run()
 
         null_report = run(NullPolicy())

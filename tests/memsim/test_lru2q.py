@@ -46,36 +46,28 @@ class TestListTransitions:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             Lru2Q(0)
-        with pytest.raises(ValueError):
-            Lru2Q(10, active_ratio=1.5)
 
 
 class TestAging:
     def test_age_moves_oldest_active_to_inactive(self):
-        lru = Lru2Q(100, active_ratio=0.5)
+        lru = Lru2Q(100)
         # Activate 10 pages at staggered epochs.
         for epoch in range(10):
             lru.touch(np.array([epoch]), epoch)
         for epoch in range(10):
             lru.touch(np.array([epoch]), 10 + epoch)
-        assert lru.active_count() == 10
-        moved = lru.age(epoch=30)
-        assert moved == 5  # down to 50 % of list membership
+        assert lru.active_count() == 10 and lru.inactive_count() == 0
+        moved = lru.age()
+        assert moved == 4  # down to 60 % of list membership
         # Oldest-stamped pages were demoted first.
-        assert lru.state_of(0) == "inactive"
-        assert lru.state_of(9) == "active"
+        assert [lru.state_of(page) for page in range(10)] == ["inactive"] * 4 + ["active"] * 6
 
     def test_age_noop_when_balanced(self):
-        lru = Lru2Q(10, active_ratio=0.9)
-        lru.touch(np.array([0]), 0)
-        assert lru.age(epoch=1) == 0
-
-    def test_age_respects_member_mask(self):
-        lru = Lru2Q(10, active_ratio=0.5)
-        for epoch in (0, 1):
-            lru.touch(np.arange(4), epoch)
-        mask = np.zeros(10, dtype=bool)  # nobody is a member
-        assert lru.age(epoch=2, member_mask=mask) == 0
+        lru = Lru2Q(10)
+        lru.touch(np.arange(5), 0)
+        lru.touch(np.arange(3), 1)  # 3 of 5 members active: 60 %
+        assert lru.age() == 0
+        assert lru.active_count() == 3
 
 
 class TestColdest:

@@ -21,7 +21,6 @@ TINY = ExperimentConfig(num_pages=8192, batches=8, batch_size=8192)
 def run_mix(policy, config=TINY, num_tenants=2, scheduler="round-robin", qos=None, specs=None):
     specs = specs or make_tenant_specs(num_tenants, config)
     engine = build_colocation(specs, policy, config, scheduler, qos)
-    engine.prefill()
     return engine, engine.run()
 
 
@@ -115,7 +114,6 @@ def test_contention_slows_tenants_down():
             policy_factory=lambda p=spec.num_pages: build_policy("neomem", p, config),
             config=config.engine_config(),
         )
-        solo.prefill()
         solo_report = solo.run()
         colocated = report.tenants[spec.name].colocated_time_s
         assert colocated > solo_report.machine.total_time_s
@@ -150,7 +148,6 @@ class TestFastTierQuota:
             return on_epoch(view)
 
         policy.on_epoch = spy
-        engine.prefill()
         engine.run()
         assert len(filters) == 2 * TINY.batches
         if fractions[0] is None:
@@ -163,7 +160,6 @@ class TestFastTierQuota:
     def test_quota_filter_vetoes_only_over_quota_tenants(self):
         specs = make_tenant_specs(2, TINY, fast_quota_fractions=[0.1, None])
         engine = build_colocation(specs, "neomem", TINY)
-        engine.prefill()
         engine.run()
         ns0 = engine.layout.namespace(specs[0].name)
         ns1 = engine.layout.namespace(specs[1].name)
@@ -220,8 +216,10 @@ class TestThpQuotaInteraction:
             policy,
             EngineConfig(),
         )
-        # everything starts on the slow node
+        # the warm-up put everything on the fast node: move it all down
+        assert (engine.page_table.node_of_page == 0).all()
         engine.page_table.map_pages(np.arange(num_pages), 1)
+        engine.topology[0].tier.release(num_pages)
         engine.topology[1].tier.reserve(num_pages)
         # veto boundary mid-frame: huge page 1 spans [512, 1024), the
         # "quota'd tenant" owns [0, 768)
@@ -282,16 +280,28 @@ class TestPrefill:
 
         specs = make_tenant_specs(num_tenants, TINY)
         colocated = build_colocation(specs, "neomem", TINY)
-        colocated.prefill()
         total = colocated.layout.total_pages
         single = build_engine(build_workload("gups", TINY, num_pages=total), "neomem", TINY)
-        single.prefill()
         np.testing.assert_array_equal(
             colocated.inner.page_table.node_of_page, single.page_table.node_of_page
         )
         assert (single.page_table.node_of_page >= 0).all()
         for mixed, alone in zip(colocated.inner.topology.nodes, single.topology.nodes):
             assert mixed.tier.used_pages == alone.tier.used_pages
+
+    def test_each_tenant_gets_a_fast_share_in_proportion_to_its_rss(self):
+        """One permutation interleaves every tenant's pages, so each holds
+        about the fast tier's share of its own RSS, as if their init
+        phases ran concurrently."""
+        sizes = (1024, 2048, 5120)
+        specs = [TenantSpec(f"t{i}", "gups", pages) for i, pages in enumerate(sizes)]
+        engine = build_colocation(specs, "neomem", TINY)
+        fast = engine.inner.topology.fast_node.tier
+        assert fast.used_pages == fast.capacity_pages
+        share = fast.capacity_pages / engine.layout.total_pages
+        for spec in specs:
+            held = fast_resident(engine, spec.name) / spec.num_pages
+            assert held == pytest.approx(share, abs=0.05)
 
 
 class TestConstruction:

@@ -75,7 +75,6 @@ class TestRunColocation:
     def test_without_baselines_fairness_unavailable(self):
         specs = make_tenant_specs(2, TINY)
         engine = build_colocation(specs, "pebs", TINY)
-        engine.prefill()
         report = engine.run()
         assert report.slowdowns == {}
         with pytest.raises(ValueError):

@@ -86,7 +86,6 @@ def run_case(registry_name: str, kwargs_builder, scope: str):
         config=CONFIG.engine_config(),
         qos=QosConfig(policy_scope=scope),
     )
-    engine.prefill()
     return engine.run()
 
 

@@ -46,7 +46,6 @@ def colocation_parts(engine):
 def assert_freed_on_release(engine):
     """Run ``engine``, drop it, and check every engine object is gone;
     return how many objects were checked."""
-    engine.prefill()
     engine.run()
     refs = [weakref.ref(engine)]
     if hasattr(engine, "inner"):

@@ -18,6 +18,7 @@ from repro.policies.memtis import MemtisPolicy
 from repro.policies.pebs_policy import PebsPolicy
 from repro.policies.pte_scan_policy import PteScanPolicy
 from repro.policies.tpp import TppPolicy
+from tests.memsim.test_engine import start_hot_set_on_slow_tier
 
 NUM_PAGES = 3000
 HOT = 60
@@ -50,8 +51,7 @@ def run_policy(policy, batches=25, fast=150, slow=8000):
         policy,
         EngineConfig(llc_capacity_pages=20, seed=5),
     )
-    # hot set starts on the slow tier
-    engine.topology.first_touch_allocate(engine.page_table, np.arange(NUM_PAGES - 1, -1, -1))
+    start_hot_set_on_slow_tier(engine, HOT)
     return engine.run(), engine
 
 

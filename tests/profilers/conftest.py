@@ -5,6 +5,7 @@ import pytest
 
 from repro.memsim.engine import EngineConfig, SimulationEngine
 from repro.memsim.tiers import CXL_DRAM_PROTO, DDR5_LOCAL
+from tests.memsim.test_engine import start_hot_set_on_slow_tier
 
 
 class RecordingPolicy:
@@ -71,8 +72,7 @@ def run_engine():
             policy,
             EngineConfig(llc_capacity_pages=16, seed=3),
         )
-        # hot set starts on the slow tier
-        engine.topology.first_touch_allocate(engine.page_table, np.arange(num_pages - 1, -1, -1))
+        start_hot_set_on_slow_tier(engine, hot)
         engine.run()
         return policy, engine
 
