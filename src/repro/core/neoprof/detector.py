@@ -71,24 +71,25 @@ class HotPageDetector:
         # reuse the entries for the estimate and both hot-bit ops.
         flat = self.sketch.entries(pages)
         estimates = self.sketch.update_estimate_batch(pages, counts=counts, flat=flat)
-        hot_sel = estimates > self.threshold
-        if not hot_sel.any():
+        # batch positions of the hot pages, selected once with take
+        hot = (estimates > self.threshold).nonzero()[0]
+        if hot.size == 0:
             return 0
-        hot = pages[hot_sel]
-        hot_flat = flat[:, hot_sel]
+        fresh = pages.take(hot)
+        hot_flat = flat.take(hot, axis=1)
         # Hot-page filter: drop pages whose hot bits are all already set.
         if self.dedup_filter:
-            keep = ~self.sketch.hot_bits_all_set(hot, flat=hot_flat)
-            if not keep.any():
+            keep = (~self.sketch.hot_bits_all_set(fresh, flat=hot_flat)).nonzero()[0]
+            if keep.size == 0:
                 return 0
-            fresh = hot[keep]
-            self.sketch.set_hot_bits(fresh, flat=hot_flat[:, keep])
-        else:
-            fresh = hot
-        room = self.buffer_entries - self.pending
-        queued = min(int(fresh.size), max(room, 0))
+            if keep.size < hot.size:
+                fresh = fresh.take(keep)
+                hot_flat = hot_flat.take(keep, axis=1)
+            self.sketch.set_hot_bits(fresh, flat=hot_flat)
+        room = self.buffer_entries - self._fifo.size
+        queued = min(fresh.size, max(room, 0))
         if queued < fresh.size:
-            self.dropped_reports += int(fresh.size) - queued
+            self.dropped_reports += fresh.size - queued
         if queued:
             # cast first: int64 joined with uint64 would give float64
             self._fifo = np.concatenate((self._fifo, fresh[:queued].astype(np.int64)))

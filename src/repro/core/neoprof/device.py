@@ -112,10 +112,10 @@ class NeoProfDevice:
         elif command is NeoProfCommand.SET_THRESHOLD:
             self.detector.set_threshold(int(value))
         elif command is NeoProfCommand.SET_HIST_EN:
+            # the lane's valid counters are its non-zero ones, which the
+            # histogram bins without filtering them again
             sketch = self.detector.sketch
-            self._histogram = self.histogram_unit.compute_sparse(
-                sketch.lane_valid_counters(0), sketch.width
-            )
+            self._histogram = self.histogram_unit._bin(sketch.lane_valid_counters(0), sketch.width)
             self._hist_read_cursor = 0
 
     def mmio_read(self, offset: int) -> int:

@@ -19,6 +19,8 @@ scalar :meth:`H3HashFamily.hash_one` keeps the reference arithmetic).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -46,24 +48,33 @@ class H3HashFamily:
         self.num_hashes = int(num_hashes)
         self.output_bits = int(width - 1).bit_length()
         self.seed = int(seed)
-        rng = np.random.default_rng(seed)
-        # pi[d, i] is the m-bit seed row for bit i of hash d.
-        self._pi = rng.integers(0, width, size=(num_hashes, input_bits), dtype=np.uint64)
-        # Byte-chunk tables: tables[c][d, b] is the XOR of the seed rows
-        # of chunk c's bits selected by byte value b.  Built by doubling:
-        # each new bit XORs its row into a copy of the table so far.
         self._input_mask = np.uint64((1 << self.input_bits) - 1)
         self._num_chunks = (self.input_bits + 7) // 8
-        tables = np.zeros((self._num_chunks, num_hashes, 256), dtype=np.uint64)
+
+    # the seed rows and tables are drawn and built on first use: a sketch
+    # that reads its pages from a cached slot table never hashes
+    @cached_property
+    def _pi(self) -> np.ndarray:
+        """``pi[d, i]``, the m-bit seed row for bit ``i`` of hash ``d``."""
+        rng = np.random.default_rng(self.seed)
+        return rng.integers(0, self.width, size=(self.num_hashes, self.input_bits), dtype=np.uint64)
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        """Byte-chunk tables: ``tables[c][d, b]`` is the XOR of the seed
+        rows of chunk ``c``'s bits selected by byte value ``b``.  Built by
+        doubling: each new bit XORs its row into a copy of the table so far.
+        """
+        tables = np.zeros((self._num_chunks, self.num_hashes, 256), dtype=np.uint64)
         for chunk in range(self._num_chunks):
             filled = 1
-            for j in range(min(8, self.input_bits - 8 * chunk)):  # repro: noqa HOT005 — one-time table construction at __init__, doubling fill is O(256) per chunk
+            for j in range(min(8, self.input_bits - 8 * chunk)):  # repro: noqa HOT005 — one-time table construction, doubling fill is O(256) per chunk
                 row = self._pi[:, 8 * chunk + j]
                 tables[chunk, :, filled : 2 * filled] = (
                     tables[chunk, :, :filled] ^ row[:, None]
                 )
                 filled *= 2
-        self._tables = tables
+        return tables
 
     def hash_one(self, value: int, which: int) -> int:
         """Hash a single value with function ``which`` (reference path)."""

@@ -14,6 +14,7 @@ counters on-device; the host reads 64 values and derives
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +30,9 @@ class HistogramSnapshot:
     edges: np.ndarray
     counts: np.ndarray
 
-    @property
+    @cached_property
     def total(self) -> int:
+        """Counters binned: summed once, on the first read."""
         return int(self.counts.sum())
 
     # ------------------------------------------------------------------
@@ -48,7 +50,7 @@ class HistogramSnapshot:
             return 0.0
         target = fraction * self.total
         cumulative = np.cumsum(self.counts)
-        idx = int(np.searchsorted(cumulative, target, side="left"))
+        idx = int(cumulative.searchsorted(target, side="left"))
         idx = min(idx, len(self.counts) - 1)
         return float(self.edges[idx + 1])
 
@@ -95,8 +97,13 @@ class HistogramUnit:
         counters = np.asarray(values)
         if counters.dtype.kind not in "iu":
             counters = counters.astype(np.int64)
+        return self._bin(counters[counters > 0], total_entries)
+
+    def _bin(self, nonzero: np.ndarray, total_entries: int) -> HistogramSnapshot:
+        """The snapshot of a row's ``nonzero`` counters, positive
+        integers, plus ``total_entries - nonzero.size`` zeros."""
         self.computations += 1
-        max_value = int(counters.max(initial=0))
+        max_value = int(nonzero.max(initial=0))
         # smallest power-of-two width such that bins 1..N-1 reach max
         width = 1
         while 1 + width * (self.num_bins - 1) <= max_value:
@@ -108,7 +115,6 @@ class HistogramUnit:
         # instead of np.histogram, which sorts the whole row: non-zero
         # counter c lands in bin (c - 1) >> log2(width) + 1, and the
         # chosen width guarantees the top bin is never exceeded.
-        nonzero = counters[counters > 0]
         shift = width.bit_length() - 1
         counts = np.bincount((nonzero - 1) >> shift, minlength=self.num_bins - 1)
         zeros = int(total_entries) - nonzero.size

@@ -2,11 +2,11 @@
 
 The single entry point every figure/table harness uses.  Workload RSS
 is scaled per benchmark (``WORKLOAD_RSS_FACTOR``), the topology is sized
-from the fast:slow ratio, the hot data starts cold (on the slow tier)
-exactly as in the paper's methodology — the kernel reserves host memory
-so the workload's warm-up first-touch lands on CXL once the small fast
-tier fills — and the chosen policy runs against the NeoMem-or-baseline
-machinery.
+from the fast:slow ratio, the engine's warm-up places the footprint as
+in the paper's methodology — first-touch in a random allocation order,
+so the small fast tier holds a fast-tier-sized random sample of the hot
+set and the rest lands on CXL — and the chosen policy runs against the
+NeoMem-or-baseline machinery.
 """
 
 from __future__ import annotations

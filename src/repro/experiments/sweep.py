@@ -168,6 +168,11 @@ class JobSpec:
 # ----------------------------------------------------------------------
 # stable hashing
 # ----------------------------------------------------------------------
+#: leaf types ``_canonical`` returns as they are; exact types only, so a
+#: subclass (``np.float64``, an ``IntEnum``) takes the checks it always took
+_PLAIN_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(obj):
     """Reduce a value to canonical JSON-able data.
 
@@ -175,6 +180,8 @@ def _canonical(obj):
     digest).  Dataclasses are tagged with their type name so two config
     classes with coincidentally equal fields cannot collide.
     """
+    if type(obj) in _PLAIN_LEAVES:  # most leaves: skip the checks below
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"__type__": type(obj).__name__}
         for f in dataclasses.fields(obj):

@@ -22,6 +22,15 @@ set, serially, whatever shard the host's environment names:
     python -m repro.experiments.sweep_cli digest fig12 --out serial.digest
     cmp merged.digest serial.digest   # bit-identical, or the build fails
 
+``profile`` counts the per-epoch constant: after a cold and a warm pass
+of a job set it runs each policy's distinct jobs once more under
+cProfile, and prints epochs, calls per epoch and microseconds per epoch
+at the set's batch size and at 768 accesses a batch:
+
+.. code-block:: bash
+
+    python -m repro.experiments.sweep_cli profile paper-grid
+
 ``digest`` hashes each job result's canonical values independently
 (sha256 over per-job sha256s of the result's sorted-key JSON), so the
 digest is a content identity for the whole result set: two runs agree
@@ -56,6 +65,9 @@ __all__ = ["JOB_SETS", "build_jobs", "results_digest", "main"]
 CI_NUM_PAGES = 12288
 CI_BATCHES = 36
 CI_BATCH_SIZE = 12288
+#: the small batch ``profile`` also runs at, where the per-call constant
+#: dominates an epoch
+PROFILE_BATCH_SIZE = 768
 
 
 def _fig12_jobs(config: ExperimentConfig, args) -> list[JobSpec]:
@@ -71,6 +83,13 @@ def _fig11_jobs(config: ExperimentConfig, args) -> list[JobSpec]:
 
     workloads = args.workloads.split(",") if args.workloads else fig11.BENCHMARKS
     return fig11.fig11_jobs(config, workloads=workloads)
+
+
+def _paper_grid_jobs(config: ExperimentConfig, args) -> list[JobSpec]:
+    # the Figs. 11, 12 and 17 grids, the headline comparison
+    from repro.experiments import fig11, fig12, fig17
+
+    return fig11.fig11_jobs(config) + fig12.fig12_jobs(config) + fig17.fig17_jobs(config)
 
 
 def _colocation_jobs(config: ExperimentConfig, args) -> list[JobSpec]:
@@ -101,6 +120,7 @@ def _kvcache_jobs(config: ExperimentConfig, args) -> list[JobSpec]:
 JOB_SETS = {
     "fig11": (_fig11_jobs, frozenset({"workloads"})),
     "fig12": (_fig12_jobs, frozenset({"workloads", "ratios"})),
+    "paper-grid": (_paper_grid_jobs, frozenset()),
     "colocation": (_colocation_jobs, frozenset()),
     "kvcache": (_kvcache_jobs, frozenset()),
 }
@@ -237,6 +257,56 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _cmd_profile(args) -> int:
+    """Per policy: epochs, cProfile calls and wall microseconds per epoch.
+
+    A cold and a warm serial pass over the whole set fill the per-process
+    caches; then each policy's distinct jobs run once under cProfile, for the
+    call count (deterministic), and once without, for the wall clock the
+    backend measures per job.  Both include each job's set-up.  The
+    result cache is off, so every pass simulates every job.
+    """
+    import cProfile  # here, so importing the CLI does not import it
+
+    from repro.memsim.engine import SimulationEngine
+
+    step = SimulationEngine.step.__code__
+    for batch_size in dict.fromkeys((args.batch_size, PROFILE_BATCH_SIZE)):
+        jobs = build_jobs(argparse.Namespace(**{**vars(args), "batch_size": batch_size}))
+        by_policy: dict[str, dict[str, JobSpec]] = {}
+        for spec in jobs:
+            by_policy.setdefault(spec.policy, {})[job_key(spec)] = spec
+        executor = SweepExecutor(cache_dir="", backend="serial")
+        # a cold pass, then a warm one: the first pass's imports reset
+        # the interpreter's type-check caches, which the second refills
+        executor.run(jobs)
+        executor.run(jobs)
+        print(
+            f"[sweep-cli] {args.job_set} profile at {args.num_pages} pages x "
+            f"{args.batches} batches x {batch_size} accesses: "
+            f"{sum(map(len, by_policy.values()))} distinct jobs"
+        )
+        print(f"  {'policy':<14} {'jobs':>5} {'epochs':>7} {'calls/epoch':>12} {'us/epoch':>9}")
+        for policy, unique in by_policy.items():
+            specs = list(unique.values())
+            profiler = cProfile.Profile()
+            profiler.runcall(executor.run, specs)
+            # the raw entries, one per code object: pstats would key them
+            # by (file, line, name), under which every dataclass-generated
+            # __init__ is one function
+            entries = profiler.getstats()
+            calls = sum(entry.callcount for entry in entries)
+            epochs = sum(entry.callcount for entry in entries if entry.code is step)
+            executor.run(specs)
+            wall_ns = sum(executor.backend.last_job_wall_ns)
+            per_epoch = max(epochs, 1)
+            print(
+                f"  {policy:<14} {len(specs):>5} {epochs:>7} "
+                f"{calls / per_epoch:>12.1f} {wall_ns / per_epoch / 1e3:>9.1f}"
+            )
+    return 0
+
+
 def _cmd_merge(args) -> int:
     stats = merge_shards(args.sources, args.dest)
     print(
@@ -301,6 +371,12 @@ def main(argv=None) -> int:
     trace_p.add_argument("--out", default="sweep_trace.json")
     trace_p.add_argument("--limit", type=int, default=None, help="trace only the first N jobs")
     trace_p.set_defaults(func=_cmd_trace)
+
+    profile_p = sub.add_parser(
+        "profile", help="per policy: calls and microseconds per epoch of a warm pass"
+    )
+    _add_jobset_flags(profile_p)
+    profile_p.set_defaults(func=_cmd_profile)
 
     merge_p = sub.add_parser("merge", help="fan per-shard caches into one")
     merge_p.add_argument("dest")

@@ -27,7 +27,7 @@ from repro.memsim.tiers import (
 from repro.memsim.cache import Cache, CacheHierarchy, CacheStats
 from repro.memsim.cachefilter import PageCacheFilter
 from repro.memsim.tlb import TLB
-from repro.memsim.page_table import PageTable, PageFlags
+from repro.memsim.page_table import PageTable
 from repro.memsim.numa import NumaNode, NumaTopology
 from repro.memsim.lru2q import Lru2Q
 from repro.memsim.migration import MigrationConfig, MigrationEngine, MigrationStats
@@ -52,7 +52,6 @@ __all__ = [
     "PageCacheFilter",
     "TLB",
     "PageTable",
-    "PageFlags",
     "NumaNode",
     "NumaTopology",
     "Lru2Q",

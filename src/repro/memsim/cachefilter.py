@@ -117,7 +117,7 @@ class PageCacheFilter:
         # accesses to those pages are ranked.  Classes: 0 no miss, 1 all
         # miss, 2 + k the k-th partial page.
         page_class = (budget >= counts).astype(np.int32)
-        partial = np.flatnonzero((budget > 0) & (budget < counts))
+        partial = ((budget > 0) & (budget < counts)).nonzero()[0]
         page_class[partial] = np.arange(2, partial.size + 2, dtype=np.int32)
         # page-indexed, so `pages` gathers it; entries off the batch are never read
         by_page = np.empty(self.max_page_id, dtype=np.int32)
@@ -125,7 +125,7 @@ class PageCacheFilter:
         miss_class = by_page[pages]
         miss_mask = miss_class == 1
         if partial.size:
-            sel = np.flatnonzero(miss_class > 1)
+            sel = (miss_class > 1).nonzero()[0]
             key = miss_class[sel]
             if partial.size + 2 <= 1 << 16:
                 # numpy's stable sort is an O(n) radix sort for 16-bit

@@ -140,7 +140,7 @@ class EpochView:
         the distinct slow-node pages that missed this epoch, with their
         misses and write misses.  A page that never missed sent nothing.
         """
-        sel = np.flatnonzero((self.touched_nodes != FAST_NODE) & (self.touched_misses > 0))
+        sel = ((self.touched_nodes != FAST_NODE) & (self.touched_misses > 0)).nonzero()[0]
         return self.touched_pages[sel], self.touched_misses[sel], self.touched_write_misses[sel]
 
 
@@ -176,6 +176,9 @@ class SimulationEngine:
                 f"workload RSS {workload.num_pages} pages exceeds topology "
                 f"capacity {self.topology.total_capacity_pages()} pages"
             )
+        #: every node's tier, in node order (the fast tier first)
+        self._tiers = [node.tier for node in self.topology.nodes]
+        self._slow_tiers = self._tiers[1:]
         self.telemetry = engine_telemetry(f"{workload.name}/{policy.name}")
         self.page_table = PageTable(workload.num_pages)
         self.lru = Lru2Q(workload.num_pages, telemetry=self.telemetry)
@@ -275,8 +278,9 @@ class SimulationEngine:
         with tel.span("account"):
             # read-only views: the caller keeps its arrays, the policy
             # cannot write through the EpochView
-            pages = _read_only(np.asarray(pages).view())
-            is_write = _read_only(np.asarray(is_write, dtype=bool).view())
+            pages = np.asarray(pages).view()
+            is_write = np.asarray(is_write, dtype=bool).view()
+            pages.flags.writeable = is_write.flags.writeable = False
             if pages.shape != is_write.shape:
                 raise ValueError("pages and is_write must have matching shapes")
             if (memo := self.account_memo) is None:  # bad ids raise before any booking
@@ -292,27 +296,28 @@ class SimulationEngine:
                 touched = _read_only(distinct.astype(np.int64, copy=False))
                 miss_mask, misses = self.cache.filter_batch(pages, touched, counts)
                 misses = _read_only(misses.astype(np.int32))
-                miss_pages = _read_only(pages[np.flatnonzero(miss_mask)])
-                write_miss_pages = pages[np.flatnonzero(miss_mask & is_write)]
+                miss_pages = _read_only(pages[miss_mask.nonzero()[0]])
+                write_miss_pages = pages[(miss_mask & is_write).nonzero()[0]]
                 write_misses = np.bincount(write_miss_pages, minlength=self.page_table.num_pages)
                 write_misses = _read_only(write_misses[touched].astype(np.int32))
                 if memo is not None:
                     memo.put(self.epoch, miss_pages, touched, misses, write_misses)
-            touched_nodes = _read_only(self.page_table.nodes_of(touched))
+            touched_nodes = self.page_table.node_of_page[touched]
+            touched_nodes.flags.writeable = False
             # the epoch's fast-resident touched pages, found once: they book
             # the fast node's traffic and are what the LRU-2Q lists see
-            fast = np.flatnonzero(touched_nodes == FAST_NODE)
-            node_misses, node_writes = self._node_traffic(touched_nodes, fast, misses, write_misses)
-            llc_misses = sum(node_misses)
-
-            duration_ns = self._epoch_time_ns(pages.size, llc_misses, node_misses, node_writes)
-            metrics = self._account_traffic(
-                pages.size, llc_misses, node_misses, node_writes, duration_ns
+            fast = (touched_nodes == FAST_NODE).nonzero()[0]
+            # each miss is one entry of the miss stream
+            llc_misses = miss_pages.size
+            node_misses, node_writes = self._node_traffic(
+                touched_nodes, fast, misses, write_misses, llc_misses
             )
+            duration_ns = self._epoch_time_ns(pages.size, llc_misses, node_misses, node_writes)
+            traffic = self._account_traffic(node_misses, node_writes, duration_ns)
 
         # OS-visible state updates.
         with tel.span("profile"):
-            self.page_table.set_accessed(touched)
+            self.page_table.accessed[touched] = True
             self.lru.touch(touched[fast], self.epoch)
             if self.epoch % 8 == 0:
                 # the lists hold only fast-resident pages (the migration
@@ -333,30 +338,35 @@ class SimulationEngine:
                 touched_misses=misses,
                 touched_write_misses=write_misses,
                 page_table=self.page_table,
-                fast_capacity_pages=self.topology.fast_node.tier.capacity_pages,
+                fast_capacity_pages=self._tiers[FAST_NODE].capacity_pages,
                 telemetry=tel,
                 _migration=self.migration,
             )
             self.migration.grant_quota(duration_ns * 1e-9)
             overhead_ns = float(self.policy.on_epoch(view))
-        migration_stats = self.migration.drain_stats()
+        stats = self.migration.drain_stats()
 
         with tel.span("account"):
-            metrics.profiling_overhead_ns = overhead_ns
-            metrics.migration_stall_ns = migration_stats.stall_ns
-            metrics.promoted_pages = migration_stats.promoted_pages
-            metrics.demoted_pages = migration_stats.demoted_pages
-            metrics.promoted_huge_pages = migration_stats.promoted_huge_pages
-            metrics.ping_pong_events = migration_stats.ping_pong_events
-            metrics.duration_ns = duration_ns + overhead_ns + migration_stats.stall_ns
-            metrics.threshold = getattr(self.policy, "current_threshold", 0.0)
-
-            self.topology.end_epoch()
-            slow = self.topology.slow_nodes
-            if slow:
-                metrics.slow_bandwidth_util = max(n.tier.last_utilization for n in slow)
-                metrics.slow_read_fraction = slow[0].tier.last_read_fraction
-
+            for tier in self._tiers:
+                tier.end_epoch()
+            slow = self._slow_tiers
+            metrics = EpochMetrics(
+                epoch=self.epoch,
+                sim_time_ns=self.sim_time_ns,
+                duration_ns=duration_ns + overhead_ns + stats.stall_ns,
+                accesses=pages.size,
+                llc_misses=llc_misses,
+                **traffic,
+                promoted_pages=stats.promoted_pages,
+                demoted_pages=stats.demoted_pages,
+                promoted_huge_pages=stats.promoted_huge_pages,
+                ping_pong_events=stats.ping_pong_events,
+                profiling_overhead_ns=overhead_ns,
+                migration_stall_ns=stats.stall_ns,
+                threshold=getattr(self.policy, "current_threshold", 0.0),
+                slow_bandwidth_util=max([t.last_utilization for t in slow]) if slow else 0.0,
+                slow_read_fraction=slow[0].last_read_fraction if slow else 0.5,
+            )
             self.sim_time_ns += metrics.duration_ns
             self.report.append(metrics)
             self.epoch += 1
@@ -376,23 +386,24 @@ class SimulationEngine:
         fast: np.ndarray,
         misses: np.ndarray,
         write_misses: np.ndarray,
+        llc_misses: int,
     ) -> tuple[list[int], list[int]]:
         """Misses and write misses per node, as exact integer sums.
 
         The fast node sums over its touched pages ``fast`` (indices into
         the touched set), every other node but the last over its own, and
-        the last node books what the others leave of the totals.
+        the last node books what the others leave of the totals, the
+        epoch's ``llc_misses`` and its write misses.
         """
+        add = np.add.reduce  # one call where ndarray.sum makes three
         node_misses, node_writes = [], []
-        for node in self.topology.nodes[:-1]:
-            if node.node_id == FAST_NODE:
-                own = fast
-            else:
-                own = np.flatnonzero(touched_nodes == node.node_id)
-            node_misses.append(int(misses[own].sum()))
-            node_writes.append(int(write_misses[own].sum()))
-        node_misses.append(int(misses.sum()) - sum(node_misses))
-        node_writes.append(int(write_misses.sum()) - sum(node_writes))
+        for tier in self._tiers[:-1]:
+            node_id = tier.node_id
+            own = fast if node_id == FAST_NODE else (touched_nodes == node_id).nonzero()[0]
+            node_misses.append(int(add(misses[own])))
+            node_writes.append(int(add(write_misses[own])))
+        node_misses.append(llc_misses - sum(node_misses))
+        node_writes.append(int(add(write_misses)) - sum(node_writes))
         return node_misses, node_writes
 
     def _epoch_time_ns(
@@ -406,48 +417,37 @@ class SimulationEngine:
         cpu_ns = num_accesses * cfg.cpu_ns_per_access
         hit_ns = (num_accesses - num_misses) * cfg.llc_hit_ns / cfg.mlp
         mem_ns = 0.0
-        for node in self.topology.nodes:
-            count = node_misses[node.node_id]
+        for tier, count, writes in zip(self._tiers, node_misses, node_writes):
             if count == 0:
                 continue
-            writes = node_writes[node.node_id]
             reads = count - writes
-            mem_ns += (
-                reads * node.tier.effective_latency_ns(is_write=False)
-                + writes * node.tier.effective_latency_ns(is_write=True)
-            ) / cfg.mlp
+            mem_ns += (reads * tier.read_latency_ns + writes * tier.write_latency_ns) / cfg.mlp
         return cpu_ns + hit_ns + mem_ns
 
     def _account_traffic(
-        self,
-        num_accesses: int,
-        num_misses: int,
-        node_misses: list[int],
-        node_writes: list[int],
-        duration_ns: float,
-    ) -> EpochMetrics:
-        cfg = self.config
-        metrics = EpochMetrics(
-            epoch=self.epoch,
-            sim_time_ns=self.sim_time_ns,
-            accesses=num_accesses,
-            llc_misses=num_misses,
-        )
+        self, node_misses: list[int], node_writes: list[int], duration_ns: float
+    ) -> dict[str, int]:
+        """Book each node's traffic on its tier; return the epoch's
+        ``EpochMetrics`` hit and slow-byte counts."""
+        writeback_fraction = self.config.writeback_fraction
         seconds = duration_ns * 1e-9
-        for node in self.topology.nodes:
-            count = node_misses[node.node_id]
+        fast_hits = slow_hits = slow_read_bytes = slow_write_bytes = 0
+        for tier, count, writes in zip(self._tiers, node_misses, node_writes):
             if count == 0:
                 continue
-            writes = node_writes[node.node_id]
-            reads = count - writes
             # demand fills + dirty writebacks, 64 B lines
-            read_bytes = reads * 64
-            write_bytes = writes * 64 + int(count * cfg.writeback_fraction) * 64
-            node.tier.record_traffic(read_bytes, write_bytes, seconds)
-            if node.node_id == FAST_NODE:
-                metrics.fast_hits += count
+            read_bytes = (count - writes) * 64
+            write_bytes = writes * 64 + int(count * writeback_fraction) * 64
+            tier.record_traffic(read_bytes, write_bytes, seconds)
+            if tier.node_id == FAST_NODE:
+                fast_hits += count
             else:
-                metrics.slow_hits += count
-                metrics.slow_read_bytes += read_bytes
-                metrics.slow_write_bytes += write_bytes
-        return metrics
+                slow_hits += count
+                slow_read_bytes += read_bytes
+                slow_write_bytes += write_bytes
+        return dict(
+            fast_hits=fast_hits,
+            slow_hits=slow_hits,
+            slow_read_bytes=slow_read_bytes,
+            slow_write_bytes=slow_write_bytes,
+        )

@@ -56,15 +56,14 @@ class Lru2Q:
         both callers pass distinct pages (the engine its touched set, the
         migration engine its deduplicated move lists).
         """
-        idx = np.asarray(pages, dtype=np.int64)
-        state = self._state[idx]
+        state = self._state[pages]
         # A page off the lists carries stamp -1 (forget clears state and
         # stamp together), so it is older than any epoch: a page not yet
         # active steps up one state (none -> inactive -> active) exactly
         # when its stamp is older than this epoch.
-        step = (state != _ACTIVE) & (self._stamp[idx] < epoch)
-        self._state[idx] = state + step
-        self._stamp[idx] = epoch
+        step = (state != _ACTIVE) & (self._stamp[pages] < epoch)
+        self._state[pages] = state + step
+        self._stamp[pages] = epoch
         if self.telemetry.enabled:
             reg = self.telemetry.registry
             fresh = int((state == _NONE).sum())
@@ -90,13 +89,13 @@ class Lru2Q:
         Staleness is relative, so the stamps alone order the pages.
         Returns the number of pages moved from active to inactive.
         """
-        active = self._state == _ACTIVE
-        num_active = np.count_nonzero(active)
-        total = num_active + np.count_nonzero(self._state == _INACTIVE)
-        excess = num_active - int(total * self.ACTIVE_RATIO)
+        active = (self._state == _ACTIVE).nonzero()[0]
+        # every page on a list is inactive or active, the others _NONE (0)
+        total = np.count_nonzero(self._state)
+        excess = active.size - int(total * self.ACTIVE_RATIO)
         if excess <= 0:
             return 0
-        oldest = self._oldest(np.flatnonzero(active), excess)
+        oldest = self._oldest(active, excess)
         self._state[oldest] = _INACTIVE
         if self.telemetry.enabled:
             self.telemetry.registry.counter("lru2q.aged_pages").inc(int(oldest.size))
@@ -111,9 +110,9 @@ class Lru2Q:
         """
         if count <= 0:
             return np.zeros(0, dtype=np.int64)
-        picks = self._oldest(np.flatnonzero(self._on(_INACTIVE, member_mask)), count)
+        picks = self._oldest(self._on(_INACTIVE, member_mask).nonzero()[0], count)
         if picks.size < count:
-            active = np.flatnonzero(self._on(_ACTIVE, member_mask))
+            active = self._on(_ACTIVE, member_mask).nonzero()[0]
             picks = np.concatenate([picks, self._oldest(active, count - picks.size)])
         return picks
 

@@ -108,6 +108,8 @@ class MigrationEngine:
         self.lru = lru
         self.config = config or MigrationConfig()
         self.telemetry = telemetry if telemetry is not None else DISABLED
+        #: every node's tier, in node order (the fast tier first)
+        self._tiers = [node.tier for node in topology.nodes]
         self.stats = MigrationStats()
         self._window_budget_bytes = 0.0
         self._window_drained = False
@@ -215,7 +217,8 @@ class MigrationEngine:
                 return 0
             nodes = self.page_table.nodes_of(pages)
             # only mapped pages on slow nodes move up
-            movable = pages[(nodes >= 0) & (nodes != FAST_NODE)]
+            slow = (nodes >= 0) & (nodes != FAST_NODE)
+            movable = pages[slow]
             if movable.size == 0:
                 return 0
             granted = self._charge_quota(movable.size, PAGE_SIZE)
@@ -223,7 +226,7 @@ class MigrationEngine:
                 return 0
             movable = movable[:granted]
 
-            fast = self.topology.fast_node.tier
+            fast = self._tiers[FAST_NODE]
             headroom_target = int(fast.capacity_pages * self.config.fast_free_target)
             deficit = movable.size - (fast.free_pages - headroom_target)
             if deficit > 0:
@@ -234,7 +237,8 @@ class MigrationEngine:
             if movable.size == 0:
                 return 0
 
-            ping_pong = self._map_up(movable, epoch)
+            # reclaim moved only fast pages, so the sources still hold
+            ping_pong = self._map_up(movable, nodes[slow][: movable.size], epoch)
             moved = int(movable.size)
             self.stats.stall_ns += moved * self.config.page_copy_ns
             self._audit(
@@ -279,17 +283,18 @@ class MigrationEngine:
                 span = spans_matrix[row]
                 span = span[span >= 0]
                 nodes = self.page_table.nodes_of(span)
-                slow_members = span[(nodes >= 0) & (nodes != FAST_NODE)]
+                slow = (nodes >= 0) & (nodes != FAST_NODE)
+                slow_members = span[slow]
                 if slow_members.size == 0:
                     continue
-                fast = self.topology.fast_node.tier
+                fast = self._tiers[FAST_NODE]
                 headroom = int(fast.capacity_pages * self.config.fast_free_target)
                 deficit = slow_members.size - (fast.free_pages - headroom)
                 if deficit > 0:
                     self._make_room(deficit)
                 if fast.free_pages - headroom < slow_members.size:
                     break
-                self._map_up(slow_members, epoch)
+                self._map_up(slow_members, nodes[slow], epoch)
                 moved += 1
                 base_pages += int(slow_members.size)
                 self.stats.stall_ns += self.config.huge_page_copy_ns
@@ -304,8 +309,9 @@ class MigrationEngine:
                 )
             return moved
 
-    def _map_up(self, pages: np.ndarray, epoch: int) -> int:
-        """Map slow-resident, distinct ``pages`` onto the fast node.
+    def _map_up(self, pages: np.ndarray, src_nodes: np.ndarray, epoch: int) -> int:
+        """Map slow-resident, distinct ``pages``, now on ``src_nodes``,
+        onto the fast node.
 
         The one place a page becomes fast-resident: releases the source
         frames (exclusive mode) or records them as shadows (inclusive
@@ -314,7 +320,6 @@ class MigrationEngine:
         promoted pages.  Quota, headroom, stall and audit stay with the
         caller.  Returns the ping-pong events.
         """
-        src_nodes = self.page_table.nodes_of(pages)
         if self._inclusive:
             # the slow frame stays reserved as the shadow copy; the copy
             # itself (quota + stall) is still paid in full
@@ -322,11 +327,12 @@ class MigrationEngine:
         else:
             # per-node release counts via one O(n) bincount; the node
             # space is tiny, so this beats np.unique's sort, and the loop
-            # iterates the distinct NUMA nodes (a handful), not pages
-            node_counts = np.bincount(src_nodes, minlength=len(self.topology.nodes))
-            for node_id in np.nonzero(node_counts)[0]:  # repro: noqa HOT004 — per NUMA node
-                self.topology[int(node_id)].tier.release(int(node_counts[node_id]))
-        self.topology.fast_node.tier.reserve(pages.size)
+            # iterates the NUMA nodes (a handful), not pages
+            node_counts = np.bincount(src_nodes, minlength=len(self._tiers))
+            for tier, count in zip(self._tiers, node_counts.tolist()):
+                if count:
+                    tier.release(count)
+        self._tiers[FAST_NODE].reserve(pages.size)
         self.page_table.map_pages(pages, FAST_NODE)
 
         # ping-pong accounting: promoted pages that carry PG_demoted
@@ -352,54 +358,58 @@ class MigrationEngine:
         """
         with self.telemetry.span("migrate"):
             pages = first_occurrence(np.asarray(pages, dtype=np.int64), self.page_table.num_pages)
-            if pages.size == 0:
-                return 0
-            nodes = self.page_table.nodes_of(pages)
-            movable = pages[nodes == FAST_NODE]
-            if movable.size == 0:
-                return 0
-            dropped = 0
-            if self._inclusive:
-                shadows = self._shadow_node[movable]
-                held = shadows >= 0
-                if held.any():
-                    dropped = self._drop_to_shadow(movable[held], shadows[held])
-                    movable = movable[~held]
-                if movable.size == 0:
-                    return dropped
-            if charge_quota:
-                granted = self._charge_quota(movable.size, PAGE_SIZE)
-                if granted == 0:
-                    return dropped
-                movable = movable[:granted]
+            return self._move_down(pages, charge_quota)
 
-            targets = [n for n in self.topology.slow_nodes if n.tier.free_pages > 0]
-            moved = 0
-            cursor = 0
-            for node in targets:
-                take = min(node.tier.free_pages, movable.size - cursor)
-                if take <= 0:
-                    continue
-                chunk = movable[cursor : cursor + take]
-                self.topology.fast_node.tier.release(take)
-                node.tier.reserve(take)
-                self.page_table.map_pages(chunk, node.node_id)
-                self.page_table.mark_demoted(chunk)
-                self.lru.forget(chunk)
-                cursor += take
-                moved += take
-                if cursor >= movable.size:
-                    break
-            self.stats.demoted_pages += moved
-            self.stats.stall_ns += moved * self.config.page_copy_ns
-            if moved:
-                self._audit(
-                    "migration.demote",
-                    pages=moved,
-                    quota_bytes=moved * PAGE_SIZE if charge_quota else 0,
-                    reclaim=not charge_quota,
-                )
-            return moved + dropped
+    def _move_down(self, pages: np.ndarray, charge_quota: bool) -> int:
+        """:meth:`demote` of distinct ``pages``: those on the fast node move."""
+        if pages.size == 0:
+            return 0
+        nodes = self.page_table.nodes_of(pages)
+        movable = pages[nodes == FAST_NODE]
+        if movable.size == 0:
+            return 0
+        dropped = 0
+        if self._inclusive:
+            shadows = self._shadow_node[movable]
+            held = shadows >= 0
+            if held.any():
+                dropped = self._drop_to_shadow(movable[held], shadows[held])
+                movable = movable[~held]
+            if movable.size == 0:
+                return dropped
+        if charge_quota:
+            granted = self._charge_quota(movable.size, PAGE_SIZE)
+            if granted == 0:
+                return dropped
+            movable = movable[:granted]
+
+        fast = self._tiers[FAST_NODE]
+        moved = 0
+        cursor = 0
+        for tier in self._tiers[1:]:
+            take = min(tier.free_pages, movable.size - cursor)
+            if take <= 0:
+                continue
+            chunk = movable[cursor : cursor + take]
+            fast.release(take)
+            tier.reserve(take)
+            self.page_table.map_pages(chunk, tier.node_id)
+            self.page_table.mark_demoted(chunk)
+            self.lru.forget(chunk)
+            cursor += take
+            moved += take
+            if cursor >= movable.size:
+                break
+        self.stats.demoted_pages += moved
+        self.stats.stall_ns += moved * self.config.page_copy_ns
+        if moved:
+            self._audit(
+                "migration.demote",
+                pages=moved,
+                quota_bytes=moved * PAGE_SIZE if charge_quota else 0,
+                reclaim=not charge_quota,
+            )
+        return moved + dropped
 
     def keep_watermark(self, watermark: float, target: float) -> int:
         """Below a ``watermark`` fraction of free fast pages, demote the
@@ -452,7 +462,7 @@ class MigrationEngine:
             else:
                 rest = member_mask.copy()
             rest[candidates] = False
-            untracked = np.flatnonzero(rest)
+            untracked = rest.nonzero()[0]
             candidates = np.concatenate([candidates, untracked[: count - candidates.size]])
         return candidates
 
@@ -461,7 +471,11 @@ class MigrationEngine:
         candidates = self.coldest_victims(num_pages)
         if candidates.size == 0:
             return 0
-        return self.demote(candidates, charge_quota=False)
+        # demote without its dedupe, as the victims are distinct; the
+        # residency filter stays, since the lists' callers keep them
+        # fast-only, and so does the span, which the phase counts hold
+        with self.telemetry.span("migrate"):
+            return self._move_down(candidates, charge_quota=False)
 
     # ------------------------------------------------------------------
     def _audit(self, kind: str, **args) -> None:

@@ -1,4 +1,4 @@
-"""Page-table model: placement, accessed bits, poison bits, page flags.
+"""Page-table model: placement, accessed bits, poison bits, PG_demoted.
 
 The simulator keeps a flat array mapping each virtual page of the
 workload's address space to the NUMA node currently backing it, plus the
@@ -19,16 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 
-class PageFlags:
-    """Bit positions inside the per-page flags byte."""
-
-    ACCESSED = np.uint8(1 << 0)
-    POISONED = np.uint8(1 << 1)
-    DEMOTED = np.uint8(1 << 2)  # the paper's PG_demoted flag
-
-
 class PageTable:
     """Flat page table for a single simulated address space.
+
+    Each per-page bit is its own bool array, so setting or clearing a
+    batch's bits is one scatter.
 
     Args:
         num_pages: Size of the workload's resident set, in base pages.
@@ -41,22 +36,25 @@ class PageTable:
         self.num_pages = int(num_pages)
         #: NUMA node id backing each page; -1 means not yet allocated.
         self.node_of_page = np.full(self.num_pages, -1, dtype=np.int16)
-        self.flags = np.zeros(self.num_pages, dtype=np.uint8)
+        self.accessed = np.zeros(self.num_pages, dtype=bool)
+        self.poisoned = np.zeros(self.num_pages, dtype=bool)
+        #: the paper's PG_demoted flag
+        self.demoted = np.zeros(self.num_pages, dtype=bool)
 
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
     def map_pages(self, pages: np.ndarray, node_id: int) -> None:
         """Back ``pages`` with memory on ``node_id``."""
-        self.node_of_page[np.asarray(pages, dtype=np.int64)] = np.int16(node_id)
+        self.node_of_page[pages] = node_id
 
     def nodes_of(self, pages: np.ndarray) -> np.ndarray:
         """Node id per page (int16 array; -1 for unmapped)."""
-        return self.node_of_page[np.asarray(pages, dtype=np.int64)]
+        return self.node_of_page[pages]
 
     def pages_on_node(self, node_id: int) -> np.ndarray:
         """All pages currently backed by ``node_id``."""
-        return np.nonzero(self.node_of_page == np.int16(node_id))[0]
+        return (self.node_of_page == node_id).nonzero()[0]
 
     def unmapped_pages(self, pages: np.ndarray) -> np.ndarray:
         """Subset of ``pages`` that have no backing node yet."""
@@ -73,48 +71,44 @@ class PageTable:
     # ------------------------------------------------------------------
     def set_accessed(self, pages: np.ndarray) -> None:
         """Hardware sets Accessed on the page walk after a TLB miss."""
-        idx = np.asarray(pages, dtype=np.int64)
-        self.flags[idx] |= PageFlags.ACCESSED
+        self.accessed[pages] = True
 
     def clear_accessed_all(self) -> None:
         """Daemon clears every Accessed bit at the start of a scan epoch."""
-        self.flags &= ~PageFlags.ACCESSED
+        self.accessed.fill(False)
 
     def clear_accessed(self, pages: np.ndarray) -> None:
-        idx = np.asarray(pages, dtype=np.int64)
-        self.flags[idx] &= ~PageFlags.ACCESSED
+        self.accessed[pages] = False
+
+    def accessed_mask(self, pages: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``pages``: True where Accessed is set."""
+        return self.accessed[pages]
 
     def accessed_pages(self) -> np.ndarray:
         """Pages whose Accessed bit is currently set."""
-        return np.nonzero(self.flags & PageFlags.ACCESSED)[0]
+        return self.accessed.nonzero()[0]
 
     # ------------------------------------------------------------------
     # poison bits (hint-fault substrate)
     # ------------------------------------------------------------------
     def poison(self, pages: np.ndarray) -> None:
-        idx = np.asarray(pages, dtype=np.int64)
-        self.flags[idx] |= PageFlags.POISONED
+        self.poisoned[pages] = True
 
     def unpoison(self, pages: np.ndarray) -> None:
-        idx = np.asarray(pages, dtype=np.int64)
-        self.flags[idx] &= ~PageFlags.POISONED
+        self.poisoned[pages] = False
 
     def poisoned_mask(self, pages: np.ndarray) -> np.ndarray:
         """Boolean mask over ``pages``: True where the PTE is poisoned."""
-        idx = np.asarray(pages, dtype=np.int64)
-        return (self.flags[idx] & PageFlags.POISONED) != 0
+        return self.poisoned[pages]
 
     # ------------------------------------------------------------------
     # PG_demoted (ping-pong accounting, Section V-A)
     # ------------------------------------------------------------------
     def mark_demoted(self, pages: np.ndarray) -> None:
-        idx = np.asarray(pages, dtype=np.int64)
-        self.flags[idx] |= PageFlags.DEMOTED
+        self.demoted[pages] = True
 
     def demoted_mask(self, pages: np.ndarray) -> np.ndarray:
-        idx = np.asarray(pages, dtype=np.int64)
-        return (self.flags[idx] & PageFlags.DEMOTED) != 0
+        return self.demoted[pages]
 
     def clear_demoted(self, pages: np.ndarray) -> None:
-        idx = np.asarray(pages, dtype=np.int64)
-        self.flags[idx] &= ~PageFlags.DEMOTED
+        self.demoted[pages] = False

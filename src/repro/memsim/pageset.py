@@ -24,7 +24,7 @@ def distinct_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(ids, return_counts=True)
     # np.bincount refuses uint64 under numpy's safe-cast rule
     full = np.bincount(ids.astype(np.int64, copy=False))
-    distinct = np.flatnonzero(full)
+    distinct = full.nonzero()[0]
     return distinct.astype(ids.dtype, copy=False), full[distinct]
 
 

@@ -110,8 +110,14 @@ class MemoryTier:
         self._epoch_read_bytes = 0
         self._epoch_write_bytes = 0
         self._epoch_seconds = 0.0
-        self._last_utilization = 0.0
-        self._last_read_fraction = 0.5
+        self._peak_bytes_per_s = spec.total_bandwidth_gbps * 1e9
+        #: the last finished epoch's utilization and read fraction
+        self.last_utilization = 0.0
+        self.last_read_fraction = 0.5
+        #: read and write latency including queueing inflation from the
+        #: last finished epoch's load (ns); unloaded before the first
+        self.read_latency_ns = spec.read_latency_ns
+        self.write_latency_ns = spec.write_latency_ns
 
     # ------------------------------------------------------------------
     # capacity
@@ -153,8 +159,7 @@ class MemoryTier:
         if self._epoch_seconds <= 0.0:
             return 0.0
         demanded = (self._epoch_read_bytes + self._epoch_write_bytes) / self._epoch_seconds
-        peak = self.spec.total_bandwidth_gbps * 1e9
-        return min(demanded / peak, 1.0)
+        return min(demanded / self._peak_bytes_per_s, 1.0)
 
     def read_fraction(self) -> float:
         """Fraction of the epoch's traffic that was reads."""
@@ -164,29 +169,24 @@ class MemoryTier:
         return self._epoch_read_bytes / total
 
     def end_epoch(self) -> None:
-        """Freeze utilization for queueing and clear the epoch counters."""
-        self._last_utilization = self.utilization()
-        self._last_read_fraction = self.read_fraction()
+        """Freeze utilization for queueing, inflate the latencies by it
+        and clear the epoch counters."""
+        self.last_utilization = self.utilization()
+        self.last_read_fraction = self.read_fraction()
         self._epoch_read_bytes = 0
         self._epoch_write_bytes = 0
         self._epoch_seconds = 0.0
-
-    @property
-    def last_utilization(self) -> float:
-        return self._last_utilization
-
-    @property
-    def last_read_fraction(self) -> float:
-        return self._last_read_fraction
+        rho = min(self.last_utilization, self.MAX_RHO)
+        inflation = 1.0 + self.QUEUE_GAIN * rho / (1.0 - rho)
+        self.read_latency_ns = self.spec.read_latency_ns * inflation
+        self.write_latency_ns = self.spec.write_latency_ns * inflation
 
     # ------------------------------------------------------------------
     # latency model
     # ------------------------------------------------------------------
     def effective_latency_ns(self, is_write: bool = False) -> float:
         """Latency including queueing inflation from the last epoch's load."""
-        base = self.spec.write_latency_ns if is_write else self.spec.read_latency_ns
-        rho = min(self._last_utilization, self.MAX_RHO)
-        return base * (1.0 + self.QUEUE_GAIN * rho / (1.0 - rho))
+        return self.write_latency_ns if is_write else self.read_latency_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,7 +48,7 @@ class AutoNumaPolicy(BaseTieringPolicy):
 
     def _select_promotions(self, view) -> np.ndarray:
         counts = self.profiler.fault_count
-        candidates = np.nonzero(counts >= self.hot_threshold)[0].astype(np.int64)
+        candidates = (counts >= self.hot_threshold).nonzero()[0].astype(np.int64)
         if candidates.size == 0:
             return candidates
         on_slow = view.page_table.nodes_of(candidates) > FAST_NODE

@@ -43,7 +43,7 @@ class MemtisPolicy(BaseTieringPolicy):
 
     def _select_promotions(self, view) -> np.ndarray:
         counts = self.profiler.sample_count
-        sampled = np.nonzero(counts >= self.min_samples)[0]
+        sampled = (counts >= self.min_samples).nonzero()[0]
         if sampled.size == 0:
             return np.zeros(0, dtype=np.int64)
         # Histogram-based hot-set sizing: find the smallest count

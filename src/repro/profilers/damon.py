@@ -85,7 +85,7 @@ class DamonProfiler(Profiler):
         # access rates.
         self._next_check_ns = now_ns + self.sample_interval_s * 1e9
         page_table = view.page_table
-        accessed_mask = (page_table.flags[self._sample_pages] & 1) != 0
+        accessed_mask = page_table.accessed_mask(self._sample_pages)
         self._check_hits += accessed_mask
         page_table.clear_accessed(self._sample_pages)
         self._checks_done += 1

@@ -93,9 +93,9 @@ class HintFaultProfiler(Profiler):
 
     def _poison_window(self, page_table) -> float:
         if self.slow_only:
-            eligible = np.nonzero(page_table.node_of_page > FAST_NODE)[0]
+            eligible = (page_table.node_of_page > FAST_NODE).nonzero()[0]
         else:
-            eligible = np.nonzero(page_table.node_of_page >= 0)[0]
+            eligible = (page_table.node_of_page >= 0).nonzero()[0]
         if eligible.size == 0:
             return 0.0
         # circular scan through the eligible set, kernel-style
@@ -112,10 +112,10 @@ class HintFaultProfiler(Profiler):
     # ------------------------------------------------------------------
     def hot_candidates(self) -> np.ndarray:
         """Pages with at least one recorded fault (policy refines this)."""
-        return np.nonzero(self.fault_count > 0)[0].astype(np.int64)
+        return (self.fault_count > 0).nonzero()[0].astype(np.int64)
 
     def consecutive_fault_pages(self, max_epoch_gap: int) -> np.ndarray:
         """Pages whose last two faults were close together (TPP rule)."""
         has_two = self.prev_fault_epoch >= 0
         close = (self.last_fault_epoch - self.prev_fault_epoch) <= max_epoch_gap
-        return np.nonzero(has_two & close)[0].astype(np.int64)
+        return (has_two & close).nonzero()[0].astype(np.int64)

@@ -88,4 +88,4 @@ class PebsProfiler(Profiler):
 
     def hot_candidates(self, min_samples: float = 2.0) -> np.ndarray:
         """Pages with at least ``min_samples`` (possibly decayed) samples."""
-        return np.nonzero(self.sample_count >= min_samples)[0].astype(np.int64)
+        return (self.sample_count >= min_samples).nonzero()[0].astype(np.int64)

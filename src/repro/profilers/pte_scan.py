@@ -59,6 +59,8 @@ class PteScanProfiler(Profiler):
         self.hot_epochs = int(hot_epochs)
         self.window_epochs = int(window_epochs)
         self._history: list[np.ndarray] = []
+        # the hot set changes only when a scan lands
+        self._hot = np.zeros(0, dtype=np.int64)
         self._next_scan_ns = scan_interval_s * 1e9
         self.scans_completed = 0
 
@@ -75,13 +77,15 @@ class PteScanProfiler(Profiler):
         self._history.append(bitmap)
         if len(self._history) > self.window_epochs:
             self._history.pop(0)
+        window = np.sum(self._history, axis=0)
+        self._hot = (window >= self.hot_epochs).nonzero()[0].astype(np.int64)
+        self._hot.flags.writeable = False
         page_table.clear_accessed_all()
         self.scans_completed += 1
         # Full PTE walk twice (read pass + clear pass share the walk here)
         return self.num_pages * self.ns_per_pte
 
     def hot_candidates(self) -> np.ndarray:
-        if not self._history:
-            return np.zeros(0, dtype=np.int64)
-        window = np.sum(self._history, axis=0)
-        return np.nonzero(window >= self.hot_epochs)[0].astype(np.int64)
+        """Pages seen in at least ``hot_epochs`` of the window's scans
+        (read-only; as of the last scan)."""
+        return self._hot

@@ -126,3 +126,17 @@ class TestVectorizedBitIdentity:
         for d in range(2):
             assert int(mixed[d, -1]) == h.hash_one(2**31, d)
             assert int(alone[d, -1]) == h.hash_one(int(small[-1]), d)
+
+
+def test_hash_does_not_depend_on_who_built_the_tables():
+    """A family whose first hash builds its tables hashes like one whose
+    tables an earlier call built, and like the per-bit reference."""
+    values = np.random.default_rng(3).integers(0, 1 << 32, size=300, dtype=np.uint64)
+    warm = H3HashFamily(32, 1 << 12, 3)
+    warm.hash_batch(np.arange(5, dtype=np.uint64))
+    cold = H3HashFamily(32, 1 << 12, 3)
+    out = cold.hash_batch(values)
+    np.testing.assert_array_equal(out, warm.hash_batch(values))
+    reference = H3HashFamily(32, 1 << 12, 3)
+    for which in range(3):
+        assert [reference.hash_one(v, which) for v in values[:20]] == out[which, :20].tolist()

@@ -4,8 +4,10 @@ import importlib
 import inspect
 import pickle
 import shutil
+from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.experiments.sweep as sweep_module
@@ -15,6 +17,7 @@ from repro.experiments.sweep import (
     SweepError,
     SweepExecutor,
     SweepSerializationError,
+    _canonical,
     _sanitize_result,
     job_key,
     resolve,
@@ -400,3 +403,20 @@ class TestExtractorFlow:
         # the engine itself never leaks into the returned report
         assert "engine" not in report.annotations
         assert "policy_object" not in report.annotations
+
+
+def test_canonical_keeps_numpy_scalars_and_int_enums():
+    """Plain leaves come back as they are; numpy scalars become the
+    Python values they hold, and an IntEnum stays itself."""
+
+    class Level(IntEnum):
+        LOW = 1
+
+    leaves = {"f": np.float64(0.1), "b": np.bool_(True), "i": np.int64(3), "e": Level.LOW}
+    out = _canonical({**leaves, "plain": [1, 2.5, "x", True, None]})
+    assert type(out["f"]) is float and out["f"] == 0.1
+    assert out["b"] is True
+    assert type(out["i"]) is int and out["i"] == 3
+    assert out["e"] is Level.LOW
+    assert out["plain"] == [1, 2.5, "x", True, None]
+    assert [type(v) for v in out["plain"]] == [int, float, str, bool, type(None)]

@@ -188,3 +188,24 @@ def test_metrics_runs_digest_alike(policy):
     assert results_digest([first]) == results_digest([second])
     telemetry["counters"]["engine.epochs"] += 1
     assert results_digest([first]) != results_digest([second])
+
+
+def _profile_rows(out: str) -> list[tuple[str, ...]]:
+    """(policy, jobs, epochs, calls/epoch) per policy row of `profile`."""
+    rows = [line.split() for line in out.splitlines() if line.startswith("  ")]
+    return [tuple(row[:4]) for row in rows if row[0] != "policy"]
+
+
+def test_profile_counts_the_same_calls_twice(capsys):
+    """`profile` prints each policy's epochs and calls per epoch at the
+    set's batch size and at 768 accesses; the call count repeats exactly."""
+    runs = []
+    for _ in range(2):
+        assert main(["profile", "fig12", *TINY_FLAGS]) == 0
+        runs.append(capsys.readouterr().out)
+    assert "at 2048 pages x 4 batches x 2048 accesses" in runs[0]
+    assert "at 2048 pages x 4 batches x 768 accesses" in runs[0]
+    rows = _profile_rows(runs[0])
+    assert len(rows) == 4 and {row[0] for row in rows} == {"neomem", "pebs"}
+    assert all(int(row[2]) == 8 and float(row[3]) > 0 for row in rows)
+    assert _profile_rows(runs[1]) == rows

@@ -198,6 +198,34 @@ class TestColdestVictims:
         assert victims.size == min(count, int(member_mask.sum()))
         assert member_mask[victims].all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fast_pages=st.sets(st.integers(0, 63), max_size=48),
+        touched_early=st.sets(st.integers(0, 63)),
+        touched_late=st.sets(st.integers(0, 63)),
+        members=st.none() | st.lists(st.booleans(), min_size=64, max_size=64),
+        count=st.integers(0, 80),
+    )
+    def test_victims_are_distinct_fast_pages(
+        self, fast_pages, touched_early, touched_late, members, count
+    ):
+        """Reclaim demotes the victims without deduplicating them: the
+        inactive picks, the active picks and the untracked pad are
+        disjoint, with or without a member mask."""
+        _, pt, lru, eng = build(fast=64, slow=64, num_pages=64)
+        pt.map_pages(np.arange(64), 1)
+        pt.map_pages(np.array(sorted(fast_pages), dtype=np.int64), 0)
+        # touched in both epochs: active; in one: inactive
+        for epoch, touched in enumerate((touched_early, touched_late)):
+            lru.touch(np.array(sorted(touched & fast_pages), dtype=np.int64), epoch)
+        on_fast = pt.node_of_page == 0
+        member_mask = None if members is None else np.array(members) & on_fast
+        eligible = on_fast if member_mask is None else member_mask
+        victims = eng.coldest_victims(count, member_mask)
+        assert np.unique(victims).size == victims.size
+        assert eligible[victims].all()
+        assert victims.size == min(count, int(eligible.sum()))
+
 
 class TestPingPong:
     def test_ping_pong_counted(self):

@@ -110,6 +110,28 @@ class TestBandwidthModel:
         tier = make_tier(spec=CXL_PCM)
         assert tier.effective_latency_ns(is_write=True) > tier.effective_latency_ns()
 
+    def test_effective_latency_is_the_inflation_of_the_last_epoch(self):
+        """After construction and after each end_epoch, and not before it,
+        the effective latencies equal the queueing formula at the last
+        finished epoch's utilization, bit for bit."""
+        tier = make_tier(spec=CXL_PCM)
+
+        def formula(is_write):
+            base = CXL_PCM.write_latency_ns if is_write else CXL_PCM.read_latency_ns
+            rho = min(tier.last_utilization, MemoryTier.MAX_RHO)
+            return base * (1.0 + MemoryTier.QUEUE_GAIN * rho / (1.0 - rho))
+
+        loads = [(0, 0), (3e9, 1e9), (0.5e9, 0), (20e9, 20e9), (1e9, 2e9), (0, 0)]
+        for read_bytes, write_bytes in loads:
+            for is_write in (False, True):
+                assert tier.effective_latency_ns(is_write=is_write) == formula(is_write)
+            before = (tier.effective_latency_ns(), tier.effective_latency_ns(is_write=True))
+            tier.record_traffic(read_bytes, write_bytes, 1.0)
+            assert (tier.effective_latency_ns(), tier.effective_latency_ns(is_write=True)) == before
+            tier.end_epoch()
+        for is_write in (False, True):
+            assert tier.effective_latency_ns(is_write=is_write) == formula(is_write)
+
     def test_latency_monotone_in_load(self):
         low, high = make_tier(spec=CXL_DRAM_PROTO), make_tier(spec=CXL_DRAM_PROTO)
         low.record_traffic(4 * 10**9, 0, 1.0)

@@ -1,7 +1,11 @@
 """Tests for the PTE-scan profiler."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.memsim.page_table import PageTable
 from repro.profilers.pte_scan import PteScanProfiler
 
 NUM_PAGES = 2000  # matches the run_engine fixture default
@@ -70,3 +74,32 @@ class TestHotDetection:
     def test_empty_history_no_candidates(self):
         prof = PteScanProfiler(100)
         assert prof.hot_candidates().size == 0
+
+
+def test_candidates_change_when_a_scan_lands_and_not_between():
+    """The hot set is the pages seen in at least ``hot_epochs`` of the
+    window's scans; it moves only when a scan lands, however the
+    Accessed bits change between scans."""
+    num_pages, hot_epochs, window = 32, 2, 3
+    prof = PteScanProfiler(
+        num_pages, scan_interval_s=1.0, hot_epochs=hot_epochs, window_epochs=window
+    )
+    page_table = PageTable(num_pages)
+    rng = np.random.default_rng(7)
+    scanned: list[set] = []
+    for epoch in range(40):
+        page_table.set_accessed(rng.choice(num_pages, size=8, replace=False))
+        seen = set(page_table.accessed_pages().tolist())
+        before = prof.hot_candidates().tolist()
+        view = SimpleNamespace(
+            page_table=page_table, sim_time_ns=epoch * 0.3e9, duration_ns=0.3e9
+        )
+        scans = prof.scans_completed
+        prof.observe(view)
+        if prof.scans_completed == scans:
+            assert prof.hot_candidates().tolist() == before
+            continue
+        scanned = (scanned + [seen])[-window:]
+        expected = [p for p in range(num_pages) if sum(p in s for s in scanned) >= hot_epochs]
+        assert prof.hot_candidates().tolist() == expected
+    assert prof.scans_completed >= 2 * window
